@@ -22,7 +22,7 @@ type MultilevelCell struct {
 
 // multilevelLayouts are the asymmetric testbeds of the comparison: the
 // two-site split the paper measures plus the 3- and 4-site layouts on
-// which gridBcast/gridAllreduce fall back to flat trees — the gap the
+// which the two-site grid algorithms fall back to flat trees — the gap the
 // multilevel tuning level exists to close.
 func multilevelLayouts() []exp.Topology {
 	return []exp.Topology{

@@ -4,10 +4,27 @@ import (
 	"time"
 )
 
-// gridCollMin is the smallest payload for which the grid-aware collective
-// algorithms are worthwhile; below it the latency of extra phases dominates
-// and the binomial algorithms win even across a WAN.
-const gridCollMin = 32 << 10
+// Collectives are one staged mechanism (see kernels.go): every operation
+// makes one strategy decision and runs a short intra-site → inter-site →
+// redistribution sequence of group kernels over the world's site
+// partition. The flat strategy is the one-phase case over all ranks.
+//
+// Tag discipline: each call reserves one 64-tag block (startColl), and
+// every phase of the call uses a distinct offset inside it, so messages
+// of different phases never match each other even while ranks are in
+// different phases. Offsets 0..19 and 20..39 leave room for the
+// per-round tags of recursive doubling / dissemination over groups of up
+// to 2^20 members.
+
+const (
+	// gridCollMin is the smallest payload for which GridMPI's two-site
+	// algorithms are worthwhile; below it the latency of extra phases
+	// dominates and the binomial algorithms win even across a WAN.
+	gridCollMin = 32 << 10
+	// largeBcastMin is where scatter+ring allgather beats the binomial
+	// tree.
+	largeBcastMin = 512 << 10
+)
 
 // internal point-to-point helpers running in the collective context.
 
@@ -33,11 +50,15 @@ func (r *Rank) csendrecv(dst, sendTag int, size int64, src, recvTag int) {
 	r.Wait(sreq)
 }
 
-// nextCollTag reserves a tag block for one collective call. All ranks call
-// collectives in the same order (the usual SPMD contract), so the blocks
-// agree across ranks.
-func (r *Rank) nextCollTag() int {
+// startColl reserves the tag block of one collective call and books the
+// call in the census on the recording rank (the root, or rank 0). All
+// ranks call collectives in the same order (the usual SPMD contract), so
+// the blocks agree across ranks.
+func (r *Rank) startColl(op string, recorder int, bytes int64) int {
 	r.collSeq++
+	if r.id == recorder {
+		r.w.stats.recordColl(op, bytes)
+	}
 	return r.collSeq << 6
 }
 
@@ -46,304 +67,246 @@ func (r *Rank) combineCost(n int64) {
 	r.Compute(time.Duration(float64(n) / r.w.Prof.CopyRate * float64(time.Second)))
 }
 
-// siteGroups returns rank ids grouped by site. Group order is the order
-// in which sites first appear walking ranks 0..P-1, and each group lists
-// its ranks in ascending rank order — the multilevel algorithms depend on
-// this (group[0] is the site's gateway, and groups[0][0] == rank 0), so
-// it is pinned by TestSiteGroupsFirstAppearanceOrder.
-func (w *World) siteGroups() [][]int {
-	idx := make(map[string]int)
-	var groups [][]int
-	for _, rk := range w.ranks {
-		s := rk.host.Site
-		if _, ok := idx[s]; !ok {
-			idx[s] = len(groups)
-			groups = append(groups, nil)
-		}
-		groups[idx[s]] = append(groups[idx[s]], rk.id)
+// sites is the site partition of a world's ranks. Groups are ordered by
+// the site's first appearance walking ranks 0..P-1 and list their ranks
+// in rank order, so groups[0][0] == 0; a site's gateway is its first
+// rank.
+type sites struct {
+	all      []int   // 0..P-1: the member list of the flat algorithms
+	groups   [][]int // rank ids per site
+	of       []int   // rank id -> index of its site in groups
+	gateways []int   // groups[i][0]
+	sizes    []int   // len(groups[i])
+}
+
+// sites returns the world's partition, built on first use.
+func (w *World) sites() *sites {
+	if w.partition != nil {
+		return w.partition
 	}
-	return groups
+	s := &sites{all: make([]int, len(w.ranks)), of: make([]int, len(w.ranks))}
+	index := make(map[string]int)
+	for id, rk := range w.ranks {
+		i, ok := index[rk.host.Site]
+		if !ok {
+			i = len(s.groups)
+			index[rk.host.Site] = i
+			s.groups = append(s.groups, nil)
+			s.gateways = append(s.gateways, id)
+			s.sizes = append(s.sizes, 0)
+		}
+		s.groups[i] = append(s.groups[i], id)
+		s.sizes[i]++
+		s.all[id], s.of[id] = id, i
+	}
+	w.partition = s
+	return s
+}
+
+// hub is the position in site i of the hub of a collective rooted at
+// root: the root in its own site, the gateway elsewhere.
+func (s *sites) hub(i, root int) int {
+	if s.of[root] != i {
+		return 0
+	}
+	return indexOf(s.groups[i], root)
+}
+
+// rootGateways lists the gateways of a collective rooted at root: the
+// root stands in for its own site's gateway.
+func (s *sites) rootGateways(root int) []int {
+	gws := s.gateways
+	if i := s.of[root]; gws[i] != root {
+		gws = append([]int(nil), gws...)
+		gws[i] = root
+	}
+	return gws
+}
+
+// strategy is a collective's algorithm family.
+type strategy int
+
+const (
+	flat        strategy = iota // one kernel sequence over all ranks
+	multilevel                  // staged over per-site gateways (Profile.Multilevel)
+	twoSite                     // GridMPI's two-site bcast/allreduce
+	scatterRing                 // GridMPI's large-message bcast
+)
+
+// strategy is the one algorithm decision of every collective op with
+// payload n: multilevel on two or more sites; under GridCollectives,
+// the two-site bcast/allreduce from gridCollMin bytes, else the
+// scatter+ring bcast from largeBcastMin; flat otherwise.
+func (r *Rank) strategy(op string, n int) strategy {
+	prof, S := r.w.Prof, len(r.w.sites().groups)
+	switch {
+	case prof.Multilevel && S >= 2:
+		return multilevel
+	case !prof.GridCollectives || op != "bcast" && op != "allreduce":
+		return flat
+	case S == 2 && n >= gridCollMin:
+		return twoSite
+	case op == "bcast" && n >= largeBcastMin:
+		return scatterRing
+	}
+	return flat
 }
 
 // Bcast broadcasts n payload bytes from root to every rank.
 func (r *Rank) Bcast(root int, n int) {
-	tag := r.nextCollTag()
-	if r.id == root {
-		r.w.stats.recordColl("bcast", int64(n))
+	tag := r.startColl("bcast", root, int64(n))
+	s := r.w.sites()
+	switch r.strategy("bcast", n) {
+	case multilevel:
+		// The root broadcasts to the gateways over the WAN (one message
+		// per remote site), then each gateway inside its site.
+		me := s.of[r.id]
+		r.bcastTree(tag, s.rootGateways(root), s.of[root], int64(n))
+		r.bcastTree(tag+1, s.groups[me], s.hub(me, root), int64(n))
+	case twoSite:
+		r.twoSiteBcast(tag, root, int64(n))
+	case scatterRing:
+		// van de Geijn inside one cluster: the root scatters P chunks and
+		// a ring allgather circulates them, 2n per NIC instead of the
+		// binomial's log2(P)·n at the root. Chunks are n/P bytes; the
+		// n mod P remainder is not sent.
+		chunk := max(int64(n)/int64(r.Size()), 1)
+		r.fanOut(tag, s.all, root, root, chunk, nil)
+		r.ring(tag+1, s.all, chunk, false)
+	default:
+		// The classic log2(P) tree: across a WAN its edges pay the full
+		// latency and the root's NIC carries the payload to each site.
+		r.bcastTree(tag, s.all, root, int64(n))
 	}
-	groups := r.w.siteGroups()
-	if r.w.Prof.Multilevel && len(groups) >= 2 {
-		r.mlBcast(tag, root, int64(n), groups)
+}
+
+// twoSiteBcast is GridMPI's van de Geijn broadcast between two clusters
+// (Matsuda et al., Cluster'06). With k the smaller site size, the root
+// scatters k chunks to the first k members of its site counted from
+// itself, the chunks cross the WAN on k parallel node-to-node flows (n/k
+// bytes each instead of n on one), and each site allgathers them.
+func (r *Rank) twoSiteBcast(tag, root int, n int64) {
+	s := r.w.sites()
+	rs := s.of[root]
+	local, remote := s.groups[rs], s.groups[1-rs]
+	L, h := len(local), indexOf(local, root)
+	k := min(L, len(remote))
+	chunk, last := n/int64(k), n-n/int64(k)*int64(k-1)
+	held := make([]int, L) // held[p]: the chunk local member p holds
+	for i := 0; i < k; i++ {
+		held[(h+i)%L] = int(chunk)
+	}
+	held[(h+k-1)%L] = int(last)
+
+	r.fanOut(tag, local, h, h, 1, held)
+	if s.of[r.id] == rs {
+		p := indexOf(local, r.id)
+		if i := (p - h + L) % L; i < k {
+			r.csend(remote[i], tag+1, int64(held[p]))
+		}
+		r.exchange(tag+2, local, h, k, int64(held[p]), nil)
 		return
 	}
-	if r.w.Prof.GridBcast {
-		if len(groups) == 2 && n >= gridCollMin {
-			r.gridBcast(tag, root, int64(n), groups)
-			return
-		}
-		if n >= largeBcastMin {
-			// GridMPI's large-message broadcast inside one cluster:
-			// van de Geijn scatter + ring allgather (2n per NIC instead
-			// of the binomial's log2(P)·n at the root).
-			r.scatterRingBcast(tag, root, int64(n))
-			return
-		}
+	i, mine := indexOf(remote, r.id), chunk
+	if i == k-1 {
+		mine = last
 	}
-	r.binomialBcast(tag, root, int64(n))
-}
-
-// largeBcastMin is where scatter+allgather beats the binomial tree.
-const largeBcastMin = 512 << 10
-
-// scatterRingBcast: the root scatters P chunks, then a ring allgather
-// circulates them.
-func (r *Rank) scatterRingBcast(tag, root int, n int64) {
-	P := r.Size()
-	chunk := n / int64(P)
-	if chunk < 1 {
-		chunk = 1
+	if i < k {
+		r.crecv(local[(h+i)%L], tag+1)
 	}
-	vrank := (r.id - root + P) % P
-	// Scatter: root sends chunk i to vrank i.
-	if r.id == root {
-		reqs := make([]*Request, 0, P-1)
-		for v := 1; v < P; v++ {
-			reqs = append(reqs, r.cisend((v+root)%P, tag, chunk))
-		}
-		r.WaitAll(reqs...)
-	} else {
-		r.crecv(root, tag)
-	}
-	// Ring allgather: P-1 steps, each passing one chunk to the right.
-	right := (r.id + 1) % P
-	left := (r.id - 1 + P) % P
-	for s := 0; s < P-1; s++ {
-		r.csendrecv(right, tag+1+s, chunk, left, tag+1+s)
-	}
-	_ = vrank
-}
-
-// binomialBcast is the classic log2(P) tree used by the non-grid-aware
-// implementations; across a WAN its tree edges pay the full latency and
-// the root's single NIC carries the whole payload to the remote cluster.
-func (r *Rank) binomialBcast(tag, root int, n int64) {
-	P := r.Size()
-	vrank := (r.id - root + P) % P
-	mask := 1
-	for mask < P {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % P
-			r.crecv(parent, tag)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < P {
-			child := ((vrank + mask) + root) % P
-			r.csend(child, tag, n)
-		}
-		mask >>= 1
-	}
-}
-
-// gridBcast is the van de Geijn style broadcast GridMPI uses between
-// clusters (Matsuda et al., Cluster'06): scatter the payload inside the
-// root's cluster, ship the chunks over the WAN on parallel node-to-node
-// connections, and allgather inside each cluster. The WAN phase moves n/k
-// bytes per flow on k simultaneous flows instead of n bytes on one.
-func (r *Rank) gridBcast(tag, root int, n int64, groups [][]int) {
-	local, remote := groups[0], groups[1]
-	if !contains(local, root) {
-		local, remote = remote, local
-	}
-	local = rotateToFront(local, root)
-	k := min(len(local), len(remote))
-	chunk := n / int64(k)
-	last := n - chunk*int64(k-1)
-
-	sz := func(i int) int64 {
-		if i == k-1 {
-			return last
-		}
-		return chunk
-	}
-
-	// Phase 1: scatter chunks inside the root cluster.
-	if r.id == root {
-		reqs := make([]*Request, 0, k-1)
-		for i := 1; i < k; i++ {
-			reqs = append(reqs, r.cisend(local[i], tag, sz(i)))
-		}
-		r.WaitAll(reqs...)
-	} else if i := indexOf(local[:k], r.id); i > 0 {
-		r.crecv(root, tag)
-	}
-
-	// Phase 2: parallel WAN transfers, pair i: local[i] -> remote[i].
-	if i := indexOf(local[:k], r.id); i >= 0 {
-		r.csend(remote[i], tag+1, sz(i))
-	} else if i := indexOf(remote[:k], r.id); i >= 0 {
-		r.crecv(local[i], tag+1)
-	}
-
-	// Phase 3: allgather chunks inside each cluster.
-	r.localAllgatherChunks(tag+2, local, remote, k, sz)
-}
-
-// localAllgatherChunks distributes the k chunks held by the first k
-// members of each site group to the rest of their group.
-func (r *Rank) localAllgatherChunks(tag int, local, remote []int, k int, sz func(int) int64) {
-	group := local
-	if !contains(group, r.id) {
-		group = remote
-	}
-	me := indexOf(group, r.id)
-	var reqs []*Request
-	// Post receives for every chunk another member holds.
-	for i := 0; i < k; i++ {
-		if i != me {
-			reqs = append(reqs, r.cirecv(group[i], tag))
-		}
-	}
-	// If I hold a chunk, send it to everyone else in my group.
-	if me < k {
-		for j := range group {
-			if j != me {
-				reqs = append(reqs, r.cisend(group[j], tag, sz(me)))
-			}
-		}
-	}
-	r.WaitAll(reqs...)
+	r.exchange(tag+2, remote, 0, k, mine, nil)
 }
 
 // Reduce combines n payload bytes from every rank onto root.
 func (r *Rank) Reduce(root int, n int) {
-	tag := r.nextCollTag()
-	if r.id == root {
-		r.w.stats.recordColl("reduce", int64(n))
-	}
-	if r.w.Prof.Multilevel {
-		if groups := r.w.siteGroups(); len(groups) >= 2 {
-			r.mlReduce(tag, root, int64(n), groups)
-			return
-		}
-	}
-	r.binomialReduce(tag, root, int64(n))
-}
-
-func (r *Rank) binomialReduce(tag, root int, n int64) {
-	P := r.Size()
-	vrank := (r.id - root + P) % P
-	mask := 1
-	for mask < P {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % P
-			r.csend(parent, tag, n)
-			return
-		}
-		if child := vrank | mask; child < P {
-			r.crecv((child+root)%P, tag)
-			r.combineCost(n)
-		}
-		mask <<= 1
+	tag := r.startColl("reduce", root, int64(n))
+	s := r.w.sites()
+	switch r.strategy("reduce", n) {
+	case multilevel:
+		// Each site reduces onto its gateway, then the gateways onto the
+		// root over the WAN.
+		me := s.of[r.id]
+		r.reduceTree(tag, s.groups[me], s.hub(me, root), int64(n))
+		r.reduceTree(tag+1, s.rootGateways(root), s.of[root], int64(n))
+	default:
+		r.reduceTree(tag, s.all, root, int64(n))
 	}
 }
 
 // Allreduce combines n payload bytes across all ranks, leaving the result
 // everywhere.
 func (r *Rank) Allreduce(n int) {
-	tag := r.nextCollTag()
-	if r.id == 0 {
-		r.w.stats.recordColl("allreduce", int64(n))
-	}
-	groups := r.w.siteGroups()
-	if r.w.Prof.Multilevel && len(groups) >= 2 {
-		r.mlAllreduce(tag, int64(n), groups)
-		return
-	}
-	if r.w.Prof.GridAllreduce && len(groups) == 2 && n >= gridCollMin {
-		r.gridAllreduce(tag, int64(n), groups)
-		return
-	}
-	if isPow2(r.Size()) {
-		r.recursiveDoublingAllreduce(tag, int64(n), allRanks(r.Size()))
-		return
-	}
-	r.binomialReduce(tag, 0, int64(n))
-	r.binomialBcast(tag+1, 0, int64(n))
-}
-
-// recursiveDoublingAllreduce runs over the given rank group (a power of
-// two); each round exchanges the full payload with a partner.
-func (r *Rank) recursiveDoublingAllreduce(tag int, n int64, group []int) {
-	me := indexOf(group, r.id)
-	if me < 0 {
-		return
-	}
-	for mask := 1; mask < len(group); mask <<= 1 {
-		partner := group[me^mask]
-		r.csendrecv(partner, tag, n, partner, tag)
-		r.combineCost(n)
-		tag++
-	}
-}
-
-// gridAllreduce is the grid-aware Rabenseifner scheme: allreduce within
-// each cluster, exchange result chunks pairwise over parallel WAN flows,
-// then allgather the combined chunks inside each cluster.
-func (r *Rank) gridAllreduce(tag int, n int64, groups [][]int) {
-	g0, g1 := groups[0], groups[1]
-	mine, peer := g0, g1
-	if !contains(mine, r.id) {
-		mine, peer = g1, g0
-	}
-	// Phase 1: local allreduce.
-	if isPow2(len(mine)) {
-		r.recursiveDoublingAllreduce(tag, n, mine)
-	} else {
-		r.binomialReduce(tag, mine[0], n)
-		r.binomialBcast(tag+1, mine[0], n)
-	}
-	// Phase 2: pairwise WAN chunk exchange and combine.
-	k := min(len(g0), len(g1))
-	chunk := n / int64(k)
-	last := n - chunk*int64(k-1)
-	sz := func(i int) int64 {
-		if i == k-1 {
-			return last
+	tag := r.startColl("allreduce", 0, int64(n))
+	s := r.w.sites()
+	switch r.strategy("allreduce", n) {
+	case multilevel:
+		// Intra-site reduce onto the gateway, one direct exchange of the
+		// site sums between the gateways (the single WAN round: S-1
+		// concurrent messages beat the 2·log S serial rounds of
+		// reduce+bcast), intra-site broadcast of the result.
+		g := s.groups[s.of[r.id]]
+		r.reduceTree(tag, g, 0, int64(n))
+		if g[0] == r.id {
+			S := len(s.gateways)
+			r.exchange(tag+20, s.gateways, 0, S, int64(n), nil)
+			r.combineCost(int64(S-1) * int64(n))
 		}
-		return chunk
+		r.bcastTree(tag+40, g, 0, int64(n))
+	case twoSite:
+		r.twoSiteAllreduce(tag, int64(n))
+	default:
+		r.groupAllreduce(tag, s.all, int64(n))
 	}
-	wtag := tag + 32
-	if i := indexOf(mine[:k], r.id); i >= 0 {
-		r.csendrecv(peer[i], wtag, sz(i), peer[i], wtag)
-		r.combineCost(sz(i))
-	}
-	// Phase 3: allgather combined chunks locally.
-	r.localAllgatherChunks(wtag+1, g0, g1, k, sz)
 }
 
-// Allgather makes every rank's block of n bytes available everywhere,
-// using the ring algorithm.
+// groupAllreduce leaves the combination of every member's n bytes on all
+// of g: recursive doubling on a power-of-two group, else a binomial
+// reduce onto g[0] and a broadcast back.
+func (r *Rank) groupAllreduce(tag int, g []int, n int64) {
+	if isPow2(len(g)) {
+		r.recursiveDoubling(tag, g, n)
+		return
+	}
+	r.reduceTree(tag, g, 0, n)
+	r.bcastTree(tag+1, g, 0, n)
+}
+
+// twoSiteAllreduce is GridMPI's grid-aware Rabenseifner allreduce:
+// allreduce inside each site, exchange result chunks pairwise over k
+// parallel WAN flows and combine them, then allgather the combined
+// chunks inside each site.
+func (r *Rank) twoSiteAllreduce(tag int, n int64) {
+	s := r.w.sites()
+	si := s.of[r.id]
+	mine, peer := s.groups[si], s.groups[1-si]
+	r.groupAllreduce(tag, mine, n)
+	k := min(len(mine), len(peer))
+	i, chunk := indexOf(mine, r.id), n/int64(k)
+	if i == k-1 {
+		chunk = n - chunk*int64(k-1)
+	}
+	if i < k {
+		r.csendrecv(peer[i], tag+32, chunk, peer[i], tag+32)
+		r.combineCost(chunk)
+	}
+	r.exchange(tag+33, mine, 0, k, chunk, nil)
+}
+
+// Allgather makes every rank's block of n bytes available everywhere.
 func (r *Rank) Allgather(n int) {
-	tag := r.nextCollTag()
-	if r.id == 0 {
-		r.w.stats.recordColl("allgather", int64(n))
-	}
-	if r.w.Prof.Multilevel {
-		if groups := r.w.siteGroups(); len(groups) >= 2 {
-			r.mlAllgather(tag, int64(n), groups)
-			return
-		}
-	}
-	P := r.Size()
-	right := (r.id + 1) % P
-	left := (r.id - 1 + P) % P
-	for step := 0; step < P-1; step++ {
-		r.csendrecv(right, tag, int64(n), left, tag)
-		tag++
+	tag := r.startColl("allgather", 0, int64(n))
+	s := r.w.sites()
+	switch r.strategy("allgather", n) {
+	case multilevel:
+		// Gather each site's blocks at its gateway, exchange the site
+		// bundles between gateways, then broadcast the assembled P·n
+		// result inside each site.
+		g := s.groups[s.of[r.id]]
+		r.fanIn(tag, g, 0, 0, int64(n), nil)
+		r.exchange(tag+1, s.gateways, 0, len(s.gateways), int64(len(g))*int64(n), nil)
+		r.bcastTree(tag+2, g, 0, int64(r.Size())*int64(n))
+	default:
+		r.ring(tag, s.all, int64(n), false)
 	}
 }
 
@@ -354,127 +317,82 @@ func (r *Rank) Allgather(n int) {
 // oversubscription under which GridMPI's pacing shines and the others
 // take contention losses.
 func (r *Rank) Alltoall(n int) {
-	if r.w.Prof.Multilevel {
-		if groups := r.w.siteGroups(); len(groups) >= 2 {
-			tag := r.nextCollTag()
-			if r.id == 0 {
-				r.w.stats.recordColl("alltoall", int64(n)*int64(r.Size()))
-			}
-			r.mlAlltoall(tag, int64(n), groups)
-			return
+	tag := r.startColl("alltoall", 0, int64(n)*int64(r.Size()))
+	s := r.w.sites()
+	switch r.strategy("alltoall", n) {
+	case multilevel:
+		// Members funnel their off-site payload through the gateway,
+		// gateways exchange one bundle per site pair (the only WAN phase:
+		// S·(S-1) messages instead of the per-rank-pair storm) and deal
+		// the inbound bytes back out, and the intra-site exchange runs
+		// directly.
+		g := s.groups[s.of[r.id]]
+		offsite := int64(r.Size()-len(g)) * int64(n)
+		if offsite > 0 {
+			r.fanIn(tag, g, 0, 0, offsite, nil)
 		}
-	}
-	sizes := make([]int, r.Size())
-	for i := range sizes {
-		sizes[i] = n
-	}
-	r.alltoallv(sizes, "alltoall")
-}
-
-// Alltoallv is Alltoall with per-destination sizes; sizes[i] is what this
-// rank sends to rank i (sizes must agree pairwise across ranks, as in MPI).
-func (r *Rank) Alltoallv(sizes []int) {
-	r.alltoallv(sizes, "alltoallv")
-}
-
-func (r *Rank) alltoallv(sizes []int, op string) {
-	tag := r.nextCollTag()
-	if r.id == 0 {
-		var total int64
-		for _, s := range sizes {
-			total += int64(s)
+		r.exchange(tag+1, s.gateways, 0, len(s.gateways), int64(len(g))*int64(n), s.sizes)
+		if offsite > 0 {
+			r.fanOut(tag+2, g, 0, 0, offsite, nil)
 		}
-		r.w.stats.recordColl(op, total)
+		r.shift(tag+3, g, int64(n), nil)
+	default:
+		r.shift(tag, s.all, int64(n), nil)
 	}
-	P := r.Size()
-	reqs := make([]*Request, 0, 2*(P-1))
-	for step := 1; step < P; step++ {
-		src := (r.id - step + P) % P
-		if sizes[src] >= 0 {
-			reqs = append(reqs, r.cirecv(src, tag))
-		}
-	}
-	for step := 1; step < P; step++ {
-		dst := (r.id + step) % P
-		reqs = append(reqs, r.cisend(dst, tag, int64(sizes[dst])))
-	}
-	r.WaitAll(reqs...)
 }
 
 // Gather collects n bytes from every rank at root.
 func (r *Rank) Gather(root int, n int) {
-	tag := r.nextCollTag()
-	if r.id == root {
-		r.w.stats.recordColl("gather", int64(n))
+	tag := r.startColl("gather", root, int64(n))
+	s := r.w.sites()
+	switch r.strategy("gather", n) {
+	case multilevel:
+		// Members hand their block to the site gateway, and each remote
+		// gateway ships its site's bundle to the root in one WAN message.
+		me, rs := s.of[r.id], s.of[root]
+		h := s.hub(me, root)
+		r.fanIn(tag, s.groups[me], h, h, int64(n), nil)
+		r.fanIn(tag+1, s.rootGateways(root), rs, rs, int64(n), s.sizes)
+	default:
+		r.fanIn(tag, s.all, root, 0, int64(n), nil)
 	}
-	if r.w.Prof.Multilevel {
-		if groups := r.w.siteGroups(); len(groups) >= 2 {
-			r.mlGather(tag, root, int64(n), groups)
-			return
-		}
-	}
-	if r.id == root {
-		reqs := make([]*Request, 0, r.Size()-1)
-		for i := 0; i < r.Size(); i++ {
-			if i != root {
-				reqs = append(reqs, r.cirecv(i, tag))
-			}
-		}
-		r.WaitAll(reqs...)
-		return
-	}
-	r.csend(root, tag, int64(n))
 }
 
 // Scatter distributes n bytes from root to every rank.
 func (r *Rank) Scatter(root int, n int) {
-	tag := r.nextCollTag()
-	if r.id == root {
-		r.w.stats.recordColl("scatter", int64(n))
+	tag := r.startColl("scatter", root, int64(n))
+	s := r.w.sites()
+	switch r.strategy("scatter", n) {
+	case multilevel:
+		// The root ships each remote site its whole bundle via the
+		// gateway in one WAN message, then gateways deal the slices.
+		me, rs := s.of[r.id], s.of[root]
+		h := s.hub(me, root)
+		r.fanOut(tag, s.rootGateways(root), rs, rs, int64(n), s.sizes)
+		r.fanOut(tag+1, s.groups[me], h, h, int64(n), nil)
+	default:
+		r.fanOut(tag, s.all, root, 0, int64(n), nil)
 	}
-	if r.w.Prof.Multilevel {
-		if groups := r.w.siteGroups(); len(groups) >= 2 {
-			r.mlScatter(tag, root, int64(n), groups)
-			return
-		}
-	}
-	if r.id == root {
-		reqs := make([]*Request, 0, r.Size()-1)
-		for i := 0; i < r.Size(); i++ {
-			if i != root {
-				reqs = append(reqs, r.cisend(i, tag, int64(n)))
-			}
-		}
-		r.WaitAll(reqs...)
-		return
-	}
-	r.crecv(root, tag)
 }
 
 // Barrier synchronizes all ranks with the dissemination algorithm.
 func (r *Rank) Barrier() {
-	tag := r.nextCollTag()
-	if r.id == 0 {
-		r.w.stats.recordColl("barrier", 0)
-	}
-	if r.w.Prof.Multilevel {
-		if groups := r.w.siteGroups(); len(groups) >= 2 {
-			r.mlBarrier(tag, groups)
-			return
-		}
-	}
-	P := r.Size()
-	for mask := 1; mask < P; mask <<= 1 {
-		dst := (r.id + mask) % P
-		src := (r.id - mask + P) % P
-		r.csendrecv(dst, tag, 1, src, tag)
-		tag++
+	tag := r.startColl("barrier", 0, 0)
+	s := r.w.sites()
+	switch r.strategy("barrier", 0) {
+	case multilevel:
+		// Site members check in at their gateway, the gateways run the
+		// dissemination over the WAN, then each gateway releases its site.
+		g := s.groups[s.of[r.id]]
+		r.reduceTree(tag, g, 0, 1)
+		r.dissemination(tag+1, s.gateways)
+		r.bcastTree(tag+40, g, 0, 1)
+	default:
+		r.dissemination(tag, s.all)
 	}
 }
 
 // --- small helpers ---
-
-func contains(xs []int, v int) bool { return indexOf(xs, v) >= 0 }
 
 func indexOf(xs []int, v int) int {
 	for i, x := range xs {
@@ -485,22 +403,4 @@ func indexOf(xs []int, v int) int {
 	return -1
 }
 
-func rotateToFront(xs []int, v int) []int {
-	i := indexOf(xs, v)
-	if i <= 0 {
-		return xs
-	}
-	out := make([]int, 0, len(xs))
-	out = append(out, xs[i:]...)
-	return append(out, xs[:i]...)
-}
-
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-func allRanks(P int) []int {
-	out := make([]int, P)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

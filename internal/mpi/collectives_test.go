@@ -40,7 +40,7 @@ func TestGridBcastBeatsBinomialOnWAN(t *testing.T) {
 	body := func(r *Rank) { r.Bcast(0, n) }
 	plain := Reference()
 	gridAware := Reference()
-	gridAware.GridBcast = true
+	gridAware.GridCollectives = true
 	tBinomial := runColl(t, plain, 8, true, body)
 	tGrid := runColl(t, gridAware, 8, true, body)
 	if tGrid >= tBinomial {
@@ -57,7 +57,7 @@ func TestGridBcastFallsBackForSmallMessages(t *testing.T) {
 	body := func(r *Rank) { r.Bcast(0, 1024) }
 	plain := runColl(t, Reference(), 4, true, body)
 	aware := Reference()
-	aware.GridBcast = true
+	aware.GridCollectives = true
 	grid := runColl(t, aware, 4, true, body)
 	if plain != grid {
 		t.Fatalf("small bcast differs: plain %v vs grid-aware %v", plain, grid)
@@ -81,7 +81,7 @@ func TestGridAllreduceBeatsRecursiveDoubling(t *testing.T) {
 	body := func(r *Rank) { r.Allreduce(n) }
 	plain := runColl(t, Reference(), 8, true, body)
 	aware := Reference()
-	aware.GridAllreduce = true
+	aware.GridCollectives = true
 	grid := runColl(t, aware, 8, true, body)
 	if grid >= plain {
 		t.Fatalf("grid allreduce (%v) not faster than recursive doubling (%v)", grid, plain)
@@ -177,5 +177,20 @@ func TestCollectiveStatsRecordedOncePerCall(t *testing.T) {
 	// Collective-internal traffic must not pollute the p2p census.
 	if s.P2PSends != 0 {
 		t.Fatalf("collectives leaked %d messages into the p2p census", s.P2PSends)
+	}
+}
+
+// TestGridAllreduceUnevenSites: the two-site allreduce completes on 5+3
+// sites, where each site's phase is a reduce+bcast over that site alone
+// because its size is not a power of two.
+func TestGridAllreduceUnevenSites(t *testing.T) {
+	prof := Reference()
+	prof.GridCollectives = true
+	for _, n := range []int{64 << 10, 1 << 20} {
+		k, w := newLayoutWorld(t, prof, mlLayouts[1].layout)
+		if _, err := w.Run(func(r *Rank) { r.Allreduce(n) }); err != nil {
+			t.Fatalf("%d bytes: %v", n, err)
+		}
+		k.Close()
 	}
 }

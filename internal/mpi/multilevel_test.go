@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/grid5000"
@@ -282,20 +283,37 @@ func TestSiteGroupsFirstAppearanceOrder(t *testing.T) {
 	// Interleave the sites: rank -> site is R N R S N R.
 	hosts := []*netsim.Host{r[0], n[0], r[1], s[0], n[1], r[2]}
 	w := NewWorld(k, net, tcpsim.Tuned4MB(), Reference(), hosts)
-	got := w.siteGroups()
-	want := [][]int{{0, 2, 5}, {1, 4}, {3}}
-	if len(got) != len(want) {
-		t.Fatalf("siteGroups = %v, want %v", got, want)
+	got := w.sites()
+	want := &sites{
+		all:      []int{0, 1, 2, 3, 4, 5},
+		groups:   [][]int{{0, 2, 5}, {1, 4}, {3}},
+		of:       []int{0, 1, 0, 2, 1, 0},
+		gateways: []int{0, 1, 3},
+		sizes:    []int{3, 2, 1},
 	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("siteGroups = %v, want %v", got, want)
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("siteGroups = %v, want %v (first-appearance order)", got, want)
-			}
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sites = %+v, want %+v (first-appearance order)", got, want)
+	}
+}
+
+// TestSitePartitionAllocFree pins the partition cache: a world builds
+// its site partition once, and every later collective reuses it without
+// allocating.
+func TestSitePartitionAllocFree(t *testing.T) {
+	skipIfRace(t)
+	prof := Reference()
+	prof.Multilevel = true
+	k, w := newLayoutWorld(t, prof, mlLayouts[2].layout)
+	defer k.Close()
+	first := w.sites()
+	if _, err := w.Run(func(r *Rank) { r.Bcast(0, 4096); r.Allreduce(4096) }); err != nil {
+		t.Fatal(err)
+	}
+	if w.sites() != first {
+		t.Fatal("collectives rebuilt the site partition")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.sites() }); allocs != 0 {
+		t.Fatalf("reusing the site partition allocates %v per call, want 0", allocs)
 	}
 }
 
@@ -303,7 +321,7 @@ func TestSiteGroupsFirstAppearanceOrder(t *testing.T) {
 // large-message collectives on a multi-site grid finish faster staged
 // than flat.
 func TestMultilevelLatencyWinsOnGrid(t *testing.T) {
-	layout := mlLayouts[2].layout // 3 sites: the case gridBcast gives up on
+	layout := mlLayouts[2].layout // 3 sites: the case the two-site bcast gives up on
 	for _, tc := range []struct {
 		name string
 		body func(r *Rank)

@@ -49,19 +49,18 @@ type Profile struct {
 	// Pacing enables the GridMPI TCP pacing modification on all flows.
 	Pacing bool
 
-	// GridBcast enables the van de Geijn style grid broadcast and
-	// GridAllreduce the grid-aware Rabenseifner allreduce (GridMPI's
-	// collective optimizations, Matsuda et al. Cluster'06).
-	GridBcast     bool
-	GridAllreduce bool
+	// GridCollectives selects GridMPI's grid-aware collectives (Matsuda
+	// et al., Cluster'06): between exactly two sites, the van de Geijn
+	// broadcast and the Rabenseifner allreduce from 32 KiB; otherwise
+	// the scatter+ring broadcast from 512 KiB inside one cluster.
+	GridCollectives bool
 
-	// Multilevel switches every collective to the topology-aware
-	// multilevel algorithms (Karonis et al., MPICH-G2): an intra-site
-	// phase over each siteGroups() group, an inter-site phase over one
-	// gateway rank per site, then intra-site redistribution. Unlike
-	// GridBcast/GridAllreduce it handles arbitrary N-site layouts and
-	// takes precedence over them; on a single site it falls through to
-	// the flat algorithms unchanged.
+	// Multilevel stages every collective over the site partition
+	// (Karonis et al., MPICH-G2): an intra-site phase per site, an
+	// inter-site phase over one gateway rank per site, then intra-site
+	// redistribution. It handles any number of sites and takes
+	// precedence over GridCollectives; on a single site the collectives
+	// run as without it.
 	Multilevel bool
 
 	// SerialRendezvous serializes rendezvous exchanges per peer pair

@@ -125,8 +125,7 @@ func TestPropertyCollectivesComplete(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		perSite := []int{1, 2, 4}[rng.Intn(3)]
 		prof := Reference()
-		prof.GridBcast = rng.Intn(2) == 0
-		prof.GridAllreduce = rng.Intn(2) == 0
+		prof.GridCollectives = rng.Intn(2) == 0
 		k, w := newWorld(t, prof, tcpsim.Tuned4MB(), perSite, true)
 		defer k.Close()
 		nOps := rng.Intn(4) + 1

@@ -29,6 +29,8 @@ type World struct {
 	hosts []*netsim.Host
 	ranks []*Rank
 	stats *Stats
+	// partition is the site partition, built on first use (sites).
+	partition *sites
 
 	// Protocol arenas (see arena.go): free lists for the per-message
 	// objects, shared by all ranks of the job. Single flow of control —

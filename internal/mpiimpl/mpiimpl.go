@@ -66,15 +66,14 @@ func Profile(name string) mpi.Profile {
 		}
 	case GridMPI:
 		return mpi.Profile{
-			Name:           GridMPI,
-			OverheadLocal:  5 * time.Microsecond,
-			OverheadWAN:    7 * time.Microsecond,
-			EagerThreshold: mpi.Infinite, // no rendezvous for MPI_Send by default
-			Buffers:        tcpsim.BufferPolicy{KernelDefault: true},
-			Pacing:         true,
-			GridBcast:      true,
-			GridAllreduce:  true,
-			CopyRate:       copyRate,
+			Name:            GridMPI,
+			OverheadLocal:   5 * time.Microsecond,
+			OverheadWAN:     7 * time.Microsecond,
+			EagerThreshold:  mpi.Infinite, // no rendezvous for MPI_Send by default
+			Buffers:         tcpsim.BufferPolicy{KernelDefault: true},
+			Pacing:          true,
+			GridCollectives: true,
+			CopyRate:        copyRate,
 		}
 	case Madeleine:
 		return mpi.Profile{
@@ -117,9 +116,8 @@ func Profile(name string) mpi.Profile {
 			OverheadWAN:     12 * time.Microsecond,
 			EagerThreshold:  64 << 10,
 			Buffers:         tcpsim.Autotune,
-			GridBcast:       true, // "topology-aware" collectives
-			GridAllreduce:   true,
-			ParallelStreams: 4, // GridFTP-style large-message striping
+			GridCollectives: true, // "topology-aware" collectives
+			ParallelStreams: 4,    // GridFTP-style large-message striping
 			StreamMinSize:   1 << 20,
 			CopyRate:        copyRate,
 		}

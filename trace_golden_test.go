@@ -1,28 +1,20 @@
 package repro
 
 import (
-	"bytes"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/exp"
 	"repro/internal/grid5000"
 	"repro/internal/mpiimpl"
-	"repro/internal/sim"
 )
 
-var updateTrace = flag.Bool("update-trace", false, "rewrite testdata/event_order.golden from the current kernel")
-
-// traceExperiments is the canonical mixed workload of the event-order
+// canonicalTraceExperiments is the mixed workload of the event-order
 // determinism lock: a pingpong, a collective pattern and the ray2mesh
 // application, all on a 3-site asymmetric layout. Together they exercise
 // every scheduling path of the kernel: timer events, same-instant
 // wakeups (Signal, Queue, Mutex, proc transfers), rendezvous handshakes,
 // striped/fragmented sends and the self-scheduler's AnySource matching.
-func traceExperiments() []exp.Experiment {
+func canonicalTraceExperiments() []exp.Experiment {
 	asym := exp.Asym(
 		exp.Site(grid5000.Rennes, 2),
 		exp.Site(grid5000.Nancy, 1),
@@ -62,54 +54,7 @@ func traceExperiments() []exp.Experiment {
 // pre-fast-path kernel (container/heap of *event, double-rendezvous
 // handoff), so any reordering introduced by a kernel optimization —
 // including a changed seq assignment — fails this test byte-exactly at
-// the first diverging event. Regenerate only for a deliberate semantic
-// change, with -update-trace.
+// the first diverging event.
 func TestEventOrderTrace(t *testing.T) {
-	var buf bytes.Buffer
-	sim.NewHook = func(k *sim.Kernel) {
-		k.SetTracer(func(at sim.Time, seq uint64) {
-			fmt.Fprintf(&buf, "%d %d\n", int64(at), seq)
-		})
-	}
-	defer func() { sim.NewHook = nil }()
-
-	for _, e := range traceExperiments() {
-		fmt.Fprintf(&buf, "# %s\n", e.Name())
-		res := exp.Run(e)
-		if res.Err != "" {
-			t.Fatalf("%s: %s", e.Name(), res.Err)
-		}
-		if res.DNF {
-			t.Fatalf("%s: did not finish", e.Name())
-		}
-		fmt.Fprintf(&buf, "= elapsed %d\n", int64(res.Elapsed))
-	}
-
-	golden := filepath.Join("testdata", "event_order.golden")
-	if *updateTrace {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s: %d bytes, %d lines", golden, buf.Len(), bytes.Count(buf.Bytes(), []byte("\n")))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (generate with -update-trace): %v", err)
-	}
-	got := buf.Bytes()
-	if bytes.Equal(got, want) {
-		return
-	}
-	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Fatalf("event order diverged at line %d:\n  got  %q\n  want %q",
-				i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("event stream length changed: got %d lines, want %d", len(gotLines), len(wantLines))
+	checkGolden(t, "event_order.golden", traceExperiments(t, canonicalTraceExperiments()))
 }
