@@ -198,12 +198,26 @@ func (s *RemoteStore) fetch(fp string) (res Result, ok bool, err error) {
 	return res, ok, err
 }
 
+// drainLimit bounds how much of a response body closeBody reads past
+// what its caller consumed. Go's transport reuses a keep-alive
+// connection only after the body was read to EOF, so a 404 or an error
+// reply closed unread makes the next request redial; a reply longer
+// than this is not worth the read to keep its connection.
+const drainLimit = 4 << 10
+
+// closeBody drains up to drainLimit of what is left of a response body
+// and closes it, so short replies leave their connection reusable.
+func closeBody(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, drainLimit) // a failed drain only costs the connection
+	body.Close()
+}
+
 func (s *RemoteStore) fetchOnce(fp string) (Result, bool, error) {
 	resp, err := s.client.Get(s.entryURL(fp))
 	if err != nil {
 		return Result{}, false, Transient(err)
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound:
@@ -257,7 +271,7 @@ func (s *RemoteStore) pushOnce(fp string, blob []byte) error {
 	if err != nil {
 		return Transient(err)
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		err := fmt.Errorf("exp: remote cache PUT %s: %s: %s", fp, resp.Status, bytes.TrimSpace(msg))
@@ -284,7 +298,7 @@ func (s *RemoteStore) indexOnce() ([]string, error) {
 	if err != nil {
 		return nil, Transient(err)
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		err := fmt.Errorf("exp: remote cache index: %s", resp.Status)
 		if resp.StatusCode/100 == 5 {

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mpiimpl"
@@ -376,6 +378,42 @@ func TestRemoteStoreCleanMissIsNotAnError(t *testing.T) {
 	}
 	if stats := store.Stats(); stats.Misses != 1 || stats.Errors != 0 {
 		t.Errorf("stats = %+v, want one clean miss", stats)
+	}
+}
+
+// TestRemoteStoreMissKeepsConnection: a clean miss must leave its
+// keep-alive connection reusable, or every miss of a sweep redials the
+// server (and leaves a socket in TIME_WAIT). Twenty sequential misses
+// open one connection.
+func TestRemoteStoreMissKeepsConnection(t *testing.T) {
+	cache, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened atomic.Int64
+	srv := httptest.NewUnstartedServer(NewCacheHandler(cache))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	store, err := NewRemoteStore(srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := tinyPingPong(mpiimpl.GridMPI, Tuning{}).Fingerprint()
+	for i := 0; i < 20; i++ {
+		if _, ok := store.Load(fp); ok {
+			t.Fatal("empty server served a hit")
+		}
+	}
+	if stats := store.Stats(); stats.Misses != 20 || stats.Errors != 0 {
+		t.Fatalf("stats = %+v, want 20 clean misses", stats)
+	}
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("20 sequential misses opened %d connections, want 1", n)
 	}
 }
 

@@ -54,6 +54,46 @@ func TestMpiHotPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestMpiLargeMessageAllocFree locks the blocked-writer path end to end:
+// a steady-state 4 MiB rendezvous ping-pong between Rennes and Nancy
+// keeps every payload write blocked on the send buffer for dozens of
+// window rounds, and the refills, the writer's park and resume and the
+// rendezvous handshake must allocate nothing once the pools are warm.
+func TestMpiLargeMessageAllocFree(t *testing.T) {
+	skipIfRace(t)
+	k, w := newWorld(t, Reference(), tcpsim.DefaultLinux26(), 1, true)
+	defer k.Close()
+	const tag, size = 7, 4 << 20 // far over the eager threshold
+	r0, r1 := w.ranks[0], w.ranks[1]
+	roundTrips := 0
+	r0.proc = k.Go("rank0", func(p *sim.Proc) {
+		for {
+			r0.Send(1, tag, size)
+			r0.Recv(1, tag)
+			roundTrips++
+		}
+	})
+	r1.proc = k.Go("rank1", func(p *sim.Proc) {
+		for {
+			r1.Recv(0, tag)
+			r1.Send(0, tag, size)
+		}
+	})
+	for i := 0; i < 16; i++ { // warm the pools, flows and kernel slab
+		k.RunUntil(k.Now() + time.Second)
+	}
+	warm := roundTrips
+	allocs := testing.AllocsPerRun(20, func() {
+		k.RunUntil(k.Now() + time.Second)
+	})
+	if roundTrips == warm {
+		t.Fatal("no round trip completed while measuring")
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state 4 MiB Send/Recv allocates %v per s of traffic, want 0", allocs)
+	}
+}
+
 // TestArenaRecycling checks the pools actually cycle: after a run with
 // message traffic, the world holds recycled protocol objects, and reusing
 // the world keeps the pool sizes stable instead of growing per message.

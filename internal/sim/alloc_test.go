@@ -153,3 +153,30 @@ func TestSignalSingleWaiterAllocFree(t *testing.T) {
 		t.Fatalf("Wait/Fire/Reset cycle allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestParkResumeAllocFree locks the direct park path: an event that
+// resumes a process blocked in Park, which parks again, is one coroutine
+// switch each way and allocates nothing.
+func TestParkResumeAllocFree(t *testing.T) {
+	skipIfRace(t)
+	k := New(1)
+	defer k.Close() // aborts the parked process
+	parker := k.Go("parker", func(p *Proc) {
+		for {
+			p.Park()
+		}
+	})
+	resume := func() { k.Resume(parker) }
+	k.Run()                   // the process starts and parks
+	for i := 0; i < 64; i++ { // warm
+		k.Schedule(k.Now(), resume)
+		k.Run()
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		k.Schedule(k.Now(), resume)
+		k.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Park/Resume cycle allocates %v/op, want 0", allocs)
+	}
+}

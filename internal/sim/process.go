@@ -16,8 +16,8 @@ func (abortError) Error() string { return "sim: process aborted" }
 
 // Proc is a cooperative simulation process. Exactly one process (or the
 // kernel) runs at a time; a process yields control back to the kernel by
-// blocking in virtual time (Sleep, Signal.Wait, Queue.Get). All Proc methods
-// must be called from the process itself while it is running.
+// blocking in virtual time (Sleep, Signal.Wait, Queue.Get, Park). All Proc
+// methods must be called from the process itself while it is running.
 //
 // Processes are continuations, not goroutines: each Proc owns an iter.Pull
 // coroutine, parking is a same-thread stack switch (yield), and the kernel
@@ -139,13 +139,29 @@ func (k *Kernel) transfer(p *Proc, gen uint32) {
 	}
 }
 
-// park blocks the process until the kernel resumes it.
-func (p *Proc) park() {
+// Park blocks the process until the kernel resumes it. Sleep, Signal,
+// Queue and Mutex park after scheduling or registering their own wakeup;
+// called directly, Park schedules nothing, and the process stays parked
+// until an event hands it to Kernel.Resume (or Kernel.Close unwinds it).
+// The waker holds the *Proc and decides at run time when it continues.
+func (p *Proc) Park() {
 	p.parked = true
 	if !p.yield(unit{}) {
 		panic(abortError{})
 	}
 	p.parked = false
+}
+
+// Resume runs p, blocked in a direct Park, inline in the calling event
+// until it parks again or finishes. It is no event of its own: the tracer
+// sees the resumed code as part of the event that called Resume. Call it
+// only from event context (a Schedule or After callback), never from a
+// process, and only on a process no other wakeup is pending for.
+func (k *Kernel) Resume(p *Proc) {
+	if !p.parked {
+		panic("sim: Resume of a process that is not parked")
+	}
+	k.transfer(p, p.gen)
 }
 
 // Kernel returns the kernel this process runs on.
@@ -167,7 +183,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	p.k.scheduleProc(p.k.now+d, p)
-	p.park()
+	p.Park()
 }
 
 // Yield lets all other events scheduled for the current instant run before
@@ -182,9 +198,8 @@ func (p *Proc) String() string { return fmt.Sprintf("sim.Proc(%s)", p.name) }
 // with NewSignal.
 //
 // The overwhelmingly common case — a completion signal with exactly one
-// waiter (MPI request done, rendezvous CTS, buffer-space wakeups) — is
-// held in an inline slot, so Wait allocates nothing; additional waiters
-// overflow into a slice.
+// waiter (MPI request done, rendezvous CTS) — is held in an inline slot,
+// so Wait allocates nothing; additional waiters overflow into a slice.
 type Signal struct {
 	k     *Kernel
 	fired bool
@@ -217,9 +232,9 @@ func (s *Signal) Fire() {
 }
 
 // Reset rearms a fired signal so it can gate the next occurrence of a
-// recurring condition (tcpsim reuses one signal per flow for send-buffer
-// space instead of allocating one per blocked write). It must only be
-// called on a fired signal, which by construction has no waiters.
+// recurring condition (mpi recycles pooled request and rendezvous signals
+// instead of allocating one per message). It must only be called on a
+// fired signal, which by construction has no waiters.
 func (s *Signal) Reset() { s.fired = false }
 
 // FireAfter schedules the signal to fire d from now as a typed event —
@@ -240,7 +255,7 @@ func (s *Signal) Wait(p *Proc) {
 	} else {
 		s.more = append(s.more, p)
 	}
-	p.park()
+	p.Park()
 }
 
 // WaitAll blocks p until every signal in sigs has fired.
@@ -280,7 +295,7 @@ func (q *Queue[T]) Put(v T) {
 func (q *Queue[T]) Get(p *Proc) T {
 	for len(q.items) == 0 {
 		q.waiters = append(q.waiters, p)
-		p.park()
+		p.Park()
 	}
 	v := q.items[0]
 	popFront(&q.items)

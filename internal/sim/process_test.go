@@ -308,3 +308,86 @@ func TestProcReuseDropsStaleState(t *testing.T) {
 		t.Fatalf("recycled proc ran %d times (done=%v), want exactly once", runs, second.Done())
 	}
 }
+
+// TestResumeRunsInlineInCallingEvent pins Kernel.Resume's contract: a
+// process blocked in a direct Park continues inside the event that
+// resumes it, and that event finishes once the process parks again. The
+// tracer records the resuming event and no transfer event of its own.
+func TestResumeRunsInlineInCallingEvent(t *testing.T) {
+	k := New(1)
+	defer k.Close()
+	type stamp struct {
+		at  Time
+		seq uint64
+	}
+	var traced []stamp
+	k.SetTracer(func(at Time, seq uint64) { traced = append(traced, stamp{at, seq}) })
+	var order []string
+	var resumedIn stamp
+	parker := k.Go("parker", func(p *Proc) {
+		p.Park()
+		resumedIn = traced[len(traced)-1]
+		order = append(order, "resumed")
+		p.Sleep(time.Microsecond) // parks again: control returns to the event
+		order = append(order, "woke")
+	})
+	k.After(5*time.Millisecond, func() {
+		k.Resume(parker)
+		order = append(order, "event after Resume")
+	})
+	k.Run()
+	want := []stamp{{0, 1}, {5 * time.Millisecond, 2}, {5*time.Millisecond + time.Microsecond, 3}}
+	if len(traced) != len(want) {
+		t.Fatalf("traced %v, want %v: Resume must not add an event", traced, want)
+	}
+	for i := range want {
+		if traced[i] != want[i] {
+			t.Fatalf("traced %v, want %v", traced, want)
+		}
+	}
+	if resumedIn != want[1] {
+		t.Fatalf("process resumed during event %v, want the resuming event %v", resumedIn, want[1])
+	}
+	if len(order) != 3 || order[0] != "resumed" || order[1] != "event after Resume" || order[2] != "woke" {
+		t.Fatalf("order = %v", order)
+	}
+	if !parker.Done() {
+		t.Fatal("parker did not finish")
+	}
+}
+
+// TestResumeRejectsProcNotParked: resuming a finished process is a
+// programming error and panics instead of running a recycled body.
+func TestResumeRejectsProcNotParked(t *testing.T) {
+	k := New(1)
+	defer k.Close()
+	done := k.Go("done", func(p *Proc) {})
+	k.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Resume of a finished process did not panic")
+		}
+	}()
+	k.Resume(done)
+}
+
+// TestCloseUnwindsParkedProc: a process blocked in a direct Park has no
+// pending wakeup, and Close still unwinds it (its defers run, the code
+// after Park does not).
+func TestCloseUnwindsParkedProc(t *testing.T) {
+	k := New(1)
+	unwound := false
+	k.Go("parked", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Park()
+		t.Error("parked process resumed without Resume")
+	})
+	k.Run()
+	if unwound {
+		t.Fatal("parked process unwound before Close")
+	}
+	k.Close()
+	if !unwound {
+		t.Fatal("Close did not unwind the parked process")
+	}
+}

@@ -15,7 +15,7 @@ func (k *Kernel) NewMutex() *Mutex { return &Mutex{k: k} }
 func (m *Mutex) Lock(p *Proc) {
 	for m.locked {
 		m.waiters = append(m.waiters, p)
-		p.park()
+		p.Park()
 	}
 	m.locked = true
 }

@@ -70,35 +70,34 @@ type Flow struct {
 	ackedOff     int64 // bytes acknowledged (freed from the send buffer)
 	deliveredOff int64 // bytes fully received at Dst
 
-	busy       bool // a round is in flight
-	pathActive bool // links acquired
 	lastActive sim.Time
 	stallUntil sim.Time // RTO stall deadline after an incast timeout
+	busy       bool     // a round is in flight
+	pathActive bool     // links acquired
+	downWait   bool     // parked on a dead path until NotifyUp fires onUpFn
 
 	// Fault-injection state. linkGens holds the per-link registration
 	// generations of the current path hold (reused scratch): releasing with
 	// them makes fault teardown (link went down and evicted us) idempotent
 	// while preserving the double-release panic for real accounting bugs.
-	// downWait marks the flow parked on a dead path; onUpFn is the bound
-	// wakeup NotifyUp fires. lastArriveAt keeps delivery events monotone
-	// when injected loss or jitter stretches one round's arrival, upholding
-	// delivQ's FIFO invariant. ackInjLoss travels with the one outstanding
-	// round like ackW does.
+	// onUpFn is the bound wakeup NotifyUp fires for a downWait flow.
+	// lastArriveAt keeps delivery events monotone when injected loss or
+	// jitter stretches one round's arrival, upholding delivQ's FIFO
+	// invariant.
 	linkGens     []uint32
-	downWait     bool
 	stallStart   sim.Time
 	onUpFn       func()
 	lastArriveAt sim.Time
-	ackInjLoss   bool
 
 	writeMu *sim.Mutex
-	// spaceFree gates a writer blocked on send-buffer space. One signal,
-	// created with the flow, is fired and rearmed per wakeup: writeMu
-	// serializes writers, so at most one process ever waits on it, and
-	// allocating a fresh Signal per blocked write (the seed behavior) is
-	// the single largest allocation source in a large-message sweep.
-	spaceFree *sim.Signal
-	wantSpace bool // a writer is parked on spaceFree
+	// writer is the process parked in write until the send buffer has
+	// taken all of its message, and owed the bytes not yet buffered.
+	// writeMu serializes writers, so there is at most one. Refills run as
+	// flow events (refillFn) and buffer what fits; only the refill that
+	// buffers the last byte resumes the writer, so a blocked write costs
+	// one park and one resume however many window rounds it spans.
+	writer *sim.Proc
+	owed   int64
 
 	notifies []notifyEntry
 	due      []notifyEntry // deliver's reusable scratch for due callbacks
@@ -107,16 +106,18 @@ type Flow struct {
 	// kernel events every round, and a fresh method-value or closure per
 	// Schedule call is an allocation the event loop pays millions of
 	// times per sweep. Round parameters travel in ackW/ackRoundTime/
-	// ackRateLimited (one round outstanding, guarded by busy) and delivQ
-	// (a FIFO of in-flight round end offsets; arrival times are monotone,
-	// so events pop it in order).
+	// ackRateLimited/ackInjLoss (one round outstanding, guarded by busy)
+	// and delivQ (a FIFO of in-flight round end offsets; arrival times are
+	// monotone, so events pop it in order).
 	pumpFn         func()
 	deliverFn      func()
 	ackFn          func()
+	refillFn       func()
 	delivQ         []int64
 	ackW           int64
 	ackRoundTime   time.Duration
 	ackRateLimited bool
+	ackInjLoss     bool // the round lost a segment to injected path loss
 
 	Stats FlowStats
 }
@@ -145,7 +146,6 @@ func NewFlow(k *sim.Kernel, path *netsim.Path, cfg Config, policy BufferPolicy) 
 		ssthresh:  math.MaxFloat64 / 4,
 		slowStart: true,
 		writeMu:   k.NewMutex(),
-		spaceFree: k.NewSignal(),
 	}
 	if f.windowCap < cfg.MSS {
 		f.windowCap = cfg.MSS
@@ -153,6 +153,7 @@ func NewFlow(k *sim.Kernel, path *netsim.Path, cfg Config, policy BufferPolicy) 
 	f.pumpFn = f.pump
 	f.deliverFn = f.deliverHead
 	f.ackFn = f.roundAckedPending
+	f.refillFn = f.refill
 	f.onUpFn = f.pathUp
 	// A conservative initial ssthresh only matters on long paths: cluster
 	// BDPs are far below it, so local connections effectively slow-start
@@ -240,23 +241,40 @@ func (f *Flow) SendArg(p *sim.Proc, n int64, fn func(any), arg any) {
 // then releases writeMu, so the notify order matches the write order.
 func (f *Flow) write(p *sim.Proc, n int64) {
 	f.writeMu.Lock(p)
-	remaining := n
-	for remaining > 0 {
-		// Like write(2): fill whatever buffer space is free, block only
-		// when there is none. Keeping the buffer topped up keeps the
-		// congestion window fully utilizable.
-		free := f.sndbufFree()
-		if free <= 0 {
-			f.wantSpace = true
-			f.spaceFree.Wait(p)
-			continue
-		}
-		chunk := remaining
-		if chunk > free {
-			chunk = free
-		}
-		f.enqueue(chunk, nil)
-		remaining -= chunk
+	f.owed = n
+	if !f.fill() {
+		f.writer = p
+		p.Park() // until the refill that buffers the last byte
+	}
+}
+
+// fill buffers as much of the owed bytes as the send buffer has room
+// for and reports whether all of them are buffered. Like write(2), it
+// fills whatever space is free and waits only when there is none:
+// keeping the buffer topped up keeps the congestion window fully
+// utilizable. The queue accounting stays inline: write runs fill on the
+// writer's coroutine stack, and one more frame there pushes a fresh
+// coroutine's first write past its initial stack, costing a stack copy.
+func (f *Flow) fill() bool {
+	if free := f.sndbufFree(); free > 0 {
+		chunk := min(f.owed, free)
+		f.owed -= chunk
+		f.queued += chunk
+		f.Stats.BytesQueued += chunk
+		f.pump()
+	}
+	return f.owed == 0
+}
+
+// refill is the flow event roundAcked schedules for a parked writer. It
+// re-checks the free space when it runs, because a SendAsync (a
+// rendezvous CTS) may have filled it since the ack, and it resumes the
+// writer inline once the last owed byte is buffered.
+func (f *Flow) refill() {
+	if f.fill() {
+		p := f.writer
+		f.writer = nil
+		f.k.Resume(p)
 	}
 }
 
@@ -267,7 +285,12 @@ func (f *Flow) SendAsync(n int64, delivered func()) {
 	if n <= 0 {
 		n = 1
 	}
-	f.enqueue(n, delivered)
+	f.queued += n
+	f.Stats.BytesQueued += n
+	if delivered != nil {
+		f.notifyAt(f.queued, delivered)
+	}
+	f.pump()
 }
 
 // SendAsyncArg is SendAsync with an argument-taking delivered callback.
@@ -284,16 +307,6 @@ func (f *Flow) SendAsyncArg(n int64, fn func(any), arg any) {
 // sndbufFree returns the free space in the send socket buffer.
 func (f *Flow) sndbufFree() int64 {
 	return int64(f.windowCap) - (f.queued - f.ackedOff)
-}
-
-// enqueue adds n bytes to the stream and starts the transmit loop.
-func (f *Flow) enqueue(n int64, delivered func()) {
-	f.queued += n
-	f.Stats.BytesQueued += n
-	if delivered != nil {
-		f.notifyAt(f.queued, delivered)
-	}
-	f.pump()
 }
 
 // notifyAt registers fn to run once deliveredOff ≥ off.
@@ -516,21 +529,18 @@ func (f *Flow) deliver(endOff int64) {
 }
 
 // roundAcked completes a window round: frees buffer space, grows or shrinks
-// the congestion window, wakes a blocked writer, and continues transmitting.
+// the congestion window, refills a blocked writer's bytes, and continues
+// transmitting.
 func (f *Flow) roundAcked(w int64, roundTime time.Duration, rateLimited bool) {
 	f.ackedOff += w
 	f.lastActive = f.k.Now()
 	f.updateCwnd(w, roundTime, rateLimited)
 	f.busy = false
-	if f.wantSpace && f.sndbufFree() > 0 {
-		// Wake the blocked writer first, then pump: the writer's resume
-		// event is scheduled before the pump event, so it refills the
-		// buffer and the next round sends a full window instead of the
-		// leftover tail. The signal is rearmed immediately — the woken
-		// writer is the only process that can Wait on it again.
-		f.wantSpace = false
-		f.spaceFree.Fire()
-		f.spaceFree.Reset()
+	if f.writer != nil && f.sndbufFree() > 0 {
+		// Refill first, then pump: the refill event is scheduled before
+		// the pump event, so the next round sends a full window instead
+		// of the leftover tail.
+		f.k.Schedule(f.k.Now(), f.refillFn)
 		f.k.Schedule(f.k.Now(), f.pumpFn)
 		return
 	}
