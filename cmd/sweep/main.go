@@ -377,7 +377,20 @@ func run(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	topos, err := parseTopos(*topoStr, *nodes, exp.Placement(*placementStr))
+	// ray2mesh defaults to its four-site Figure 8 testbed. An explicitly
+	// chosen -topo is honored; only the untouched default collapses to
+	// the canonical testbed (under the -placement), so matrix labels and
+	// cache fingerprints always reflect the run that actually happens.
+	topoSet := false
+	fs.Visit(func(f *flag.Flag) { topoSet = topoSet || f.Name == "topo" })
+	var topos []exp.Topology
+	if strings.HasPrefix(*workloadStr, "ray2mesh") && !topoSet {
+		topo := exp.Ray2MeshTopology()
+		topo.Placement = exp.Placement(*placementStr)
+		topos, err = []exp.Topology{topo}, topo.Validate()
+	} else {
+		topos, err = parseTopos(*topoStr, *nodes, exp.Placement(*placementStr))
+	}
 	if err != nil {
 		return err
 	}
@@ -385,27 +398,6 @@ func run(args []string, out, errOut io.Writer) error {
 	workloads, err := parseWorkloads(*workloadStr, sizes, *reps, size, *iters, *scale)
 	if err != nil {
 		return err
-	}
-
-	// ray2mesh defaults to its fixed four-site testbed. An explicitly
-	// chosen -topo is honored (per-site layouts run for real since the
-	// Topology redesign); only the untouched default collapses to the
-	// canonical description, so matrix labels and cache fingerprints
-	// always reflect the run that actually happens. The application
-	// places its own master, so a -placement cannot be honored.
-	if strings.HasPrefix(*workloadStr, "ray2mesh") {
-		if *placementStr != "" {
-			return fmt.Errorf("ray2mesh places its own master (the workload's site); -placement cannot be honored")
-		}
-		topoSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "topo" {
-				topoSet = true
-			}
-		})
-		if !topoSet {
-			topos = []exp.Topology{exp.Ray2MeshTopology()}
-		}
 	}
 	faults, err := exp.ParseFaultPlan(*faultsStr)
 	if err != nil {

@@ -120,7 +120,6 @@ func TestRunBadFlags(t *testing.T) {
 		{"-cache-evict", "720h"}, // needs -cache
 		{"-cache-evict", "nonsense", "-cache", "cachedir"},
 		{"-faults", "1s frobnicate site=rennes"},
-		{"-faults", "20ms down site=rennes; 120ms up site=rennes", "-workload", "ray2mesh:rennes"},
 		{"-format", "xml", "-impls", "TCP", "-tunings", "default", "-reps", "1", "-max-size", "1k"},
 		{"-guidelines", "-faults", "0s loss 0.02"}, // guidelines need a healthy network
 	} {
@@ -170,7 +169,7 @@ func TestRunGuidelines(t *testing.T) {
 // rennes-uplink outage over 2% background loss.
 const faultSpec = "seed=7; 20ms down site=rennes; 120ms up site=rennes; 0s loss 0.02"
 
-// TestRunFaultsDeterministicAndCacheable is the fault-smoke CI contract in
+// TestRunFaultsDeterministicAndCacheable is the fault-replay contract in
 // miniature: a seeded faulted sweep is worker-count independent, replays
 // bit-for-bit from the disk cache, and keys that cache on the plan — a
 // healthy run must never be served a faulted cell.
@@ -312,7 +311,7 @@ func TestRunRemoteCache(t *testing.T) {
 
 // TestRunPushPull: the one-shot sync modes move a warmed -cache
 // directory through a server into a fresh one, which then replays the
-// sweep without recomputing.
+// sweep without recomputing and byte-identical to a direct run.
 func TestRunPushPull(t *testing.T) {
 	srv := newCacheServer(t)
 	warmed := t.TempDir()
@@ -335,12 +334,18 @@ func TestRunPushPull(t *testing.T) {
 	if !strings.Contains(out.String(), "pull: 4 entries scanned: 4 transferred") {
 		t.Errorf("pull report: %s", out.String())
 	}
-	var replayOut, replayErr strings.Builder
-	if err := run(append([]string{"-cache", pulled}, tinyArgs...), &replayOut, &replayErr); err != nil {
+	var replayOut, replayErr, directOut strings.Builder
+	if err := run(append([]string{"-format", "json", "-cache", pulled}, tinyArgs...), &replayOut, &replayErr); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(replayErr.String(), "0 computed, 4 from disk") {
 		t.Errorf("pulled directory did not serve the replay: %s", replayErr.String())
+	}
+	if err := run(append([]string{"-format", "json"}, tinyArgs...), &directOut, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if replayOut.String() != directOut.String() {
+		t.Error("pulled replay differs from the direct run")
 	}
 
 	// Sync modes need both sides named.
@@ -371,7 +376,7 @@ func TestRunCacheEvict(t *testing.T) {
 
 // TestRunRay2MeshTopologies: the default collapses to the canonical
 // four-site testbed; an explicit -topo layout is honored, not silently
-// replaced; -placement cannot be honored at all.
+// replaced; -placement and -faults reach the application.
 func TestRunRay2MeshTopologies(t *testing.T) {
 	var out, errOut strings.Builder
 	// CSV output: the topology column always shows the testbed that ran.
@@ -389,8 +394,19 @@ func TestRunRay2MeshTopologies(t *testing.T) {
 	if !strings.Contains(out.String(), "nancy+rennes+sophia+toulouse x8") {
 		t.Errorf("default did not collapse to the canonical testbed:\n%s", out.String())
 	}
-	if err := run(append([]string{"-placement", "round-robin"}, base...), &out, &errOut); err == nil {
-		t.Error("-placement with ray2mesh accepted")
+	out.Reset()
+	if err := run(append([]string{"-placement", "round-robin"}, base...), &out, &errOut); err != nil {
+		t.Fatalf("ray2mesh under -placement: %v\n%s", err, errOut.String())
+	}
+	if !strings.Contains(out.String(), "nancy+rennes+sophia+toulouse x8 place=round-robin") {
+		t.Errorf("-placement not carried onto the canonical testbed:\n%s", out.String())
+	}
+	var faulted strings.Builder
+	if err := run(append([]string{"-format", "json", "-faults", "20ms down site=rennes; 120ms up site=rennes"}, base[2:]...), &faulted, &errOut); err != nil {
+		t.Fatalf("ray2mesh under -faults: %v\n%s", err, errOut.String())
+	}
+	if !strings.Contains(faulted.String(), `"fault_link_stalls"`) || !strings.Contains(faulted.String(), `"total_rays"`) {
+		t.Errorf("faulted ray2mesh result lacks its fault or ray metrics:\n%s", faulted.String())
 	}
 }
 

@@ -7,46 +7,40 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
-	"repro/internal/grid5000"
-	"repro/internal/mpi"
+	"repro/internal/exp"
 	"repro/internal/mpiimpl"
-	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 func bcastTime(impl string, n int) time.Duration {
-	prof, tcp := mpiimpl.Configure(impl, true, false)
-	k := sim.New(1)
-	defer k.Close()
-	net := grid5000.RennesNancy(8)
-	var hosts []*netsim.Host
-	hosts = append(hosts, net.SiteHosts(grid5000.Rennes)...)
-	hosts = append(hosts, net.SiteHosts(grid5000.Nancy)...)
-	w := mpi.NewWorld(k, net, tcp, prof, hosts)
-	elapsed, err := w.Run(func(r *mpi.Rank) {
-		for i := 0; i < 5; i++ { // repeat so TCP windows open
-			r.Bcast(0, n)
-		}
+	res := exp.Run(exp.Experiment{
+		Impl:     impl,
+		Tuning:   exp.Tuning{TCP: true},
+		Topology: exp.Grid(8),
+		Workload: exp.PatternWorkload("bcast", n, 5), // repeat so TCP windows open
 	})
-	if err != nil {
-		panic(err)
+	if res.Err != "" || res.DNF {
+		panic(fmt.Sprintf("%s: err=%q dnf=%v", res.Exp.Name(), res.Err, res.DNF))
 	}
-	return elapsed / 5
+	return res.Elapsed / 5
 }
 
-func main() {
-	fmt.Println("Broadcast on 8+8 nodes across an 11.6 ms WAN (mean of 5):")
-	fmt.Println()
+func main() { run(os.Stdout) }
+
+func run(out io.Writer) {
+	fmt.Fprintln(out, "Broadcast on 8+8 nodes across an 11.6 ms WAN (mean of 5):")
+	fmt.Fprintln(out)
 	for _, n := range []int{64 << 10, 1 << 20, 8 << 20, 32 << 20} {
 		mp := bcastTime(mpiimpl.MPICH2, n)
 		gm := bcastTime(mpiimpl.GridMPI, n)
-		fmt.Printf("  %8d kB: MPICH2 (binomial) %10v   GridMPI (grid-aware) %10v   speedup %.1fx\n",
+		fmt.Fprintf(out, "  %8d kB: MPICH2 (binomial) %10v   GridMPI (grid-aware) %10v   speedup %.1fx\n",
 			n>>10, mp.Round(time.Microsecond), gm.Round(time.Microsecond),
 			float64(mp)/float64(gm))
 	}
-	fmt.Println()
-	fmt.Println("GridMPI scatters the payload inside the root cluster, ships the chunks")
-	fmt.Println("over parallel node-to-node WAN connections, and allgathers locally.")
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "GridMPI scatters the payload inside the root cluster, ships the chunks")
+	fmt.Fprintln(out, "over parallel node-to-node WAN connections, and allgathers locally.")
 }

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/exp"
@@ -20,19 +22,25 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "CG", "benchmark: EP CG MG LU SP BT IS FT")
-	np := flag.Int("np", 16, "rank count (must split evenly across the two grid sites)")
-	scale := flag.Float64("scale", 0.2, "fraction of class-B iterations")
-	flag.Parse()
-
-	if err := exp.CheckBench(*bench); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("npb", flag.ExitOnError)
+	bench := fs.String("bench", "CG", "benchmark: EP CG MG LU SP BT IS FT")
+	np := fs.Int("np", 16, "rank count (must split evenly across the two grid sites)")
+	scale := fs.Float64("scale", 0.2, "fraction of class-B iterations")
+	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
+
+	if err := exp.CheckBench(*bench); err != nil {
+		return err
+	}
 	gridTopo, err := exp.EvenSplit(*np, grid5000.Rennes, grid5000.Nancy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	// NPB always runs at the paper's §4.2 TCP tuning (the study tunes
 	// first, then runs the applications).
@@ -51,24 +59,24 @@ func main() {
 	})
 	for _, res := range results {
 		if res.Err != "" {
-			fmt.Fprintln(os.Stderr, res.Err)
-			os.Exit(1)
+			return errors.New(res.Err)
 		}
 	}
 	cluster, grid := results[0], results[1]
 
-	fmt.Printf("%s (class B skeleton, %d ranks, scale %.2f) with GridMPI:\n\n", *bench, *np, *scale)
-	fmt.Printf("  %d nodes, one cluster:      %v\n", *np, cluster.Elapsed)
-	fmt.Printf("  %d+%d nodes across the WAN:   %v\n", *np/2, *np/2, grid.Elapsed)
-	fmt.Printf("  relative grid performance:  %.2f\n\n", cluster.Elapsed.Seconds()/grid.Elapsed.Seconds())
+	fmt.Fprintf(out, "%s (class B skeleton, %d ranks, scale %.2f) with GridMPI:\n\n", *bench, *np, *scale)
+	fmt.Fprintf(out, "  %d nodes, one cluster:      %v\n", *np, cluster.Elapsed)
+	fmt.Fprintf(out, "  %d+%d nodes across the WAN:   %v\n", *np/2, *np/2, grid.Elapsed)
+	fmt.Fprintf(out, "  relative grid performance:  %.2f\n\n", cluster.Elapsed.Seconds()/grid.Elapsed.Seconds())
 
 	c := grid.Census
-	fmt.Printf("communication census: %d point-to-point messages, %d bytes (%d across the WAN)\n",
+	fmt.Fprintf(out, "communication census: %d point-to-point messages, %d bytes (%d across the WAN)\n",
 		c.P2PSends, c.P2PBytes, c.WANSends)
 	for _, sc := range c.Sizes {
-		fmt.Printf("  %9d B  x %d\n", sc.Size, sc.Count)
+		fmt.Fprintf(out, "  %9d B  x %d\n", sc.Size, sc.Count)
 	}
 	for _, coll := range c.Collectives {
-		fmt.Printf("  collective %-10s x %d\n", coll.Op, coll.Calls)
+		fmt.Fprintf(out, "  collective %-10s x %d\n", coll.Op, coll.Calls)
 	}
+	return nil
 }

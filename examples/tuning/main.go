@@ -7,36 +7,42 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
-	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/mpiimpl"
-	"repro/internal/perf"
 )
 
 func measure(tcpTuned, mpiTuned bool) (float64, float64) {
-	k, w := core.NewPingPongWorld(mpiimpl.MPICH2, tcpTuned, mpiTuned, core.Grid)
-	defer k.Close()
-	pts, err := perf.PingPong(w, []int{512 << 10, 16 << 20}, 50)
-	if err != nil {
-		panic(err)
+	res := exp.Run(exp.Experiment{
+		Impl:     mpiimpl.MPICH2,
+		Tuning:   exp.Tuning{TCP: tcpTuned, MPI: mpiTuned},
+		Topology: exp.Grid(1),
+		Workload: exp.PingPongWorkload([]int{512 << 10, 16 << 20}, 50),
+	})
+	if res.Err != "" {
+		panic(res.Err)
 	}
-	return pts[0].Mbps, pts[1].Mbps
+	return res.Points[0].Mbps, res.Points[1].Mbps
 }
 
-func main() {
-	fmt.Println("MPICH2 on the Rennes-Nancy WAN (11.6 ms RTT), 512 kB and 16 MB messages:")
-	fmt.Println()
+func main() { run(os.Stdout) }
+
+func run(out io.Writer) {
+	fmt.Fprintln(out, "MPICH2 on the Rennes-Nancy WAN (11.6 ms RTT), 512 kB and 16 MB messages:")
+	fmt.Fprintln(out)
 
 	at512k, at16M := measure(false, false)
-	fmt.Printf("1. defaults:                  512 kB: %6.1f Mbps   16 MB: %6.1f Mbps\n", at512k, at16M)
-	fmt.Println("   (windows capped by rmem_max/tcp_rmem: the paper's Figure 3)")
+	fmt.Fprintf(out, "1. defaults:                  512 kB: %6.1f Mbps   16 MB: %6.1f Mbps\n", at512k, at16M)
+	fmt.Fprintln(out, "   (windows capped by rmem_max/tcp_rmem: the paper's Figure 3)")
 
 	at512k, at16M = measure(true, false)
-	fmt.Printf("2. + 4 MB socket buffers:     512 kB: %6.1f Mbps   16 MB: %6.1f Mbps\n", at512k, at16M)
-	fmt.Println("   (line rate recovered for big messages, but 512 kB still pays a")
-	fmt.Println("    rendezvous round trip: the Figure 6 threshold artifact)")
+	fmt.Fprintf(out, "2. + 4 MB socket buffers:     512 kB: %6.1f Mbps   16 MB: %6.1f Mbps\n", at512k, at16M)
+	fmt.Fprintln(out, "   (line rate recovered for big messages, but 512 kB still pays a")
+	fmt.Fprintln(out, "    rendezvous round trip: the Figure 6 threshold artifact)")
 
 	at512k, at16M = measure(true, true)
-	fmt.Printf("3. + eager threshold 65 MB:   512 kB: %6.1f Mbps   16 MB: %6.1f Mbps\n", at512k, at16M)
-	fmt.Println("   (the fully tuned Figure 7 configuration)")
+	fmt.Fprintf(out, "3. + eager threshold 65 MB:   512 kB: %6.1f Mbps   16 MB: %6.1f Mbps\n", at512k, at16M)
+	fmt.Fprintln(out, "   (the fully tuned Figure 7 configuration)")
 }

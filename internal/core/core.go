@@ -17,12 +17,9 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/grid5000"
 	"repro/internal/mpi"
 	"repro/internal/mpiimpl"
-	"repro/internal/netsim"
 	"repro/internal/perf"
-	"repro/internal/sim"
 )
 
 // Placement says where the two pingpong processes run.
@@ -50,23 +47,6 @@ func (p Placement) Topology() exp.Topology {
 		return exp.Cluster(2)
 	}
 	return exp.Grid(1)
-}
-
-// NewPingPongWorld builds a fresh kernel and 2-rank world for one
-// implementation at one tuning level and placement.
-func NewPingPongWorld(impl string, tcpTuned, mpiTuned bool, placement Placement) (*sim.Kernel, *mpi.World) {
-	prof, tcp := mpiimpl.Configure(impl, tcpTuned, mpiTuned)
-	k := sim.New(1)
-	var net *netsim.Network
-	var hosts []*netsim.Host
-	if placement == Grid {
-		net = grid5000.RennesNancy(1)
-		hosts = []*netsim.Host{net.Host("rennes-1"), net.Host("nancy-1")}
-	} else {
-		net = grid5000.Build(2, grid5000.Rennes)
-		hosts = []*netsim.Host{net.Host("rennes-1"), net.Host("rennes-2")}
-	}
-	return k, mpi.NewWorld(k, net, tcp, prof, hosts)
 }
 
 // Series is one labeled pingpong curve.

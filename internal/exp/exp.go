@@ -26,10 +26,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/grid5000"
 	"repro/internal/mpi"
 	"repro/internal/mpiimpl"
 	"repro/internal/netsim"
@@ -120,11 +120,12 @@ type Workload struct {
 	// Scale shrinks NPB iteration counts / ray2mesh workloads (1.0 = the
 	// paper's full class B / one million rays; 0 = 1.0).
 	Scale float64 `json:"scale,omitempty"`
-	// Timeout is the virtual-time budget for NPB and pattern runs; past it
-	// the result reports DNF (0 = one simulated hour; negative = no
-	// limit, the run continues until it finishes or deadlocks).
+	// Timeout is the virtual-time budget for NPB, pattern and ray2mesh
+	// runs; past it the result reports DNF (0 = one simulated hour, but
+	// no limit for ray2mesh; negative = no limit, the run continues
+	// until it finishes or deadlocks).
 	Timeout time.Duration `json:"timeout,omitempty"`
-	// Master is the ray2mesh master site.
+	// Master is the ray2mesh master site: rank 0 runs on its first node.
 	Master string `json:"master,omitempty"`
 	// FabricOneWay, FabricRate and FabricStack describe the custom
 	// intra-cluster interconnect of a fabric workload: switch+wire
@@ -162,23 +163,25 @@ func NPBWorkload(bench string, scale float64) Workload {
 }
 
 // Ray2MeshWorkload runs the seismic application with the master on the
-// given site. A zero Topology (or Ray2MeshTopology()) selects the paper's
-// fixed four-site testbed; any other per-site layout containing the
-// master site is honored, so asymmetric and 3-site scenarios run through
-// the same front door. Impl and Tuning apply; EagerThreshold,
-// SocketBuffer, WAN overrides and placement policies are the
-// application's own and are rejected rather than silently ignored.
+// given site: rank 0, the master, shares the first node of that site,
+// and the slaves take the topology's hosts in placement order, one per
+// node. A zero Topology runs on the paper's four-site testbed
+// (Ray2MeshTopology()); any other layout containing the master site and
+// at least two nodes is honored. Every other axis applies as to any
+// workload: tuning (multilevel included), thresholds, socket buffers,
+// WAN overrides, placements and fault plans.
 func Ray2MeshWorkload(master string, scale float64) Workload {
 	return Workload{Kind: KindRay2Mesh, Master: master, Scale: scale}
 }
 
 // FabricWorkload is the §5 heterogeneity experiment: a two-node pingpong
 // over a custom local interconnect reached through a gateway with the
-// given per-message overhead. The workload owns its stack — a 4 MB-tuned
-// TCP configuration with the fabric's host overhead and the
-// implementation's stock profile — so the Tuning and Topology axes must
-// be zero (anything else is rejected rather than silently ignored);
-// EagerThreshold applies as usual.
+// given per-message overhead. Its testbed (a two-node local switch) and
+// its stack (a 4 MB-tuned TCP configuration with the fabric's host
+// overhead and the implementation's stock profile) come from these
+// fields, so the Topology and Tuning axes must be zero — anything else
+// is rejected rather than silently ignored. EagerThreshold, SocketBuffer
+// and host-targeted fault plans apply as usual.
 func FabricWorkload(oneWay time.Duration, rate float64, stack, gateway time.Duration, sizes []int, reps int) Workload {
 	return Workload{
 		Kind:         KindFabric,
@@ -429,11 +432,16 @@ func CheckSite(name string) error {
 	return fmt.Errorf("unknown ray2mesh master site %q (have %s)", name, strings.Join(ray2mesh.Sites, ", "))
 }
 
-// Run executes one experiment on freshly built simulation state. It never
-// shares mutable state with other runs, so any number of Run calls may
-// proceed concurrently. Invalid experiments come back as Result.Err, and
-// a panic anywhere below is converted to one too — a worker pool must
-// never die (or poison its cache) on one bad experiment.
+// Run executes one experiment on freshly built simulation state. It is
+// the only code that builds a kernel, a network and an MPI world, and
+// every workload kind takes the same steps: check the inputs, configure
+// the stack, create the kernel, build the testbed (the network plus the
+// host of every rank), inject the fault plan, open the world and run the
+// workload on it. It never shares mutable state with other runs, so any
+// number of Run calls may proceed concurrently. Invalid experiments come
+// back as Result.Err, and a panic anywhere below is converted to one too
+// — a worker pool must never die (or poison its cache) on one bad
+// experiment.
 func Run(e Experiment) (res Result) {
 	res = Result{Exp: e}
 	defer func() {
@@ -441,44 +449,17 @@ func Run(e Experiment) (res Result) {
 			res.Err = fmt.Sprintf("exp: panic: %v", r)
 		}
 	}()
-	if err := CheckImpl(e.Impl); err != nil {
-		res.Err = "exp: " + err.Error()
-		return res
-	}
-	if err := e.Faults.Validate(); err != nil {
+	if err := e.check(); err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	if e.Workload.Kind == KindRay2Mesh {
-		runRay2Mesh(&res)
-		return res
-	}
-	if e.Workload.Kind == KindFabric {
-		runFabric(&res)
-		return res
-	}
-	twoEnded := e.Workload.Kind == KindPingPong || e.Workload.Kind == KindTrace
-	if twoEnded && e.Topology.NP() < 2 {
-		res.Err = fmt.Sprintf("exp: %s needs at least 2 nodes in the topology", e.Workload.Kind)
-		return res
-	}
-
-	prof, tcp := mpiimpl.Configure(e.Impl, e.Tuning.TCP, e.Tuning.MPI)
-	prof.Multilevel = e.Tuning.Multilevel
-	if e.EagerThreshold > 0 {
-		prof = prof.WithEagerThreshold(e.EagerThreshold)
-	}
-	if e.SocketBuffer > 0 {
-		tcp.RmemMax = e.SocketBuffer
-		tcp.WmemMax = e.SocketBuffer
-		prof = prof.WithBuffers(tcpsim.BufferPolicy{Explicit: e.SocketBuffer})
-	}
+	prof, tcp := e.stack()
 	// The fault plan's seed is the kernel seed: healthy runs (nil plan)
 	// keep the historic seed 1 and replay the pre-fault event stream
 	// byte-for-byte; a seeded plan gives each replica its own loss draws.
 	k := sim.New(e.Faults.kernelSeed())
 	defer k.Close()
-	net, err := e.Topology.Build()
+	net, hosts, err := e.testbed()
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -487,49 +468,169 @@ func Run(e Experiment) (res Result) {
 		res.Err = err.Error()
 		return res
 	}
+	w := mpi.NewWorld(k, net, tcp, prof, hosts)
 
-	switch e.Workload.Kind {
-	case KindPingPong:
-		w := mpi.NewWorld(k, net, tcp, prof, e.Topology.endpointHosts(net))
-		pts, err := perf.PingPong(w, e.Workload.Sizes, e.Workload.Reps)
+	wl := e.Workload
+	switch wl.Kind {
+	case KindPingPong, KindFabric:
+		pts, err := perf.PingPong(w, wl.Sizes, wl.Reps)
 		res.Points = pts
 		res.Elapsed = k.Now()
 		res.fill(w, err)
-		if len(pts) > 0 {
+		if wl.Kind == KindPingPong && len(pts) > 0 {
 			res.addMetric("max_mbps", res.MaxMbps())
 			res.addMetric("min_rtt_us", float64(pts[0].MinRTT)/float64(time.Microsecond))
 		}
 	case KindTrace:
-		w := mpi.NewWorld(k, net, tcp, prof, e.Topology.endpointHosts(net))
-		trace, err := perf.BandwidthTrace(w, e.Workload.Size, e.Workload.Reps)
+		trace, err := perf.BandwidthTrace(w, wl.Size, wl.Reps)
 		res.Trace = trace
 		res.Elapsed = k.Now()
 		res.fill(w, err)
 	case KindPattern:
-		w := mpi.NewWorld(k, net, tcp, prof, e.Topology.RankHosts(net))
-		body, err := PatternBody(e.Workload.Pattern, e.Workload.Size, e.Workload.Iters)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		elapsed, err := runBody(w, body, e.Workload)
+		body, _ := PatternBody(wl.Pattern, wl.Size, wl.Iters) // check vouched for it
+		elapsed, err := runBody(w, body, wl)
 		res.Elapsed = elapsed
 		res.fill(w, err)
 	case KindNPB:
-		if err := CheckBench(e.Workload.Bench); err != nil {
-			res.Err = "exp: " + err.Error()
-			return res
-		}
-		w := mpi.NewWorld(k, net, tcp, prof, e.Topology.RankHosts(net))
-		spec := npb.Get(e.Workload.Bench)
-		params := npb.Params{NP: e.Topology.NP(), Scale: e.Workload.scale()}
-		elapsed, err := runBody(w, func(r *mpi.Rank) { spec.Run(r, params) }, e.Workload)
+		spec := npb.Get(wl.Bench)
+		params := npb.Params{NP: w.Size(), Scale: wl.scale()}
+		elapsed, err := runBody(w, func(r *mpi.Rank) { spec.Run(r, params) }, wl)
 		res.Elapsed = elapsed
 		res.fill(w, err)
-	default:
-		res.Err = fmt.Sprintf("exp: unknown workload kind %q", e.Workload.Kind)
+	case KindRay2Mesh:
+		app := ray2mesh.New(ray2mesh.Default().Scaled(wl.scale()), w.Size())
+		if wl.Timeout == 0 {
+			// The application's fingerprint carries no time budget: by
+			// default it runs until it finishes or deadlocks.
+			wl.Timeout = -1
+		}
+		elapsed, err := runBody(w, app.Body, wl)
+		res.Elapsed = elapsed
+		res.fill(w, err)
+		if err == nil {
+			res.addRay2MeshMetrics(app, w, e.topology())
+		}
 	}
 	return res
+}
+
+// check refuses, before anything is built, the experiments that cannot
+// run. The topology itself is validated when the testbed is built.
+func (e Experiment) check() error {
+	if err := CheckImpl(e.Impl); err != nil {
+		return fmt.Errorf("exp: %w", err)
+	}
+	if err := e.Faults.Validate(); err != nil {
+		return err
+	}
+	wl := e.Workload
+	switch wl.Kind {
+	case KindPingPong, KindTrace:
+		if e.Topology.NP() < 2 {
+			return fmt.Errorf("exp: %s needs at least 2 nodes in the topology", wl.Kind)
+		}
+	case KindPattern:
+		return CheckPattern(wl.Pattern)
+	case KindNPB:
+		if err := CheckBench(wl.Bench); err != nil {
+			return fmt.Errorf("exp: %w", err)
+		}
+	case KindRay2Mesh:
+		topo := e.topology()
+		if !slices.Contains(topo.Sites(), wl.Master) {
+			return fmt.Errorf("exp: ray2mesh master site %q is not in topology %s", wl.Master, topo)
+		}
+		if topo.NP() < 2 {
+			return fmt.Errorf("exp: ray2mesh needs at least 2 slaves, topology %s has %d", topo, topo.NP())
+		}
+		if rays := ray2mesh.Default().Scaled(wl.scale()).Rays; rays < 0 {
+			return fmt.Errorf("exp: ray2mesh scale %g gives a negative ray count %d", wl.Scale, rays)
+		}
+	case KindFabric:
+		// The fabric's testbed and stack replace the Topology and Tuning
+		// axes, so anything but zero would mislabel the run.
+		if !e.Topology.IsZero() {
+			return fmt.Errorf("exp: fabric workloads build their own two-node testbed; topology %s cannot be honored — leave it zero", e.Topology)
+		}
+		if e.Tuning != (Tuning{}) {
+			return fmt.Errorf("exp: fabric workloads always run the 4 MB-tuned stack with the stock profile; leave Tuning zero")
+		}
+		if wl.FabricRate <= 0 || len(wl.Sizes) == 0 {
+			return fmt.Errorf("exp: underspecified fabric workload %s", wl)
+		}
+	default:
+		return fmt.Errorf("exp: unknown workload kind %q", wl.Kind)
+	}
+	// A pingpong without round trips has no RTT, so its bandwidth would
+	// be infinite and its result unserializable.
+	if (wl.Kind == KindPingPong || wl.Kind == KindFabric) && wl.Reps < 1 {
+		return fmt.Errorf("exp: %s needs at least one round trip per size, got reps = %d", wl.Kind, wl.Reps)
+	}
+	return nil
+}
+
+// stack configures the run's MPI profile and TCP stack: the
+// implementation at its tuning level, then the experiment's
+// eager-threshold and socket-buffer overrides.
+func (e Experiment) stack() (mpi.Profile, tcpsim.Config) {
+	prof, tcp := mpiimpl.Configure(e.Impl, e.Tuning.TCP, e.Tuning.MPI)
+	prof.Multilevel = e.Tuning.Multilevel
+	if e.Workload.Kind == KindFabric {
+		// The implementation's stock profile (check keeps the Tuning
+		// zero) over a 4 MB-tuned stack with the fabric's host overhead,
+		// plus the gateway's overhead on every message.
+		tcp = tcpsim.Tuned4MB()
+		tcp.HostOverhead = e.Workload.FabricStack
+		prof.OverheadLocal += e.Workload.Gateway
+	}
+	if e.EagerThreshold > 0 {
+		prof = prof.WithEagerThreshold(e.EagerThreshold)
+	}
+	if e.SocketBuffer > 0 {
+		tcp.RmemMax = e.SocketBuffer
+		tcp.WmemMax = e.SocketBuffer
+		prof = prof.WithBuffers(tcpsim.BufferPolicy{Explicit: e.SocketBuffer})
+	}
+	return prof, tcp
+}
+
+// topology is the layout the experiment runs on. A ray2mesh experiment's
+// zero topology resolves to the Figure 8 testbed here, at run time,
+// rather than in normalized, so its fingerprint stays the zero one.
+func (e Experiment) topology() Topology {
+	if e.Workload.Kind == KindRay2Mesh && e.Topology.IsZero() {
+		return Ray2MeshTopology()
+	}
+	return e.Topology
+}
+
+// fabricSite names the fabric workload's two-node cluster.
+const fabricSite = "local"
+
+// testbed builds the run's network and the host of every rank: the
+// fabric's two-node cluster, or the topology's hosts in placement order
+// — cut down to the two endpoints of a pingpong or trace, and led by the
+// master for ray2mesh.
+func (e Experiment) testbed() (*netsim.Network, []*netsim.Host, error) {
+	wl := e.Workload
+	if wl.Kind == KindFabric {
+		net := netsim.New()
+		return net, net.AddSite(fabricSite, 2, 1.0, wl.FabricRate, wl.FabricOneWay), nil
+	}
+	topo := e.topology()
+	net, err := topo.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	switch wl.Kind {
+	case KindPingPong, KindTrace:
+		return net, topo.endpointHosts(net), nil
+	case KindRay2Mesh:
+		// Rank 0, the master, shares the first node of its site with
+		// that node's slave (33 processes on 32 nodes in the paper).
+		return net, append([]*netsim.Host{net.SiteHosts(wl.Master)[0]}, topo.RankHosts(net)...), nil
+	}
+	return net, topo.RankHosts(net), nil
 }
 
 // runBody executes an SPMD body under the workload's time budget
@@ -573,133 +674,22 @@ func (r *Result) fill(w *mpi.World, err error) {
 	r.Err = err.Error()
 }
 
-func runRay2Mesh(res *Result) {
-	e := res.Exp
-	// The application owns its thresholds: reject axis values that could
-	// not be honored, so no result is ever labeled with a configuration
-	// that did not actually run.
-	if e.EagerThreshold > 0 {
-		res.Err = "exp: ray2mesh does not support an eager-threshold override"
-		return
+// addRay2MeshMetrics turns a finished ray2mesh run's accounting into
+// Tables 6 and 7: the phase times, the ray total and the mean rays per
+// node of every site. Elapsed is the end of the last merge.
+func (r *Result) addRay2MeshMetrics(app *ray2mesh.App, w *mpi.World, topo Topology) {
+	r.Elapsed = app.End
+	r.addMetric("comp_s", app.CompEnd.Seconds())
+	r.addMetric("merge_s", (app.End - app.CompEnd).Seconds())
+	r.addMetric("total_s", app.End.Seconds())
+	perSite := make(map[string]int)
+	total := 0
+	for i, rays := range app.Rays {
+		perSite[w.RankAt(i).Site()] += rays
+		total += rays
 	}
-	if e.SocketBuffer > 0 {
-		res.Err = "exp: ray2mesh does not support a socket-buffer override"
-		return
+	r.addMetric("total_rays", float64(total))
+	for _, s := range topo.Layout {
+		r.addMetric("rays_per_node_"+s.Name, float64(perSite[s.Name])/float64(s.Nodes))
 	}
-	if !e.Faults.IsZero() {
-		res.Err = "exp: ray2mesh does not support fault injection (it builds its own stack)"
-		return
-	}
-	if e.Tuning.Multilevel {
-		res.Err = "exp: ray2mesh does not support multilevel collectives (it builds its own stack)"
-		return
-	}
-	cfg := ray2mesh.Default(e.Workload.Master).Scaled(e.Workload.scale())
-	cfg.Impl = e.Impl
-	cfg.TCPTuned = e.Tuning.TCP
-	cfg.MPITuned = e.Tuning.MPI
-	switch {
-	case e.Topology.IsZero(), e.Topology.String() == Ray2MeshTopology().String():
-		// The canonical Figure 8 testbed: the master site must be one of
-		// its four clusters.
-		if err := CheckSite(e.Workload.Master); err != nil {
-			res.Err = "exp: " + err.Error()
-			return
-		}
-	default:
-		// A custom per-site layout: ray2mesh builds its own stack, so WAN
-		// overrides and placement policies cannot be honored (the master
-		// location is the workload's Master field).
-		if e.Topology.WANOneWay != 0 || e.Topology.WANRate != 0 {
-			res.Err = "exp: ray2mesh does not support WAN overrides"
-			return
-		}
-		if e.Topology.Placement.normalized() != "" {
-			res.Err = "exp: ray2mesh places its own master; use the workload's Master field, not a topology placement"
-			return
-		}
-		if err := e.Topology.Validate(); err != nil {
-			res.Err = err.Error()
-			return
-		}
-		if e.Topology.NP() < 2 {
-			res.Err = fmt.Sprintf("exp: ray2mesh needs at least 2 nodes, topology %s has %d", e.Topology, e.Topology.NP())
-			return
-		}
-		layout := make([]grid5000.SiteCount, len(e.Topology.Layout))
-		masterInLayout := false
-		for i, s := range e.Topology.Layout {
-			layout[i] = grid5000.SiteCount{Name: s.Name, Nodes: s.Nodes}
-			if s.Name == e.Workload.Master {
-				masterInLayout = true
-			}
-		}
-		if !masterInLayout {
-			res.Err = fmt.Sprintf("exp: ray2mesh master site %q is not in topology %s", e.Workload.Master, e.Topology)
-			return
-		}
-		cfg.Layout = layout
-	}
-	out := ray2mesh.Run(cfg)
-	res.Elapsed = out.TotalTime
-	res.Census = CensusOf(out.Stats)
-	res.Metrics = map[string]float64{
-		"comp_s":     out.CompTime.Seconds(),
-		"merge_s":    out.MergeTime.Seconds(),
-		"total_s":    out.TotalTime.Seconds(),
-		"total_rays": float64(out.TotalRays),
-	}
-	for site, rays := range out.RaysPerNode {
-		res.Metrics["rays_per_node_"+site] = rays
-	}
-}
-
-// runFabric executes the §5 heterogeneity pingpong: two nodes on a
-// custom local interconnect, the implementation's stock profile plus a
-// per-message gateway overhead, over a 4 MB-tuned TCP stack with the
-// fabric's host overhead.
-func runFabric(res *Result) {
-	e := res.Exp
-	w := e.Workload
-	// The fabric workload owns its testbed and stack: reject axis values
-	// that could not be honored.
-	if !e.Topology.IsZero() {
-		res.Err = fmt.Sprintf("exp: fabric workloads build their own two-node testbed; topology %s cannot be honored — leave it zero", e.Topology)
-		return
-	}
-	if e.Tuning != (Tuning{}) {
-		res.Err = "exp: fabric workloads always run the 4 MB-tuned stack with the stock profile; leave Tuning zero"
-		return
-	}
-	if e.SocketBuffer > 0 {
-		res.Err = "exp: fabric workloads do not support a socket-buffer override"
-		return
-	}
-	if !e.Faults.IsZero() {
-		res.Err = "exp: fabric workloads do not support fault injection (their two-node fabric has no uplink to fault)"
-		return
-	}
-	if w.FabricRate <= 0 || len(w.Sizes) == 0 || w.Reps < 1 {
-		res.Err = fmt.Sprintf("exp: underspecified fabric workload %s", w)
-		return
-	}
-
-	k := sim.New(1)
-	defer k.Close()
-	net := netsim.New()
-	net.AddSite("local", 2, 1.0, w.FabricRate, w.FabricOneWay)
-
-	cfg := tcpsim.Tuned4MB()
-	cfg.HostOverhead = w.FabricStack
-	prof := mpiimpl.Profile(e.Impl)
-	if e.EagerThreshold > 0 {
-		prof = prof.WithEagerThreshold(e.EagerThreshold)
-	}
-	prof.OverheadLocal += w.Gateway
-
-	world := mpi.NewWorld(k, net, cfg, prof, net.SiteHosts("local"))
-	pts, err := perf.PingPong(world, w.Sizes, w.Reps)
-	res.Points = pts
-	res.Elapsed = k.Now()
-	res.fill(world, err)
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -232,29 +233,59 @@ func TestBadExperimentsReportErr(t *testing.T) {
 		{Impl: "LAM/MPI", Topology: Grid(1), Workload: PingPongWorkload(tinySizes, 1)},
 		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: NPBWorkload("ZZ", 0.1)},
 		{Impl: mpiimpl.MPICH2, Workload: Ray2MeshWorkload("paris", 0.05)},
-		// ray2mesh owns its stack: a socket-buffer override cannot be
-		// honored and must not mint a distinct-fingerprint duplicate of
-		// the unmodified run.
-		{Impl: mpiimpl.MPICH2, Workload: Ray2MeshWorkload(grid5000.Rennes, 0.05), SocketBuffer: 4096},
 		// Topologies that cannot host the workload: empty, and a pingpong
 		// with a single endpoint. Both must come back as Err, not a panic
 		// that would kill a worker pool.
 		{Impl: mpiimpl.MPICH2, Workload: PingPongWorkload(tinySizes, 1)},
 		{Impl: mpiimpl.MPICH2, Topology: Cluster(1), Workload: PingPongWorkload(tinySizes, 1)},
-		// ray2mesh owns its thresholds and WAN: a threshold override, a
-		// topology without the master site, a WAN override, or a
-		// placement policy must be rejected rather than silently ignored
-		// and mislabeled (arbitrary per-site layouts are honored).
-		{Impl: mpiimpl.MPICH2, EagerThreshold: 1 << 20, Workload: Ray2MeshWorkload(grid5000.Rennes, 0.05)},
+		// A pingpong without round trips has no RTT: its bandwidth would
+		// be +Inf, which no result encoding can carry.
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload(tinySizes, 0)},
+		// ray2mesh needs its master site in the layout, and two slaves
+		// for the merge phase.
 		{Impl: mpiimpl.MPICH2, Topology: Asym(Site(grid5000.Nancy, 2), Site(grid5000.Sophia, 2)), Workload: Ray2MeshWorkload(grid5000.Rennes, 0.05)},
-		{Impl: mpiimpl.MPICH2, Topology: Topology{Layout: []SiteSpec{{grid5000.Rennes, 2}, {grid5000.Nancy, 2}}, WANRate: 1e8}, Workload: Ray2MeshWorkload(grid5000.Rennes, 0.05)},
-		{Impl: mpiimpl.MPICH2, Topology: Topology{Layout: []SiteSpec{{grid5000.Rennes, 2}, {grid5000.Nancy, 2}}, Placement: PlaceRoundRobin}, Workload: Ray2MeshWorkload(grid5000.Rennes, 0.05)},
 		{Impl: mpiimpl.MPICH2, Topology: Cluster(1), Workload: Ray2MeshWorkload(grid5000.Rennes, 0.05)},
+		{Impl: mpiimpl.MPICH2, Workload: Ray2MeshWorkload(grid5000.Rennes, -0.05)},
 	}
 	for _, e := range bad {
 		if res := Run(e); res.Err == "" {
 			t.Errorf("%s accepted, want Err", e.Name())
 		}
+	}
+}
+
+// TestRay2MeshAxesApply: every experiment axis reaches the application
+// — an eager threshold below the 69 kB chunk size, a socket-buffer
+// override, a WAN override and a placement each change the run, and a
+// time budget makes it DNF.
+func TestRay2MeshAxesApply(t *testing.T) {
+	base := Experiment{Impl: mpiimpl.MPICH2, Tuning: Tuning{TCP: true}, Topology: Ray2MeshTopology(), Workload: Ray2MeshWorkload(grid5000.Rennes, 0.02)}
+	healthy := Run(base)
+	if healthy.Err != "" {
+		t.Fatalf("ray2mesh: %s", healthy.Err)
+	}
+	eager, buffer, wan, placed := base, base, base, base
+	eager.EagerThreshold = 32 << 10
+	buffer.SocketBuffer = 64 << 10
+	wan.Topology.WANRate = 1e8
+	placed.Topology.Placement = PlaceRoundRobin
+	for name, e := range map[string]Experiment{"eager": eager, "buffer": buffer, "wan": wan, "placement": placed} {
+		res := Run(e)
+		if res.Err != "" || res.DNF {
+			t.Errorf("%s: err=%q dnf=%v", name, res.Err, res.DNF)
+			continue
+		}
+		if res.Elapsed == healthy.Elapsed && maps.Equal(res.Metrics, healthy.Metrics) {
+			t.Errorf("%s override left the ray2mesh result unchanged", name)
+		}
+	}
+	if res := Run(eager); res.Census.Rendezvous == 0 {
+		t.Error("chunks under a 32 KiB eager threshold sent no rendezvous")
+	}
+	budget := base
+	budget.Workload.Timeout = time.Second
+	if res := Run(budget); !res.DNF || res.Err != "" {
+		t.Errorf("1 s budget: dnf=%v err=%q, want a clean DNF", res.DNF, res.Err)
 	}
 }
 
@@ -284,7 +315,8 @@ func TestParseSize(t *testing.T) {
 }
 
 // TestFabricWorkload: the §5 heterogeneity pingpong runs on its own
-// two-node fabric testbed, and axes it cannot honor are rejected.
+// two-node fabric testbed and stack, which the Topology and Tuning axes
+// may not override; the experiment's other overrides apply.
 func TestFabricWorkload(t *testing.T) {
 	e := Experiment{
 		Impl:           mpiimpl.Madeleine,
@@ -311,14 +343,25 @@ func TestFabricWorkload(t *testing.T) {
 	if gwRes.Points[0].OneWay() <= res.Points[0].OneWay() {
 		t.Error("gateway overhead did not increase latency")
 	}
-	// Axes the fabric cannot honor are rejected, not ignored.
+	// The fabric's testbed and stack replace the Topology and Tuning
+	// axes: setting either is rejected, not ignored.
 	for name, bad := range map[string]Experiment{
 		"tuning":   {Impl: e.Impl, Tuning: Tuning{TCP: true}, Workload: e.Workload},
 		"topology": {Impl: e.Impl, Topology: Grid(1), Workload: e.Workload},
-		"buffer":   {Impl: e.Impl, SocketBuffer: 1 << 20, Workload: e.Workload},
 	} {
 		if res := Run(bad); res.Err == "" {
 			t.Errorf("fabric experiment with a foreign %s axis was not rejected", name)
 		}
+	}
+	// A socket-buffer override applies to the fabric's stack.
+	small := e
+	small.SocketBuffer = 1 << 10
+	smallRes := Run(small)
+	if smallRes.Err != "" {
+		t.Fatalf("fabric with a socket buffer: %s", smallRes.Err)
+	}
+	if smallRes.Points[1].Mbps >= res.Points[1].Mbps {
+		t.Errorf("1 KiB socket buffers did not slow the 64 KiB fabric pingpong (%.1f vs %.1f Mbps)",
+			smallRes.Points[1].Mbps, res.Points[1].Mbps)
 	}
 }

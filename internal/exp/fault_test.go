@@ -84,7 +84,7 @@ func TestFaultPlanWireEncoding(t *testing.T) {
 
 // TestFaultedRunDeterminism: the same seeded plan replays bit-for-bit,
 // both run-to-run and across worker counts (the sweep-level determinism
-// the fault-smoke CI job checks with cmp).
+// cmd/sweep's TestRunFaultsDeterministicAndCacheable checks end to end).
 func TestFaultedRunDeterminism(t *testing.T) {
 	plan := tinyFaultPlan()
 	exps := make([]Experiment, 0, 4)
@@ -260,23 +260,54 @@ func TestCrashFaultCausesDNF(t *testing.T) {
 	}
 }
 
-// TestFaultsRejectedByOwnedStackWorkloads: ray2mesh and fabric build their
-// own simulation stacks, so a fault plan cannot be honored — it must be
-// rejected, never silently ignored.
-func TestFaultsRejectedByOwnedStackWorkloads(t *testing.T) {
-	ray := Experiment{Impl: mpiimpl.MPICH2, Workload: Ray2MeshWorkload(grid5000.Rennes, 0.02)}
-	ray.Faults = tinyFaultPlan()
-	if res := Run(ray); !strings.Contains(res.Err, "fault") {
-		t.Errorf("ray2mesh with faults: err = %q", res.Err)
+// TestFaultsReachRay2MeshAndFabric: fault plans apply to the
+// application and to the fabric pingpong like to every other workload.
+// An outage stalls ray2mesh's traffic and slows it down, a crashed host
+// ends it as a clean deadlock rather than a hang, and a fabric takes
+// host-targeted events while the site-targeted and untargeted ones find
+// no uplink on its single switch.
+func TestFaultsReachRay2MeshAndFabric(t *testing.T) {
+	ray := Experiment{Impl: mpiimpl.MPICH2, Tuning: Tuning{TCP: true}, Workload: Ray2MeshWorkload(grid5000.Rennes, 0.02)}
+	healthy := Run(ray)
+	outage := ray
+	outage.Faults = mustParseFaultPlan(t, "0s down site=nancy; 500ms up site=nancy")
+	res := Run(outage)
+	if res.Err != "" || res.DNF {
+		t.Fatalf("ray2mesh under an outage: err=%q dnf=%v", res.Err, res.DNF)
 	}
+	if res.Metrics["fault_link_stalls"] == 0 || res.Elapsed <= healthy.Elapsed {
+		t.Errorf("outage did not reach ray2mesh: %g stalls, %v vs healthy %v",
+			res.Metrics["fault_link_stalls"], res.Elapsed, healthy.Elapsed)
+	}
+	crash := ray
+	crash.Faults = mustParseFaultPlan(t, "1s crash host=sophia-3")
+	if res := Run(crash); !strings.Contains(res.Err, "deadlocked") {
+		t.Errorf("ray2mesh with a crashed slave: err=%q dnf=%v, want a deadlock", res.Err, res.DNF)
+	}
+
 	fab := Experiment{
 		Impl:     mpiimpl.MPICH2,
 		Workload: FabricWorkload(5*time.Microsecond, 1.25e9, time.Microsecond, 10*time.Microsecond, tinySizes, 2),
 	}
-	fab.Faults = tinyFaultPlan()
-	if res := Run(fab); !strings.Contains(res.Err, "fault") {
-		t.Errorf("fabric with faults: err = %q", res.Err)
+	fab.Faults = mustParseFaultPlan(t, "0s down host=local-2; 1ms up host=local-2")
+	if res := Run(fab); res.Err != "" || res.Metrics["fault_link_stalls"] == 0 {
+		t.Errorf("fabric with a host outage: err=%q stalls=%g", res.Err, res.Metrics["fault_link_stalls"])
 	}
+	for _, plan := range []string{"0s down site=local; 1ms up site=local", "0s loss 0.05"} {
+		fab.Faults = mustParseFaultPlan(t, plan)
+		if res := Run(fab); !strings.Contains(res.Err, "uplink") {
+			t.Errorf("fabric with %q: err = %q, want no uplink", plan, res.Err)
+		}
+	}
+}
+
+func mustParseFaultPlan(t *testing.T, s string) *FaultPlan {
+	t.Helper()
+	plan, err := ParseFaultPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
 func TestParseFaultPlan(t *testing.T) {

@@ -96,16 +96,18 @@ func TestMultilevelLargeCollectivesReplay(t *testing.T) {
 	}
 }
 
-// TestMultilevelRejectsRay2Mesh: the application builds its own
-// communication stack, so the tuning level must refuse rather than
-// silently measure flat collectives under a multilevel label.
-func TestMultilevelRejectsRay2Mesh(t *testing.T) {
-	res := Run(Experiment{
-		Impl:     mpiimpl.GridMPI,
-		Tuning:   MultilevelTuning,
-		Workload: Ray2MeshWorkload(grid5000.Rennes, 0.02),
-	})
-	if res.Err == "" {
-		t.Fatal("ray2mesh under multilevel tuning did not error")
+// TestMultilevelReachesRay2Mesh: the multilevel tuning level applies
+// to the application's barrier like to any other collective, so it
+// changes the run against full tuning alone.
+func TestMultilevelReachesRay2Mesh(t *testing.T) {
+	e := Experiment{Impl: mpiimpl.GridMPI, Tuning: MultilevelTuning, Workload: Ray2MeshWorkload(grid5000.Rennes, 0.02)}
+	ml := Run(e)
+	e.Tuning.Multilevel = false
+	flat := Run(e)
+	if ml.Err != "" || flat.Err != "" {
+		t.Fatalf("ray2mesh: multilevel err=%q, flat err=%q", ml.Err, flat.Err)
+	}
+	if ml.Elapsed == flat.Elapsed {
+		t.Errorf("multilevel ray2mesh took %v, exactly as long as flat", ml.Elapsed)
 	}
 }

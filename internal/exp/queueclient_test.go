@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -132,6 +133,41 @@ func TestWaitJobUnknownJobFailsFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("fail-fast took %v", elapsed)
+	}
+}
+
+// TestQueueClientKeepsConnection: every reply the client reads — a
+// JSON answer, a 4xx rejection and an empty 204 lease — must leave its
+// keep-alive connection reusable, or each call of a polling worker
+// redials sweepd. Sixty sequential calls open one connection.
+func TestQueueClientKeepsConnection(t *testing.T) {
+	q, store, _ := newTestQueue(t, time.Minute, 1)
+	var opened atomic.Int64
+	srv := httptest.NewUnstartedServer(NewQueueHandler(q, NewCacheServer(store)))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	client, err := NewQueueClient(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := client.Jobs(); err != nil {
+			t.Fatalf("jobs: %v", err)
+		}
+		if _, err := client.Job("nope"); err == nil || !strings.Contains(err.Error(), "404") {
+			t.Fatalf("unknown job: err = %v, want a 404", err)
+		}
+		if grant, err := client.Lease("w1"); err != nil || grant != nil {
+			t.Fatalf("lease on an empty queue = %+v, %v", grant, err)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("60 sequential calls opened %d connections, want 1", n)
 	}
 }
 

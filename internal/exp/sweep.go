@@ -6,10 +6,10 @@ import (
 	"repro/internal/ray2mesh"
 )
 
-// Ray2MeshTopology is the application's fixed testbed — four sites, eight
-// nodes each (Figure 8). Ray2mesh experiments always run on it; sweeps
-// over that workload should use this as their single topology so labels
-// and fingerprints describe the run that actually happens.
+// Ray2MeshTopology is the application's testbed in the paper — four
+// sites, eight nodes each (Figure 8). A ray2mesh experiment with a zero
+// topology runs on it; sweeps over that workload should name it
+// explicitly so labels describe the run that actually happens.
 func Ray2MeshTopology() Topology {
 	layout := make([]SiteSpec, len(ray2mesh.Sites))
 	for i, name := range ray2mesh.Sites {

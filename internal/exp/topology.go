@@ -203,8 +203,9 @@ func ParseLayout(s string) (Topology, error) {
 	return t, t.Validate()
 }
 
-// IsZero reports a completely unset topology (workloads that own their
-// testbed — ray2mesh's canonical run, fabric — expect it).
+// IsZero reports a completely unset topology: the fabric workload
+// requires it, and ray2mesh resolves it to Ray2MeshTopology() at run
+// time.
 func (t Topology) IsZero() bool {
 	return len(t.Layout) == 0 && t.Placement.normalized() == "" && t.WANOneWay == 0 && t.WANRate == 0
 }

@@ -132,9 +132,3 @@ func BuildLayout(layout []SiteCount) *netsim.Network {
 func RennesNancy(nodesPerSite int) *netsim.Network {
 	return Build(nodesPerSite, Rennes, Nancy)
 }
-
-// RayTestbed builds the Figure 8 testbed: all four sites with eight nodes
-// each, as used by the ray2mesh experiments.
-func RayTestbed() *netsim.Network {
-	return Build(8, Rennes, Nancy, Sophia, Toulouse)
-}

@@ -38,7 +38,7 @@ func TestRennesNancyTopology(t *testing.T) {
 }
 
 func TestRayTestbedSpeeds(t *testing.T) {
-	net := RayTestbed()
+	net := Build(8, Nancy, Rennes, Sophia, Toulouse) // the Figure 8 testbed
 	if got := len(net.Hosts()); got != 32 {
 		t.Fatalf("hosts = %d, want 32", got)
 	}

@@ -9,30 +9,21 @@
 // last chunks are claimed. Once all rays are traced, every slave exchanges
 // its submesh contributions with every other (~235 MB per node) and merges
 // what it receives (Table 7's merge phase).
+//
+// The package is the application only: its parameters and its rank body.
+// The testbed, the stack and the world it runs on come from exp.Run.
 package ray2mesh
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/grid5000"
 	"repro/internal/mpi"
-	"repro/internal/mpiimpl"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
-// Config parameterises a run. Use Default as a starting point.
+// Config parameterises the application. Use Default as a starting point.
 type Config struct {
-	// MasterSite hosts the master process (co-located with the first
-	// slave of that cluster, as 33 processes run on 32 nodes).
-	MasterSite string
-	// Layout optionally overrides the Figure 8 testbed with per-site
-	// node counts (3-site and asymmetric scenarios). Empty means the
-	// paper's four clusters with eight nodes each. MasterSite must be
-	// one of the layout's sites and the layout needs at least two nodes
-	// in total (the merge phase is an all-to-all between slaves).
-	Layout []grid5000.SiteCount
 	// Rays is the global ray count (paper: one million).
 	Rays int
 	// ChunkRays is the self-scheduling quantum (paper: 1000 rays, 69 kB).
@@ -48,29 +39,17 @@ type Config struct {
 	// second of received data (the merge phase is CPU-bound in the paper:
 	// ~165 s for ~235 MB).
 	MergeRate float64
-	// Impl is the MPI implementation profile to use (the paper used
-	// LAM/MPI for these runs; any of the four profiles works).
-	Impl string
-	// TCPTuned / MPITuned select the §4.2 tuning level of the run. The
-	// paper runs the application after system tuning, so Default sets
-	// TCPTuned and leaves MPITuned off.
-	TCPTuned bool
-	MPITuned bool
 }
 
-// Default returns the paper's configuration with the master on the given
-// site.
-func Default(masterSite string) Config {
+// Default returns the paper's configuration.
+func Default() Config {
 	return Config{
-		MasterSite: masterSite,
 		Rays:       1_000_000,
 		ChunkRays:  1000,
 		ChunkBytes: 69 << 10,
 		RayCost:    6100 * time.Microsecond,
 		MergeBytes: 235 << 20,
 		MergeRate:  1.62e6,
-		Impl:       mpiimpl.MPICH2,
-		TCPTuned:   true,
 	}
 }
 
@@ -82,21 +61,6 @@ func (c Config) Scaled(f float64) Config {
 	c.Rays = int(float64(c.Rays) * f)
 	c.MergeBytes = int64(float64(c.MergeBytes) * f)
 	return c
-}
-
-// Result of one run.
-type Result struct {
-	// RaysPerNode is the mean ray count per node of each cluster —
-	// Table 6's cells.
-	RaysPerNode map[string]float64
-	// TotalRays double-checks conservation.
-	TotalRays int
-	// CompTime, MergeTime, TotalTime are Table 7's rows.
-	CompTime  time.Duration
-	MergeTime time.Duration
-	TotalTime time.Duration
-	// Stats is the world's communication census.
-	Stats *mpi.Stats
 }
 
 const (
@@ -112,124 +76,55 @@ var Sites = []string{grid5000.Nancy, grid5000.Rennes, grid5000.Sophia, grid5000.
 // NodesPerSite is the testbed's per-cluster node count (Figure 8).
 const NodesPerSite = 8
 
-// Slaves is the worker count of the application: every testbed node runs
-// one slave (the master shares its first node).
-var Slaves = len(Sites) * NodesPerSite
-
-// run-local result accounting (chunk grants travel inside the messages
-// themselves via SendPayload).
-type state struct {
-	cfg      Config
-	raysDone []int
-	compEnd  sim.Time
+// App is one run of the application on a world whose rank 0 is the
+// master and every other rank a slave (the merge phase needs at least
+// two slaves). Body is its rank body; once the world has run, the
+// accounting fields hold what Tables 6 and 7 are derived from.
+type App struct {
+	cfg Config
+	// Rays[i] is the number of rays rank i traced (the master traces
+	// none).
+	Rays []int
+	// CompEnd is the end of the compute phase: the latest time a slave
+	// left the barrier between the two phases.
+	CompEnd sim.Time
+	// End is the end of the run: the latest time a slave finished
+	// merging.
+	End sim.Time
 }
 
-// Layout returns the run's effective testbed layout: the configured one,
-// or the paper's four clusters of eight nodes.
-func (c Config) layout() []grid5000.SiteCount {
-	if len(c.Layout) > 0 {
-		return c.Layout
-	}
-	layout := make([]grid5000.SiteCount, len(Sites))
-	for i, s := range Sites {
-		layout[i] = grid5000.SiteCount{Name: s, Nodes: NodesPerSite}
-	}
-	return layout
+// New prepares one run of cfg on a world of np ranks.
+func New(cfg Config, np int) *App {
+	return &App{cfg: cfg, Rays: make([]int, np)}
 }
 
-// Run executes the application on the configured testbed (the four-site
-// Figure 8 layout unless Config.Layout overrides it). Any non-negative
-// ray count terminates (see runMaster's initial-round accounting).
-func Run(cfg Config) Result {
-	if cfg.Rays < 0 {
-		panic(fmt.Sprintf("ray2mesh: negative ray count %d", cfg.Rays))
+// Body is the application's rank body: the master self-schedules the
+// rays, the slaves trace them, and after a barrier the slaves exchange
+// and merge their submeshes. Any non-negative ray count terminates (see
+// master's initial-round accounting).
+func (a *App) Body(r *mpi.Rank) {
+	if r.Rank() == 0 {
+		a.master(r)
+	} else {
+		a.slaveCompute(r)
 	}
-	layout := cfg.layout()
-	total := 0
-	masterInLayout := false
-	for _, sc := range layout {
-		total += sc.Nodes
-		if sc.Name == cfg.MasterSite {
-			masterInLayout = true
-		}
+	// All processes synchronize before the merge phase starts.
+	r.Barrier()
+	if r.Rank() == 0 {
+		return
 	}
-	if !masterInLayout {
-		panic(fmt.Sprintf("ray2mesh: master site %q not in the layout", cfg.MasterSite))
-	}
-	if total < 2 {
-		panic(fmt.Sprintf("ray2mesh: %d nodes in the layout, the merge phase needs at least 2", total))
-	}
-	prof, tcp := mpiimpl.Configure(cfg.Impl, cfg.TCPTuned, cfg.MPITuned)
-	k := sim.New(1)
-	defer k.Close()
-
-	net := grid5000.BuildLayout(layout)
-	var slaves []*netsim.Host
-	for _, sc := range layout {
-		slaves = append(slaves, net.SiteHosts(sc.Name)...)
-	}
-	// Rank 0 (master) shares the first node of its site with that slave.
-	master := net.Host(cfg.MasterSite + "-1")
-	hosts := append([]*netsim.Host{master}, slaves...)
-	w := mpi.NewWorld(k, net, tcp, prof, hosts)
-	nSlaves := len(slaves)
-
-	st := &state{
-		cfg:      cfg,
-		raysDone: make([]int, nSlaves+1),
-	}
-	var mergeEnd sim.Time
-	_, err := w.Run(func(r *mpi.Rank) {
-		if r.Rank() == 0 {
-			runMaster(r, st, nSlaves)
-		} else {
-			runSlaveCompute(r, st)
-		}
-		// All processes synchronize before the merge phase starts.
-		r.Barrier()
-		if r.Rank() == 0 {
-			return
-		}
-		if t := r.Now(); t > st.compEnd {
-			st.compEnd = t
-		}
-		runSlaveMerge(r, st)
-		if t := r.Now(); t > mergeEnd {
-			mergeEnd = t
-		}
-	})
-	if err != nil {
-		panic("ray2mesh: " + err.Error())
-	}
-
-	res := Result{
-		RaysPerNode: make(map[string]float64),
-		TotalTime:   mergeEnd,
-		CompTime:    time.Duration(st.compEnd),
-		MergeTime:   mergeEnd - time.Duration(st.compEnd),
-		Stats:       w.Stats(),
-	}
-	perSite := make(map[string]int)
-	for i := 1; i <= nSlaves; i++ {
-		perSite[hosts[i].Site] += st.raysDone[i]
-		res.TotalRays += st.raysDone[i]
-	}
-	for _, sc := range layout {
-		res.RaysPerNode[sc.Name] = float64(perSite[sc.Name]) / float64(sc.Nodes)
-	}
-	return res
+	a.CompEnd = max(a.CompEnd, r.Now())
+	a.slaveMerge(r)
+	a.End = max(a.End, r.Now())
 }
 
-func runMaster(r *mpi.Rank, st *state, nSlaves int) {
-	remaining := st.cfg.Rays
+func (a *App) master(r *mpi.Rank) {
+	remaining := a.cfg.Rays
 	send := func(slave int) bool {
-		n := st.cfg.ChunkRays
-		if n > remaining {
-			n = remaining
-		}
+		n := min(a.cfg.ChunkRays, remaining)
 		remaining -= n
 		if n > 0 {
-			r.SendPayload(slave, tagChunk, st.cfg.ChunkBytes, n)
+			r.SendPayload(slave, tagChunk, a.cfg.ChunkBytes, n)
 			return true
 		}
 		r.SendPayload(slave, tagChunk, 1, 0) // empty grant: done marker
@@ -241,7 +136,7 @@ func runMaster(r *mpi.Rank, st *state, nSlaves int) {
 	// send's verdict in this round is what used to deadlock the master
 	// whenever the ray count gave fewer chunks than slaves.
 	active := 0
-	for s := 1; s <= nSlaves; s++ {
+	for s := 1; s < r.Size(); s++ {
 		if send(s) {
 			active++
 		}
@@ -256,7 +151,7 @@ func runMaster(r *mpi.Rank, st *state, nSlaves int) {
 	}
 }
 
-func runSlaveCompute(r *mpi.Rank, st *state) {
+func (a *App) slaveCompute(r *mpi.Rank) {
 	me := r.Rank()
 	for {
 		chunk := r.Recv(0, tagChunk)
@@ -264,16 +159,16 @@ func runSlaveCompute(r *mpi.Rank, st *state) {
 		if rays == 0 {
 			return
 		}
-		r.Compute(time.Duration(rays) * st.cfg.RayCost)
-		st.raysDone[me] += rays
+		r.Compute(time.Duration(rays) * a.cfg.RayCost)
+		a.Rays[me] += rays
 		r.Send(0, tagRequest, reqBytes)
 	}
 }
 
-func runSlaveMerge(r *mpi.Rank, st *state) {
+func (a *App) slaveMerge(r *mpi.Rank) {
 	me := r.Rank()
 	nSlaves := r.Size() - 1
-	share := int(st.cfg.MergeBytes / int64(nSlaves-1))
+	share := int(a.cfg.MergeBytes / int64(nSlaves-1))
 	reqs := make([]*mpi.Request, 0, 2*(nSlaves-1))
 	for s := 1; s <= nSlaves; s++ {
 		if s != me {
@@ -286,5 +181,5 @@ func runSlaveMerge(r *mpi.Rank, st *state) {
 		}
 	}
 	r.WaitAll(reqs...)
-	r.Compute(time.Duration(float64(st.cfg.MergeBytes) / st.cfg.MergeRate * float64(time.Second)))
+	r.Compute(time.Duration(float64(a.cfg.MergeBytes) / a.cfg.MergeRate * float64(time.Second)))
 }

@@ -1,69 +1,77 @@
-package ray2mesh
+// The ray2mesh package keeps only the application; execution flows
+// through the exp engine. The Table 6 and 7 tests therefore live in an
+// external test package and run the application via exp.Run.
+package ray2mesh_test
 
 import (
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/grid5000"
+	"repro/internal/mpiimpl"
+	"repro/internal/ray2mesh"
 )
 
-// TestTerminatesBelowOneChunkPerSlave is the regression test for the
-// self-scheduler deadlock: with fewer chunks than slaves, the master's
-// initial round already hands out done-markers, and counting those
-// slaves as active left it waiting forever on requests that never come.
-// Every ray count must terminate with exact conservation, including a
-// partial final chunk and zero rays.
-func TestTerminatesBelowOneChunkPerSlave(t *testing.T) {
-	for _, rays := range []int{0, 1, 999, 1000, 1234, 5000, 31999} {
-		cfg := Default(grid5000.Rennes)
-		cfg.Rays = rays
-		cfg.MergeBytes = 1 << 20 // keep the merge phase cheap
-		res := Run(cfg)
-		if res.TotalRays != rays {
-			t.Errorf("rays=%d: computed %d, want all of them", rays, res.TotalRays)
-		}
+// testRunner is shared across the package's tests: runs are pure
+// functions of their experiments, so the fingerprint cache only removes
+// duplicate work between tests.
+var testRunner = exp.NewRunner(0)
+
+// run executes the application with the master on the given site, on
+// the Figure 8 testbed at the paper's TCP tuning with MPICH2.
+func run(t *testing.T, master string, scale float64) exp.Result {
+	t.Helper()
+	res := testRunner.Run(exp.Experiment{
+		Impl:     mpiimpl.MPICH2,
+		Tuning:   exp.Tuning{TCP: true},
+		Topology: exp.Ray2MeshTopology(),
+		Workload: exp.Ray2MeshWorkload(master, scale),
+	})
+	if res.Err != "" || res.DNF {
+		t.Fatalf("ray2mesh@%s x%g: err=%q dnf=%v", master, scale, res.Err, res.DNF)
 	}
+	return res
 }
 
 // TestScaledHasNoFloor: Scaled used to clamp the ray count at one chunk
 // per slave to dodge the deadlock; the fixed protocol needs no clamp.
 func TestScaledHasNoFloor(t *testing.T) {
-	cfg := Default(grid5000.Nancy).Scaled(0.0001)
-	if cfg.Rays != 100 {
-		t.Fatalf("Scaled(0.0001) rays = %d, want exactly 100", cfg.Rays)
+	if rays := ray2mesh.Default().Scaled(0.0001).Rays; rays != 100 {
+		t.Fatalf("Scaled(0.0001) rays = %d, want exactly 100", rays)
 	}
-	res := Run(cfg)
-	if res.TotalRays != cfg.Rays {
-		t.Fatalf("computed %d rays, want %d", res.TotalRays, cfg.Rays)
+	if got := run(t, grid5000.Nancy, 0.0001).Metrics["total_rays"]; got != 100 {
+		t.Fatalf("computed %g rays, want 100", got)
 	}
 }
 
 func TestRayConservation(t *testing.T) {
-	cfg := Default(grid5000.Rennes).Scaled(0.05)
-	res := Run(cfg)
-	if res.TotalRays != cfg.Rays {
-		t.Fatalf("rays computed = %d, want all %d", res.TotalRays, cfg.Rays)
+	res := run(t, grid5000.Rennes, 0.05)
+	want := ray2mesh.Default().Scaled(0.05).Rays
+	if got := res.Metrics["total_rays"]; got != float64(want) {
+		t.Fatalf("rays computed = %g, want all %d", got, want)
 	}
 	var sum float64
-	for _, v := range res.RaysPerNode {
-		sum += v * 8
+	for _, site := range ray2mesh.Sites {
+		sum += res.Metrics["rays_per_node_"+site] * ray2mesh.NodesPerSite
 	}
-	if int(sum+0.5) != cfg.Rays {
-		t.Fatalf("per-cluster accounting sums to %.0f, want %d", sum, cfg.Rays)
+	if int(sum+0.5) != want {
+		t.Fatalf("per-cluster accounting sums to %.0f, want %d", sum, want)
 	}
 }
 
 func TestSophiaComputesMostRays(t *testing.T) {
-	res := Run(Default(grid5000.Rennes).Scaled(0.1))
-	s := res.RaysPerNode[grid5000.Sophia]
+	perNode := run(t, grid5000.Rennes, 0.1).Metrics
+	rays := func(site string) float64 { return perNode["rays_per_node_"+site] }
+	s := rays(grid5000.Sophia)
 	for _, site := range []string{grid5000.Rennes, grid5000.Nancy, grid5000.Toulouse} {
-		if res.RaysPerNode[site] >= s {
+		if rays(site) >= s {
 			t.Errorf("%s (%.0f rays/node) ≥ Sophia (%.0f); the fastest cluster must compute most",
-				site, res.RaysPerNode[site], s)
+				site, rays(site), s)
 		}
 	}
 	// Nancy is the slowest cluster.
-	if res.RaysPerNode[grid5000.Nancy] > res.RaysPerNode[grid5000.Rennes] {
-		t.Errorf("Nancy (%.0f) outran Rennes (%.0f)", res.RaysPerNode[grid5000.Nancy], res.RaysPerNode[grid5000.Rennes])
+	if rays(grid5000.Nancy) > rays(grid5000.Rennes) {
+		t.Errorf("Nancy (%.0f) outran Rennes (%.0f)", rays(grid5000.Nancy), rays(grid5000.Rennes))
 	}
 }
 
@@ -72,19 +80,20 @@ func TestSophiaComputesMostRays(t *testing.T) {
 // remote (end-game chunks go to whoever's request arrives first).
 func TestMasterProximityAdvantage(t *testing.T) {
 	const scale = 0.1
-	results := make(map[string]Result)
-	for _, m := range Sites {
-		results[m] = Run(Default(m).Scaled(scale))
+	results := make(map[string]exp.Result)
+	for _, m := range ray2mesh.Sites {
+		results[m] = run(t, m, scale)
 	}
-	for _, cluster := range Sites {
-		local := results[cluster].RaysPerNode[cluster]
-		for _, m := range Sites {
+	for _, cluster := range ray2mesh.Sites {
+		key := "rays_per_node_" + cluster
+		local := results[cluster].Metrics[key]
+		for _, m := range ray2mesh.Sites {
 			if m == cluster {
 				continue
 			}
-			remote := results[m].RaysPerNode[cluster]
+			remote := results[m].Metrics[key]
 			// Allow one chunk of slack across the 8-node mean.
-			slack := float64(Default(cluster).ChunkRays) / 8
+			slack := float64(ray2mesh.Default().ChunkRays) / ray2mesh.NodesPerSite
 			if local+slack < remote {
 				t.Errorf("cluster %s: %.0f rays/node with local master < %.0f with master at %s",
 					cluster, local, remote, m)
@@ -98,17 +107,12 @@ func TestMasterProximityAdvantage(t *testing.T) {
 func TestComputePhaseIndependentOfMaster(t *testing.T) {
 	const scale = 0.1
 	var times []float64
-	for _, m := range Sites {
-		times = append(times, Run(Default(m).Scaled(scale)).CompTime.Seconds())
+	for _, m := range ray2mesh.Sites {
+		times = append(times, run(t, m, scale).Metrics["comp_s"])
 	}
 	minT, maxT := times[0], times[0]
 	for _, v := range times {
-		if v < minT {
-			minT = v
-		}
-		if v > maxT {
-			maxT = v
-		}
+		minT, maxT = min(minT, v), max(maxT, v)
 	}
 	if (maxT-minT)/minT > 0.05 {
 		t.Errorf("compute times spread %.1f%% across master locations (%v); paper shows ≈equal",
@@ -117,12 +121,15 @@ func TestComputePhaseIndependentOfMaster(t *testing.T) {
 }
 
 func TestPhaseTimesPositiveAndOrdered(t *testing.T) {
-	res := Run(Default(grid5000.Nancy).Scaled(0.05))
-	if res.CompTime <= 0 || res.MergeTime <= 0 {
-		t.Fatalf("phases: comp=%v merge=%v", res.CompTime, res.MergeTime)
+	res := run(t, grid5000.Nancy, 0.05)
+	comp, merge, total := res.Metrics["comp_s"], res.Metrics["merge_s"], res.Metrics["total_s"]
+	if comp <= 0 || merge <= 0 {
+		t.Fatalf("phases: comp=%gs merge=%gs", comp, merge)
 	}
-	if res.TotalTime < res.CompTime+res.MergeTime {
-		t.Fatalf("total %v < comp %v + merge %v", res.TotalTime, res.CompTime, res.MergeTime)
+	// The metrics are float seconds of exact durations: allow a rounding
+	// nanosecond.
+	if total < comp+merge-1e-9 || total != res.Elapsed.Seconds() {
+		t.Fatalf("total %gs (elapsed %v) < comp %gs + merge %gs", total, res.Elapsed, comp, merge)
 	}
 }
 
@@ -132,14 +139,14 @@ func TestFullScaleMagnitudes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale run")
 	}
-	res := Run(Default(grid5000.Rennes))
-	if c := res.CompTime.Seconds(); c < 165 || c > 210 {
+	res := run(t, grid5000.Rennes, 1)
+	if c := res.Metrics["comp_s"]; c < 165 || c > 210 {
 		t.Errorf("compute phase = %.1f s, want ≈185", c)
 	}
-	if m := res.MergeTime.Seconds(); m < 140 || m > 190 {
+	if m := res.Metrics["merge_s"]; m < 140 || m > 190 {
 		t.Errorf("merge phase = %.1f s, want ≈165", m)
 	}
-	if tt := res.TotalTime.Seconds(); tt < 320 || tt > 400 {
+	if tt := res.Metrics["total_s"]; tt < 320 || tt > 400 {
 		t.Errorf("total = %.1f s, want ≈360", tt)
 	}
 }

@@ -102,9 +102,9 @@ type Tracer func(at Time, seq uint64)
 func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
 
 // NewHook, when non-nil, runs on every kernel New returns. It is a test
-// seam: the event-order golden test uses it to attach Tracers to kernels
-// constructed deep inside higher layers (exp.Run, ray2mesh.Run). Leave it
-// nil outside tests.
+// seam: the event-order golden tests use it to attach Tracers to kernels
+// constructed deep inside higher layers (exp.Run). Leave it nil outside
+// tests.
 var NewHook func(*Kernel)
 
 // New creates a kernel with the given RNG seed. The RNG is the only source
