@@ -104,8 +104,7 @@ func (s *CacheServer) writeStatus(w http.ResponseWriter, decorate func(*ServerSt
 	if decorate != nil {
 		decorate(&st)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
+	writeJSON(w, st)
 }
 
 // register installs the health and results routes on a mux — shared by
@@ -126,9 +125,8 @@ func (s *CacheServer) register(mux *http.ServeMux) {
 		if fps == nil {
 			fps = []string{} // an empty store is "[]", not "null"
 		}
-		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(schemaHeader, strconv.Itoa(DiskSchemaVersion))
-		json.NewEncoder(w).Encode(fps)
+		writeJSON(w, fps)
 	})
 	mux.HandleFunc("GET "+resultsPath+"/{fp}", func(w http.ResponseWriter, r *http.Request) {
 		fp, ok := entryKey(w, r)

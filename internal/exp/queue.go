@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -25,9 +26,14 @@ import (
 // worker that dies mid-lease loses zero cells — its lease expires and
 // the unfinished cells return to the queue for the next Lease call.
 //
-// A queue may carry a QueueJournal (see RecoverJobQueue): every
-// transition then appends one write-ahead record, so a queue killed at
-// any instant rebuilds the same scheduling state on restart.
+// Every operation splits into a decision and a transition. The decision
+// consults the store and the clock and writes its outcome into a
+// journalRecord; the transition is queueState.apply, the only code that
+// changes the scheduling state. With a journal (see RecoverJobQueue) each
+// record is also appended to the write-ahead log, and recovery replays
+// the log through the same apply, so a queue killed at any instant
+// rebuilds the same scheduling state on restart, apart from leases,
+// which are re-armed for one TTL (and a drop list may be repeated).
 //
 // All methods are safe for concurrent use.
 type JobQueue struct {
@@ -37,13 +43,11 @@ type JobQueue struct {
 	// now is the queue's clock; tests replace it to drive lease expiry.
 	now func() time.Time
 
-	jobs  map[string]*queueJob
-	order []string // job IDs in submission order
-	seq   int      // job and lease ID counter
+	state queueState
 
-	// journal, when set, receives one record per transition and the
-	// periodic compaction snapshots. nil means an in-memory-only queue.
-	journal *QueueJournal
+	// journal, when set, receives every record and the compaction
+	// snapshots. nil means an in-memory-only queue.
+	journal *queueJournal
 	// draining refuses new leases (Lease returns ok == false) while
 	// in-flight reports keep landing — the SIGTERM grace window.
 	draining bool
@@ -115,51 +119,81 @@ const (
 	cellFailed
 )
 
+// queueState is everything the queue schedules by. A journal snapshot
+// is this value's own JSON, so the types below carry JSON tags.
+type queueState struct {
+	Seq  int         `json:"seq"`  // the last issued job or lease number
+	Jobs []*queueJob `json:"jobs"` // submission order
+}
+
 type queueCell struct {
-	exp   Experiment
-	state cellState
-	// cached marks a done cell resolved from the store at submission
-	// (as opposed to computed through a verified worker report); the
-	// distinction must survive the journal so recovered progress
-	// counters match.
-	cached bool
-	err    string // failure report, when state == cellFailed
+	Exp   Experiment `json:"exp"`
+	State cellState  `json:"state"`
+	// Cached marks a done cell resolved from the store at submission
+	// (as opposed to computed through a verified worker report).
+	Cached bool   `json:"cached,omitempty"`
+	Err    string `json:"err,omitempty"` // failure report, when State == cellFailed
 }
 
 // queueSlice is the lease unit: one shard's pending fingerprints, in
 // submission order. Stolen slices are appended with the Shard of their
-// donor (provenance only; ownership is the pending list).
+// donor (provenance only; ownership is the pending list). Slices are
+// never removed from a job, so journal records name them by index.
 type queueSlice struct {
-	shard   Shard
-	pending []string // fingerprints not yet done/failed
-	lease   *queueLease
+	Shard   Shard       `json:"shard"`
+	Pending []string    `json:"pending"` // fingerprints not yet done/failed
+	Lease   *queueLease `json:"lease,omitempty"`
 }
 
 type queueLease struct {
-	id       string
-	worker   string
-	deadline time.Time
-	// stolen accumulates fingerprints moved to another worker since this
+	ID       string `json:"id"`
+	Worker   string `json:"worker"`
+	Deadline int64  `json:"deadline"` // unixnano
+	// Stolen accumulates fingerprints moved to another worker since this
 	// lease's last report; the next report returns them as a drop list
 	// so the donor stops computing work it no longer owns.
-	stolen []string
+	Stolen []string `json:"stolen,omitempty"`
 }
 
 type queueWorker struct {
-	lastSeen time.Time
-	leased   int // cells currently under one of this worker's leases
-	done     int // verified completions reported by this worker
+	LastSeen int64 `json:"last_seen"` // unixnano
+	Leased   int   `json:"leased"`    // cells currently under this worker's leases
+	Done     int   `json:"done"`      // verified completions reported by this worker
 }
 
 type queueJob struct {
-	id       string
-	cells    map[string]*queueCell
-	cellIDs  []string // fingerprints in submission order
-	slices   []*queueSlice
-	workers  map[string]*queueWorker
-	cached   int // done at submission, served by the store
-	computed int // done via verified worker reports
-	failed   int
+	ID       string                  `json:"id"`
+	CellIDs  []string                `json:"cell_ids"` // fingerprints in submission order
+	Cells    map[string]*queueCell   `json:"cells"`
+	Slices   []*queueSlice           `json:"slices"`
+	Workers  map[string]*queueWorker `json:"workers"`
+	Cached   int                     `json:"cached"`   // done at submission, served by the store
+	Computed int                     `json:"computed"` // done via verified worker reports
+	Failed   int                     `json:"failed"`
+}
+
+func jobID(seq int) string   { return fmt.Sprintf("j%04d", seq) }
+func leaseID(seq int) string { return fmt.Sprintf("l%04d", seq) }
+
+// job returns the job with the given ID, or nil.
+func (s *queueState) job(id string) *queueJob {
+	for _, j := range s.Jobs {
+		if j.ID == id {
+			return j
+		}
+	}
+	return nil
+}
+
+// worker returns the named worker of j, created if new, seen at t.
+func (j *queueJob) worker(name string, t int64) *queueWorker {
+	w := j.Workers[name]
+	if w == nil {
+		w = &queueWorker{}
+		j.Workers[name] = w
+	}
+	w.LastSeen = t
+	return w
 }
 
 // NewJobQueue creates an in-memory queue over the given result store.
@@ -170,7 +204,6 @@ func NewJobQueue(store *DiskCache, cfg QueueConfig) *JobQueue {
 		store: store,
 		cfg:   cfg.withDefaults(),
 		now:   time.Now,
-		jobs:  make(map[string]*queueJob),
 	}
 }
 
@@ -194,12 +227,11 @@ func (q *JobQueue) PollHint() time.Duration { return q.cfg.Poll }
 // the queue runs without one.
 func (q *JobQueue) JournalStats() *JournalStats {
 	q.mu.Lock()
-	j := q.journal
-	q.mu.Unlock()
-	if j == nil {
+	defer q.mu.Unlock()
+	if q.journal == nil {
 		return nil
 	}
-	st := j.Stats()
+	st := q.journal.stats
 	return &st
 }
 
@@ -220,9 +252,9 @@ func (q *JobQueue) ActiveLeases() int {
 	defer q.mu.Unlock()
 	q.expireLocked()
 	n := 0
-	for _, id := range q.order {
-		for _, sl := range q.jobs[id].slices {
-			if sl.lease != nil {
+	for _, j := range q.state.Jobs {
+		for _, sl := range j.Slices {
+			if sl.Lease != nil {
 				n++
 			}
 		}
@@ -230,44 +262,206 @@ func (q *JobQueue) ActiveLeases() int {
 	return n
 }
 
-// Checkpoint compacts the journal: current state to the snapshot file,
-// write-ahead log truncated. A no-op without a journal. Called by the
-// drain path so a clean shutdown restarts from one snapshot read.
+// Checkpoint compacts the journal: the log is rewritten as one snapshot
+// of the current state. A no-op without a journal. Called by the drain
+// path so a clean shutdown restarts from one snapshot read.
 func (q *JobQueue) Checkpoint() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.journal == nil {
 		return nil
 	}
-	return q.journal.writeSnapshot(q.snapshotLocked())
+	return q.journal.compact(&q.state)
 }
 
 // Close detaches and closes the journal, if any.
 func (q *JobQueue) Close() error {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	j := q.journal
 	q.journal = nil
-	q.mu.Unlock()
-	if j == nil {
+	if j == nil || j.wal == nil {
 		return nil
 	}
-	return j.Close()
+	return j.wal.Close()
 }
 
-// logLocked journals one transition (no-op for journal-less queues) and
-// compacts when the log has outgrown its threshold. Called with q.mu
-// held, so the snapshot is consistent with the record just appended.
-func (q *JobQueue) logLocked(rec journalRecord) {
-	if q.journal == nil {
-		return
-	}
+// commit makes one transition: apply the record, then journal it (a
+// no-op for journal-less queues), compacting when the journal asks.
+// Called with q.mu held, so a compaction snapshot includes the record.
+func (q *JobQueue) commit(rec journalRecord) {
 	rec.V = journalSchemaVersion
 	rec.T = q.now().UnixNano()
-	if q.journal.Append(rec) {
-		// Best-effort: a failed compaction leaves the oversized log in
-		// place and the next append retries. Append errors are counted
-		// in the journal stats either way.
-		_ = q.journal.writeSnapshot(q.snapshotLocked())
+	if !q.state.apply(rec) {
+		panic(fmt.Sprintf("exp: queue refused its own %s record for job %s", rec.Kind, rec.Job))
+	}
+	if q.journal != nil && q.journal.append(rec) {
+		// Best-effort: a failed compaction leaves the log as it is and
+		// the next append asks again. Append errors are counted in the
+		// journal stats either way.
+		_ = q.journal.compact(&q.state)
+	}
+}
+
+// apply changes the state by one journal record. It is the only code
+// that changes journaled queue state: live operations commit their
+// records through it, and recovery replays the log through it. apply
+// reads neither the store nor the clock; what the decisions learned
+// travels in the record, and rec.T stands for the time of the
+// transition. A record that does not fit the state — an unknown job, a
+// slice out of range, a lease mismatch, a settled cell, a number that is
+// not the next one issued — is refused with nothing changed.
+//
+//	snapshot  State replaces the whole state, once it passes valid
+//	submit    adds job Job (number Seq), resolving the Cached cells done
+//	          and partitioning the rest into Slices shard slices
+//	lease     leases slice Slice, whose pending cells must be FPs; with
+//	          From set it is a steal: FPs is the tail of donor lease
+//	          From's slice Slice, moved into a new slice that is leased
+//	report    settles cell FP (failed, or verified done by Worker)
+//	expire    returns the cells FPs of lease Lease on slice Slice to
+//	          the queue
+func (s *queueState) apply(rec journalRecord) bool {
+	switch rec.Kind {
+	case "snapshot":
+		if rec.State == nil || !rec.State.valid() {
+			return false
+		}
+		*s = *rec.State
+	case "submit":
+		if rec.Seq != s.Seq+1 || rec.Job != jobID(rec.Seq) || rec.Slices < 1 {
+			return false
+		}
+		j := &queueJob{
+			ID:      rec.Job,
+			CellIDs: make([]string, 0, len(rec.Cells)),
+			Cells:   make(map[string]*queueCell, len(rec.Cells)),
+			Workers: make(map[string]*queueWorker),
+		}
+		cached := make(map[string]bool, len(rec.Cached))
+		for _, fp := range rec.Cached {
+			cached[fp] = true
+		}
+		var queued []string
+		for _, e := range rec.Cells {
+			fp := e.Fingerprint()
+			if j.Cells[fp] != nil {
+				return false
+			}
+			c := &queueCell{Exp: e}
+			if cached[fp] {
+				c.State, c.Cached = cellDone, true
+				j.Cached++
+			} else {
+				queued = append(queued, fp)
+			}
+			j.Cells[fp] = c
+			j.CellIDs = append(j.CellIDs, fp)
+		}
+		j.Slices = partition(queued, rec.Slices)
+		s.Jobs = append(s.Jobs, j)
+		s.Seq = rec.Seq
+	case "lease":
+		j := s.job(rec.Job)
+		if j == nil || rec.Seq != s.Seq+1 || rec.Lease != leaseID(rec.Seq) || rec.Slice < 0 || rec.Slice >= len(j.Slices) {
+			return false
+		}
+		sl := j.Slices[rec.Slice]
+		if rec.From != "" {
+			n, k := len(sl.Pending), len(rec.FPs)
+			if sl.Lease == nil || sl.Lease.ID != rec.From || k == 0 || k >= n || !slices.Equal(sl.Pending[n-k:], rec.FPs) {
+				return false
+			}
+			sl.Pending = sl.Pending[:n-k]
+			sl.Lease.Stolen = append(sl.Lease.Stolen, rec.FPs...)
+			j.Workers[sl.Lease.Worker].Leased -= k
+			sl = &queueSlice{Shard: sl.Shard, Pending: slices.Clone(rec.FPs)}
+			j.Slices = append(j.Slices, sl)
+		} else if sl.Lease != nil || len(sl.Pending) == 0 || !slices.Equal(sl.Pending, rec.FPs) {
+			return false
+		}
+		sl.Lease = &queueLease{ID: rec.Lease, Worker: rec.Worker, Deadline: rec.Deadline}
+		j.worker(rec.Worker, rec.T).Leased += len(sl.Pending)
+		for _, fp := range sl.Pending {
+			j.Cells[fp].State = cellLeased
+		}
+		s.Seq = rec.Seq
+	case "report":
+		j := s.job(rec.Job)
+		if j == nil {
+			return false
+		}
+		c := j.Cells[rec.FP]
+		if c == nil || c.State == cellDone || c.State == cellFailed {
+			return false
+		}
+		w := j.worker(rec.Worker, rec.T)
+		if rec.Failed {
+			c.State, c.Err = cellFailed, rec.Err
+			j.Failed++
+		} else {
+			c.State = cellDone
+			j.Computed++
+			w.Done++
+		}
+		j.settle(rec.FP)
+	case "expire":
+		j := s.job(rec.Job)
+		if j == nil || rec.Slice < 0 || rec.Slice >= len(j.Slices) {
+			return false
+		}
+		sl := j.Slices[rec.Slice]
+		if sl.Lease == nil || sl.Lease.ID != rec.Lease || !slices.Equal(sl.Pending, rec.FPs) {
+			return false
+		}
+		j.Workers[sl.Lease.Worker].Leased -= len(sl.Pending)
+		for _, fp := range sl.Pending {
+			j.Cells[fp].State = cellQueued
+		}
+		sl.Lease = nil
+	default:
+		return false
+	}
+	return true
+}
+
+// partition splits pending fingerprints into the slices of an n-way
+// shard partition, in shard order; shards that own no cell get none.
+// It costs one pass over the cells whatever n is, so a huge slice count
+// from a client or a damaged record cannot stall the queue.
+func partition(fps []string, n int) []*queueSlice {
+	var out []*queueSlice
+	byShard := make(map[int]*queueSlice)
+	for _, fp := range fps {
+		i := shardOf(fp, n)
+		sl := byShard[i]
+		if sl == nil {
+			sl = &queueSlice{Shard: Shard{Index: i, Count: n}}
+			byShard[i] = sl
+			out = append(out, sl)
+		}
+		sl.Pending = append(sl.Pending, fp)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Shard.Index < out[b].Shard.Index })
+	return out
+}
+
+// settle removes a settled fingerprint from whichever slice still
+// carries it and releases a drained lease.
+func (j *queueJob) settle(fp string) {
+	for _, sl := range j.Slices {
+		i := slices.Index(sl.Pending, fp)
+		if i < 0 {
+			continue
+		}
+		sl.Pending = slices.Delete(sl.Pending, i, i+1)
+		if sl.Lease != nil {
+			j.Workers[sl.Lease.Worker].Leased--
+			if len(sl.Pending) == 0 {
+				sl.Lease = nil
+			}
+		}
+		return
 	}
 }
 
@@ -376,76 +570,32 @@ func (q *JobQueue) Submit(cells []Experiment, slices int) (JobStatus, error) {
 		return q.statusLocked(j), nil
 	}
 
-	q.seq++
-	j := &queueJob{
-		id:      fmt.Sprintf("j%04d", q.seq),
-		cells:   make(map[string]*queueCell, len(fps)),
-		cellIDs: fps,
-		workers: make(map[string]*queueWorker),
-	}
-	var queued, cached []string
 	ordered := make([]Experiment, 0, len(fps))
+	var cached []string
 	for _, fp := range fps {
-		c := &queueCell{exp: byFP[fp]}
-		ordered = append(ordered, c.exp)
-		j.cells[fp] = c
+		ordered = append(ordered, byFP[fp])
 		// The trust gate decides "already done": only a loadable,
 		// verified entry spares the cell, never mere file presence.
 		if _, ok := q.store.Load(fp); ok {
-			c.state = cellDone
-			c.cached = true
-			j.cached++
 			cached = append(cached, fp)
-			continue
-		}
-		queued = append(queued, fp)
-	}
-	// Partition pending cells into shard slices. Shards that own no
-	// cell are dropped; each surviving slice is one lease unit.
-	for i := 1; i <= slices; i++ {
-		sh := Shard{Index: i, Count: slices}
-		var pending []string
-		for _, fp := range queued {
-			if sh.owns(fp) {
-				pending = append(pending, fp)
-			}
-		}
-		if len(pending) > 0 {
-			j.slices = append(j.slices, &queueSlice{shard: sh, pending: pending})
 		}
 	}
-	q.jobs[j.id] = j
-	q.order = append(q.order, j.id)
-	q.logLocked(journalRecord{
-		Kind:   "submit",
-		Job:    j.id,
-		Seq:    q.seq,
-		Slices: slices,
-		Cells:  ordered,
-		Cached: cached,
-	})
-	return q.statusLocked(j), nil
+	seq := q.state.Seq + 1
+	q.commit(journalRecord{Kind: "submit", Job: jobID(seq), Seq: seq, Slices: slices, Cells: ordered, Cached: cached})
+	return q.statusLocked(q.state.Jobs[len(q.state.Jobs)-1]), nil
 }
 
 // findActiveLocked returns a running job whose cell set is exactly fps.
 func (q *JobQueue) findActiveLocked(fps []string) *queueJob {
 	want := append([]string(nil), fps...)
 	sort.Strings(want)
-	for _, id := range q.order {
-		j := q.jobs[id]
-		if q.stateLocked(j) != "running" || len(j.cellIDs) != len(want) {
+	for _, j := range q.state.Jobs {
+		if j.state() != "running" || len(j.CellIDs) != len(want) {
 			continue
 		}
-		have := append([]string(nil), j.cellIDs...)
+		have := append([]string(nil), j.CellIDs...)
 		sort.Strings(have)
-		match := true
-		for i := range have {
-			if have[i] != want[i] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if slices.Equal(have, want) {
 			return j
 		}
 	}
@@ -467,88 +617,53 @@ func (q *JobQueue) Lease(worker string) (LeaseGrant, bool) {
 	if q.draining {
 		return LeaseGrant{}, false
 	}
-	now := q.now()
-
-	for _, id := range q.order {
-		j := q.jobs[id]
+	for _, j := range q.state.Jobs {
 		// Unleased (or expired, cleaned by expireLocked) slice first.
-		for _, sl := range j.slices {
-			if sl.lease == nil && len(sl.pending) > 0 {
-				return q.grantLocked(j, sl, worker, "", now), true
+		for i, sl := range j.Slices {
+			if sl.Lease == nil && len(sl.Pending) > 0 {
+				return q.grantLocked(j, worker, journalRecord{Slice: i, FPs: sl.Pending}), true
 			}
 		}
 	}
 	// Nothing free: steal from the biggest straggler slice.
-	for _, id := range q.order {
-		j := q.jobs[id]
-		var donor *queueSlice
-		for _, sl := range j.slices {
-			if sl.lease == nil || sl.lease.worker == worker || len(sl.pending) < q.cfg.StealMin {
+	for _, j := range q.state.Jobs {
+		donor := -1
+		for i, sl := range j.Slices {
+			if sl.Lease == nil || sl.Lease.Worker == worker || len(sl.Pending) < q.cfg.StealMin {
 				continue
 			}
-			if donor == nil || len(sl.pending) > len(donor.pending) {
-				donor = sl
+			if donor < 0 || len(sl.Pending) > len(j.Slices[donor].Pending) {
+				donor = i
 			}
 		}
-		if donor == nil {
+		if donor < 0 {
 			continue
 		}
-		half := len(donor.pending) / 2
-		stolen := append([]string(nil), donor.pending[len(donor.pending)-half:]...)
-		donor.pending = donor.pending[:len(donor.pending)-half]
-		donor.lease.stolen = append(donor.lease.stolen, stolen...)
-		if w := j.workers[donor.lease.worker]; w != nil {
-			w.leased -= len(stolen)
-		}
-		sl := &queueSlice{shard: donor.shard, pending: stolen}
-		j.slices = append(j.slices, sl)
-		return q.grantLocked(j, sl, worker, donor.lease.id, now), true
+		d := j.Slices[donor]
+		tail := d.Pending[len(d.Pending)-len(d.Pending)/2:]
+		return q.grantLocked(j, worker, journalRecord{Slice: donor, From: d.Lease.ID, FPs: tail}), true
 	}
 	return LeaseGrant{}, false
 }
 
-// grantLocked leases sl to worker. from names the donor lease when the
-// grant is a steal (journal provenance only).
-func (q *JobQueue) grantLocked(j *queueJob, sl *queueSlice, worker, from string, now time.Time) LeaseGrant {
-	q.seq++
-	sl.lease = &queueLease{
-		id:       fmt.Sprintf("l%04d", q.seq),
-		worker:   worker,
-		deadline: now.Add(q.cfg.TTL),
-	}
-	w := q.workerLocked(j, worker, now)
-	w.leased += len(sl.pending)
+// grantLocked commits a lease of rec.FPs (from slice rec.Slice, or
+// stolen from lease rec.From) to worker under the next lease number.
+func (q *JobQueue) grantLocked(j *queueJob, worker string, rec journalRecord) LeaseGrant {
+	rec.Kind, rec.Job, rec.Worker = "lease", j.ID, worker
+	rec.Seq = q.state.Seq + 1
+	rec.Lease = leaseID(rec.Seq)
+	rec.Deadline = q.now().Add(q.cfg.TTL).UnixNano()
+	q.commit(rec)
 	grant := LeaseGrant{
-		Job:   j.id,
-		Lease: sl.lease.id,
+		Job:   j.ID,
+		Lease: rec.Lease,
 		TTLMS: q.cfg.TTL.Milliseconds(),
-		Cells: make([]Experiment, 0, len(sl.pending)),
+		Cells: make([]Experiment, 0, len(rec.FPs)),
 	}
-	for _, fp := range sl.pending {
-		j.cells[fp].state = cellLeased
-		grant.Cells = append(grant.Cells, j.cells[fp].exp)
+	for _, fp := range rec.FPs {
+		grant.Cells = append(grant.Cells, j.Cells[fp].Exp)
 	}
-	q.logLocked(journalRecord{
-		Kind:     "lease",
-		Job:      j.id,
-		Lease:    sl.lease.id,
-		Seq:      q.seq,
-		Worker:   worker,
-		Deadline: sl.lease.deadline.UnixNano(),
-		FPs:      append([]string(nil), sl.pending...),
-		From:     from,
-	})
 	return grant
-}
-
-func (q *JobQueue) workerLocked(j *queueJob, worker string, now time.Time) *queueWorker {
-	w := j.workers[worker]
-	if w == nil {
-		w = &queueWorker{}
-		j.workers[worker] = w
-	}
-	w.lastSeen = now
-	return w
 }
 
 // Report closes out one cell of a lease. A done claim is verified
@@ -565,170 +680,114 @@ func (q *JobQueue) Report(jobID, leaseID, worker, fp string, failed bool, errMsg
 	q.expireLocked()
 	now := q.now()
 
-	j, ok := q.jobs[jobID]
-	if !ok {
+	j := q.state.job(jobID)
+	if j == nil {
 		return ReportAck{}, fmt.Errorf("exp: unknown job %q", jobID)
 	}
-	c, ok := j.cells[fp]
-	if !ok {
+	c := j.Cells[fp]
+	if c == nil {
 		return ReportAck{}, fmt.Errorf("exp: job %s has no cell %s", jobID, fp)
 	}
-	w := q.workerLocked(j, worker, now)
+	// Liveness, lease renewal and the drop-list hand-off are not
+	// journaled: recovery re-arms every lease and may repeat a drop list.
+	j.worker(worker, now.UnixNano())
 
 	// Find the lease (it may have expired or been superseded; the report
 	// is still processed, just without a deadline to renew).
-	var lease *queueLease
-	for _, sl := range j.slices {
-		if sl.lease != nil && sl.lease.id == leaseID {
-			lease = sl.lease
+	ack := ReportAck{Verified: true}
+	for _, sl := range j.Slices {
+		if sl.Lease != nil && sl.Lease.ID == leaseID {
+			sl.Lease.Deadline = now.Add(q.cfg.TTL).UnixNano()
+			ack.Drop = sl.Lease.Stolen
+			sl.Lease.Stolen = nil
 			break
 		}
 	}
-	ack := ReportAck{Verified: true}
-	if lease != nil {
-		lease.deadline = now.Add(q.cfg.TTL)
-		ack.Drop = lease.stolen
-		lease.stolen = nil
-	}
 
-	if c.state == cellDone || c.state == cellFailed {
-		ack.JobState = q.stateLocked(j)
+	// Only state changes reach the journal: idempotent acks and
+	// unverified claims leave nothing to recover.
+	if c.State == cellDone || c.State == cellFailed {
+		ack.JobState = j.state()
 		return ack, nil // already settled; idempotent ack
 	}
-	switch {
-	case failed:
-		c.state = cellFailed
-		c.err = errMsg
-		j.failed++
-	default:
+	if !failed {
 		if _, ok := q.store.Load(fp); !ok {
 			// The trust boundary: the worker claims done but the store
 			// cannot serve a verified entry. Rejected — the cell stays
 			// pending and will be re-leased if this worker gives up.
 			ack.Verified = false
-			ack.JobState = q.stateLocked(j)
+			ack.JobState = j.state()
 			return ack, nil
 		}
-		c.state = cellDone
-		j.computed++
-		w.done++
 	}
-	// Only state changes reach the journal: idempotent acks and
-	// unverified claims left nothing to recover.
-	q.logLocked(journalRecord{
-		Kind:   "report",
-		Job:    jobID,
-		Lease:  leaseID,
-		Worker: worker,
-		FP:     fp,
-		Failed: failed,
-		Err:    errMsg,
-	})
-	q.settleLocked(j, fp)
-	ack.JobState = q.stateLocked(j)
+	q.commit(journalRecord{Kind: "report", Job: jobID, Lease: leaseID, Worker: worker, FP: fp, Failed: failed, Err: errMsg})
+	ack.JobState = j.state()
 	return ack, nil
-}
-
-// settleLocked removes a settled fingerprint from whichever slice still
-// carries it and releases drained leases.
-func (q *JobQueue) settleLocked(j *queueJob, fp string) {
-	for _, sl := range j.slices {
-		for i, p := range sl.pending {
-			if p != fp {
-				continue
-			}
-			sl.pending = append(sl.pending[:i], sl.pending[i+1:]...)
-			if sl.lease != nil {
-				if w := j.workers[sl.lease.worker]; w != nil {
-					w.leased--
-				}
-				if len(sl.pending) == 0 {
-					sl.lease = nil
-				}
-			}
-			return
-		}
-	}
 }
 
 // expireLocked returns the cells of overdue leases to the queue. Called
 // at the top of every public operation, so expiry needs no timer: dead
 // workers are discovered the next time anyone talks to the queue.
 func (q *JobQueue) expireLocked() {
-	now := q.now()
-	for _, id := range q.order {
-		j := q.jobs[id]
-		for _, sl := range j.slices {
-			if sl.lease == nil || !now.After(sl.lease.deadline) {
-				continue
+	now := q.now().UnixNano()
+	for _, j := range q.state.Jobs {
+		for i, sl := range j.Slices {
+			if sl.Lease != nil && now > sl.Lease.Deadline {
+				q.commit(journalRecord{Kind: "expire", Job: j.ID, Lease: sl.Lease.ID, Slice: i, FPs: sl.Pending})
 			}
-			if w := j.workers[sl.lease.worker]; w != nil {
-				w.leased -= len(sl.pending)
-			}
-			for _, fp := range sl.pending {
-				j.cells[fp].state = cellQueued
-			}
-			q.logLocked(journalRecord{
-				Kind:  "expire",
-				Job:   j.id,
-				Lease: sl.lease.id,
-				FPs:   append([]string(nil), sl.pending...),
-			})
-			sl.lease = nil
 		}
 	}
 }
 
-func (q *JobQueue) stateLocked(j *queueJob) string {
-	done := j.cached + j.computed
-	if done+j.failed < len(j.cellIDs) {
+func (j *queueJob) state() string {
+	if j.Cached+j.Computed+j.Failed < len(j.CellIDs) {
 		return "running"
 	}
-	if j.failed > 0 {
+	if j.Failed > 0 {
 		return "failed"
 	}
 	return "done"
 }
 
 func (q *JobQueue) statusLocked(j *queueJob) JobStatus {
-	now := q.now()
+	now := q.now().UnixNano()
 	st := JobStatus{
-		ID:       j.id,
-		State:    q.stateLocked(j),
-		Total:    len(j.cellIDs),
-		Done:     j.cached + j.computed,
-		Failed:   j.failed,
-		Cached:   j.cached,
-		Computed: j.computed,
+		ID:       j.ID,
+		State:    j.state(),
+		Total:    len(j.CellIDs),
+		Done:     j.Cached + j.Computed,
+		Failed:   j.Failed,
+		Cached:   j.Cached,
+		Computed: j.Computed,
 	}
-	for _, fp := range j.cellIDs {
-		switch j.cells[fp].state {
+	for _, fp := range j.CellIDs {
+		switch c := j.Cells[fp]; c.State {
 		case cellQueued:
 			st.Queued++
 		case cellLeased:
 			st.Leased++
 		case cellFailed:
-			c := j.cells[fp]
 			st.Failures = append(st.Failures, CellFailure{
 				Fingerprint: fp,
-				Name:        c.exp.Name(),
-				Err:         c.err,
+				Name:        c.Exp.Name(),
+				Err:         c.Err,
 			})
 		}
 	}
-	names := make([]string, 0, len(j.workers))
-	for name := range j.workers {
+	names := make([]string, 0, len(j.Workers))
+	for name := range j.Workers {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		w := j.workers[name]
+		w := j.Workers[name]
+		age := time.Duration(now - w.LastSeen)
 		st.Workers = append(st.Workers, WorkerStatus{
 			ID:         name,
-			LastSeenMS: now.Sub(w.lastSeen).Milliseconds(),
-			Live:       now.Sub(w.lastSeen) <= q.cfg.TTL,
-			Leased:     w.leased,
-			Done:       w.done,
+			LastSeenMS: age.Milliseconds(),
+			Live:       age <= q.cfg.TTL,
+			Leased:     w.Leased,
+			Done:       w.Done,
 		})
 	}
 	return st
@@ -739,8 +798,8 @@ func (q *JobQueue) Status(jobID string) (JobStatus, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.expireLocked()
-	j, ok := q.jobs[jobID]
-	if !ok {
+	j := q.state.job(jobID)
+	if j == nil {
 		return JobStatus{}, false
 	}
 	return q.statusLocked(j), true
@@ -751,9 +810,9 @@ func (q *JobQueue) Jobs() []JobStatus {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.expireLocked()
-	out := make([]JobStatus, 0, len(q.order))
-	for _, id := range q.order {
-		out = append(out, q.statusLocked(q.jobs[id]))
+	out := make([]JobStatus, 0, len(q.state.Jobs))
+	for _, j := range q.state.Jobs {
+		out = append(out, q.statusLocked(j))
 	}
 	return out
 }

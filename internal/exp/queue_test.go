@@ -37,7 +37,7 @@ func newTestQueue(t *testing.T, ttl time.Duration, slices int) (*JobQueue, *Disk
 
 // computeAndStore runs one cell the way an honest worker would: compute,
 // publish to the store, then the caller reports.
-func computeAndStore(t *testing.T, store *DiskCache, e Experiment) {
+func computeAndStore(t testing.TB, store *DiskCache, e Experiment) {
 	t.Helper()
 	res := Run(e)
 	if res.Err != "" {

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -70,74 +69,30 @@ func (c *QueueClient) PollHint() time.Duration {
 // status is an error carrying the server's text — IsTransient on 5xx
 // (the server may be restarting), permanent on 4xx (the request itself
 // was rejected; retrying cannot help).
-func (c *QueueClient) post(path string, in, out any) (bool, error) {
+func (c *QueueClient) post(path string, in, out any) (ok bool, err error) {
 	blob, err := json.Marshal(in)
 	if err != nil {
 		return false, fmt.Errorf("exp: marshal %s request: %w", path, err)
 	}
-	var ok bool
-	err = c.Retry.Do(func() error {
-		var attemptErr error
-		ok, attemptErr = c.postOnce(path, blob, out)
-		return attemptErr
+	err = exchange(c.client, c.Retry, http.MethodPost, c.base+path, blob, func(resp *http.Response) error {
+		if h := resp.Header.Get(pollHeader); h != "" {
+			if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
+				c.pollHintMS.Store(ms)
+			}
+		}
+		if resp.StatusCode == http.StatusNoContent {
+			return nil
+		}
+		ok = true
+		return decodeBody(resp, out)
 	})
 	return ok, err
 }
 
-func (c *QueueClient) postOnce(path string, blob []byte, out any) (bool, error) {
-	// The body reader is built per attempt: a retry must replay the
-	// request from the start, not from wherever the last one died.
-	resp, err := c.client.Post(c.base+path, "application/json", bytes.NewReader(blob))
-	if err != nil {
-		return false, Transient(err)
-	}
-	defer resp.Body.Close()
-	if h := resp.Header.Get(pollHeader); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			c.pollHintMS.Store(ms)
-		}
-	}
-	if resp.StatusCode == http.StatusNoContent {
-		return false, nil
-	}
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("exp: sweepd POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-		if resp.StatusCode/100 == 5 {
-			return false, Transient(err)
-		}
-		return false, err
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return false, fmt.Errorf("exp: sweepd POST %s: bad response: %w", path, err)
-		}
-	}
-	return true, nil
-}
-
 func (c *QueueClient) get(path string, out any) error {
-	return c.Retry.Do(func() error { return c.getOnce(path, out) })
-}
-
-func (c *QueueClient) getOnce(path string, out any) error {
-	resp, err := c.client.Get(c.base + path)
-	if err != nil {
-		return Transient(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("exp: sweepd GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-		if resp.StatusCode/100 == 5 {
-			return Transient(err)
-		}
-		return err
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("exp: sweepd GET %s: bad response: %w", path, err)
-	}
-	return nil
+	return exchange(c.client, c.Retry, http.MethodGet, c.base+path, nil, func(resp *http.Response) error {
+		return decodeBody(resp, out)
+	})
 }
 
 // Submit registers a sweep matrix and returns the job's status —

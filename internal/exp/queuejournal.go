@@ -7,131 +7,128 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
+	"strconv"
+	"strings"
 	"time"
 )
 
-// QueueJournal makes the sweepd control plane crash-safe: every queue
+// queueJournal makes the sweepd control plane crash-safe: every queue
 // transition (job submit with its cells, lease grant — steals included —
-// per-cell done/failed report, lease expiry) appends one record to a
+// per-cell done/failed report, lease expiry) appends its record to a
 // write-ahead log, and the full queue state periodically compacts into a
 // snapshot so the log never grows without bound. A restarted sweepd
-// rebuilds its JobQueue from snapshot + log (see RecoverJobQueue), so a
+// rebuilds its JobQueue by replaying the log through the same
+// queueState.apply the live queue uses (see RecoverJobQueue), so a
 // kill -9 of the control plane loses no submitted job: in-flight work
 // resumes where the journal left it, and the result store remains the
 // only authority on which cells are actually done.
 //
 // # On-disk format
 //
-// The journal directory holds two files:
-//
-//	queue.snap   one framed record: the full queue state (snapshotFile)
-//	queue.wal    framed records appended since the snapshot
-//
+// The journal directory holds one file, queue.wal: a stream of framed
+// records whose first record may be a snapshot of the whole queue state.
 // Every framed record is
 //
 //	[4-byte little-endian payload length][4-byte IEEE CRC32 of payload][payload JSON]
 //
-// and every payload carries the journal schema version. Reading stops —
+// and every payload carries the journal schema version. Replay stops —
 // without panicking — at the first defect: a torn tail from a crashed
 // append (header or payload cut short), a checksum mismatch, unparsable
-// JSON, or a foreign schema version. The valid prefix is kept; the tail
-// is discarded at the next compaction. A defective snapshot discards
-// snapshot and log together (the log's records build on the snapshot),
-// which degrades to the pre-journal world: jobs are forgotten, but the
-// store still serves every verified result, so resubmission recomputes
-// nothing.
+// JSON, a foreign schema version, or a record apply refuses. The valid
+// prefix is kept; the tail is discarded at the next compaction. A
+// defective snapshot is just a defective first record: the queue starts
+// empty, and the store still serves every verified result, so a
+// resubmission recomputes nothing.
 //
-// The snapshot is written with the same temp-file+rename discipline as
-// DiskCache entries, and the log is truncated only after the snapshot
-// rename commits; a crash between the two replays the log on top of the
-// snapshot, which is safe because every record applies idempotently.
+// Compaction writes the snapshot to a temp file, syncs it, renames it
+// over queue.wal and appends to the new file from then on, so each
+// record is replayed once, onto the state it was made from. A failed
+// append (a full or broken disk) may leave a torn frame in the log; it
+// is counted and asks for a compaction, which rewrites the log from
+// memory. The store remains the source of truth for results, so a lost
+// journal costs recovery convenience, never correctness.
 //
-// A journal is owned by one process at a time (sweepd's); there is no
-// cross-process locking. Append failures (a full or broken disk) are
-// counted, not fatal: the store remains the source of truth for results,
-// so a lost journal costs recovery convenience, never correctness.
-type QueueJournal struct {
+// A journal is owned by one process at a time (sweepd's) and used under
+// the queue's lock; there is no cross-process locking.
+type queueJournal struct {
 	dir string
+	// maxBytes triggers a compaction request from append once the log
+	// outgrows it.
+	maxBytes int64
 
-	// MaxWALBytes triggers a compaction request from Append once the
-	// log outgrows it. Set before attaching the journal to a queue.
-	MaxWALBytes int64
-
-	mu       sync.Mutex
-	wal      *os.File
-	walBytes int64
-	stats    JournalStats
+	wal *os.File
+	// broken records a failed append since the last compaction: the log
+	// may end in a torn frame that would hide every later record.
+	broken bool
+	stats  JournalStats
 }
 
 // journalSchemaVersion is the record-format generation; bump it when a
 // change makes old records untrustworthy. Foreign generations are
-// dropped cleanly at recovery, never misread.
-const journalSchemaVersion = 1
+// dropped cleanly at recovery, never misread. Generation 2 is the
+// one-file log with the snapshot as its first record.
+const journalSchemaVersion = 2
 
-// DefaultJournalMaxBytes is the compaction threshold: with records a few
+// journalMaxBytes is the compaction threshold: with records a few
 // hundred bytes each (submits excepted) this is tens of thousands of
 // transitions between snapshots.
-const DefaultJournalMaxBytes = 4 << 20
+const journalMaxBytes = 4 << 20
 
 // maxJournalRecordBytes bounds one framed payload; a length header
 // beyond it is treated as corruption, not an allocation request.
 const maxJournalRecordBytes = maxJobBytes
 
-const (
-	walName  = "queue.wal"
-	snapName = "queue.snap"
-)
+const walName = "queue.wal"
 
 // JournalStats is the journal's /statusz accounting.
 type JournalStats struct {
 	// Appended counts records written since the journal was opened.
 	Appended int64 `json:"appended"`
 	// AppendErrors counts failed writes (the transition proceeded; only
-	// its durability was lost).
+	// its durability was lost until the compaction that follows).
 	AppendErrors int64 `json:"append_errors,omitempty"`
-	// Replayed counts WAL records applied during recovery.
+	// Replayed counts log records applied during recovery, the snapshot
+	// aside.
 	Replayed int64 `json:"replayed"`
-	// TailTruncations counts recoveries that found and discarded a torn
-	// or corrupt log tail.
+	// TailTruncations counts recoveries that found and discarded a torn,
+	// corrupt, foreign or refused record and everything after it.
 	TailTruncations int64 `json:"tail_truncations"`
-	// SnapshotsDiscarded counts defective snapshots dropped (with their
-	// logs) at recovery.
-	SnapshotsDiscarded int64 `json:"snapshots_discarded,omitempty"`
-	// Compactions counts snapshot+truncate cycles since open.
+	// Compactions counts log rewrites since open.
 	Compactions int64 `json:"compactions"`
 	// LastCompaction is the wall-clock time of the newest compaction.
 	LastCompaction string `json:"last_compaction,omitempty"`
-	// WALBytes is the current log size.
+	// WALBytes counts bytes logged since the snapshot.
 	WALBytes int64 `json:"wal_bytes"`
-	// SnapshotBytes is the size of the newest snapshot.
+	// SnapshotBytes is the size of the newest snapshot record.
 	SnapshotBytes int64 `json:"snapshot_bytes,omitempty"`
 }
 
-// journalRecord is one WAL payload. Kind selects which fields are
-// meaningful:
+// journalRecord is one log payload. Kind selects which fields are
+// meaningful (see queueState.apply for what each kind does):
 //
-//	submit  Job, Seq, T, Slices, Cells (deduped, submission order),
-//	        Cached (fingerprints resolved done from the store at submit)
-//	lease   Job, Lease, Seq, T, Worker, Deadline, FPs (granted cells);
-//	        From names the donor lease when the grant was a steal
-//	report  Job, Lease, T, Worker, FP, Failed, Err — appended only for
-//	        reports that changed state (verified done, or failure)
-//	expire  Job, Lease, T, FPs (pending cells returned to the queue)
+//	snapshot  State
+//	submit    Job, Seq, T, Slices, Cells (deduped, submission order),
+//	          Cached (fingerprints resolved done from the store at submit)
+//	lease     Job, Lease, Seq, T, Worker, Slice, Deadline, FPs (granted
+//	          cells); From names the donor lease when the grant was a steal
+//	report    Job, Lease, T, Worker, FP, Failed, Err — appended only for
+//	          reports that changed state (verified done, or failure)
+//	expire    Job, Lease, Slice, T, FPs (pending cells returned to the queue)
 type journalRecord struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
-	T    int64  `json:"t"` // queue-clock unixnano of the transition
+	T    int64  `json:"t,omitempty"` // queue-clock unixnano of the transition
 
 	Job    string `json:"job,omitempty"`
 	Lease  string `json:"lease,omitempty"`
-	Seq    int    `json:"seq,omitempty"` // queue seq after the ID grant
+	Seq    int    `json:"seq,omitempty"` // the number the record issues
 	Worker string `json:"worker,omitempty"`
 
 	Slices int          `json:"slices,omitempty"`
 	Cells  []Experiment `json:"cells,omitempty"`
 	Cached []string     `json:"cached,omitempty"`
 
+	Slice    int      `json:"slice,omitempty"` // index into the job's slices
 	FPs      []string `json:"fps,omitempty"`
 	From     string   `json:"from,omitempty"`
 	Deadline int64    `json:"deadline,omitempty"` // lease deadline, unixnano
@@ -139,98 +136,8 @@ type journalRecord struct {
 	FP     string `json:"fp,omitempty"`
 	Failed bool   `json:"failed,omitempty"`
 	Err    string `json:"err,omitempty"`
-}
 
-// snapshotFile is the compacted queue state: everything needed to
-// rebuild the JobQueue's scheduling view. Results never live here —
-// they live in the store, which recovery re-consults cell by cell.
-type snapshotFile struct {
-	V    int       `json:"v"`
-	Seq  int       `json:"seq"`
-	Jobs []snapJob `json:"jobs"`
-}
-
-type snapJob struct {
-	ID      string                `json:"id"`
-	Cells   []snapCell            `json:"cells"` // submission order
-	Slices  []snapSlice           `json:"slices,omitempty"`
-	Workers map[string]snapWorker `json:"workers,omitempty"`
-}
-
-type snapCell struct {
-	Exp Experiment `json:"exp"`
-	// State is queued, leased, cached (done at submit via the store),
-	// computed (done via a verified worker report), or failed.
-	State string `json:"state"`
-	Err   string `json:"err,omitempty"`
-}
-
-type snapSlice struct {
-	Index   int        `json:"index,omitempty"` // shard provenance
-	Count   int        `json:"count,omitempty"`
-	Pending []string   `json:"pending"`
-	Lease   *snapLease `json:"lease,omitempty"`
-}
-
-type snapLease struct {
-	ID       string `json:"id"`
-	Worker   string `json:"worker"`
-	Deadline int64  `json:"deadline"` // unixnano
-}
-
-type snapWorker struct {
-	LastSeen int64 `json:"last_seen"` // unixnano
-	Done     int   `json:"done"`
-}
-
-// OpenQueueJournal opens (creating if necessary) a journal directory
-// and its write-ahead log. It does not read anything — recovery is
-// RecoverJobQueue's job — so opening a journal for a fresh queue is
-// just a directory and an empty file.
-func OpenQueueJournal(dir string) (*QueueJournal, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("exp: empty journal directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("exp: journal dir: %w", err)
-	}
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("exp: journal log: %w", err)
-	}
-	info, err := wal.Stat()
-	if err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("exp: journal log: %w", err)
-	}
-	j := &QueueJournal{dir: dir, MaxWALBytes: DefaultJournalMaxBytes, wal: wal, walBytes: info.Size()}
-	j.stats.WALBytes = info.Size()
-	return j, nil
-}
-
-// Dir returns the journal directory.
-func (j *QueueJournal) Dir() string { return j.dir }
-
-// Close releases the log file handle. The journal must not be used
-// afterwards.
-func (j *QueueJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.wal == nil {
-		return nil
-	}
-	err := j.wal.Close()
-	j.wal = nil
-	return err
-}
-
-// Stats snapshots the journal accounting.
-func (j *QueueJournal) Stats() JournalStats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := j.stats
-	st.WALBytes = j.walBytes
-	return st
+	State *queueState `json:"state,omitempty"`
 }
 
 // frame wraps one payload in the length+CRC header.
@@ -265,92 +172,65 @@ func readFrames(blob []byte) (payloads [][]byte, truncated bool) {
 	return payloads, false
 }
 
-// Append journals one record, best-effort: marshal, frame, write, sync.
-// The returned bool asks the caller (who holds the queue lock and thus
-// the consistent state) to compact: the log has outgrown MaxWALBytes.
-func (j *QueueJournal) Append(rec journalRecord) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.wal == nil {
-		return false
-	}
+// append journals one record: marshal, frame, write, sync. It reports
+// whether the log needs a compaction: it has outgrown maxBytes, or an
+// append failed since the last compaction.
+func (j *queueJournal) append(rec journalRecord) bool {
 	payload, err := json.Marshal(rec)
+	var buf []byte
+	if err == nil {
+		buf = frame(payload)
+		if _, err = j.wal.Write(buf); err == nil {
+			err = j.wal.Sync()
+		}
+	}
 	if err != nil {
 		j.stats.AppendErrors++
-		return false
+		j.broken = true
+		return true
 	}
-	buf := frame(payload)
-	if _, err := j.wal.Write(buf); err != nil {
-		j.stats.AppendErrors++
-		return false
-	}
-	if err := j.wal.Sync(); err != nil {
-		j.stats.AppendErrors++
-		return false
-	}
-	j.walBytes += int64(len(buf))
+	j.stats.WALBytes += int64(len(buf))
 	j.stats.Appended++
-	return j.MaxWALBytes > 0 && j.walBytes > j.MaxWALBytes
+	return j.broken || j.stats.WALBytes > j.maxBytes
 }
 
-// load reads the snapshot (nil when absent or defective) and the WAL's
-// intact record prefix, updating the recovery stats as it goes.
-func (j *QueueJournal) load() (snap *snapshotFile, recs []journalRecord, tailTruncated bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if blob, err := os.ReadFile(filepath.Join(j.dir, snapName)); err == nil {
-		payloads, torn := readFrames(blob)
-		var s snapshotFile
-		switch {
-		case torn || len(payloads) != 1:
-			j.stats.SnapshotsDiscarded++
-		case json.Unmarshal(payloads[0], &s) != nil || s.V != journalSchemaVersion:
-			j.stats.SnapshotsDiscarded++
-		default:
-			snap = &s
-			j.stats.SnapshotBytes = int64(len(blob))
-		}
-		// A defective snapshot poisons the log built on top of it: drop
-		// both rather than replay transitions against the wrong base.
-		if snap == nil && j.stats.SnapshotsDiscarded > 0 {
-			return nil, nil, false
-		}
-	}
+// replay applies the log to s: the intact record prefix, up to the first
+// record that does not decode or that apply refuses. It returns the
+// number of records applied, the snapshot aside, and whether a tail was
+// discarded.
+func (j *queueJournal) replay(s *queueState) (records int, torn bool) {
 	blob, err := os.ReadFile(filepath.Join(j.dir, walName))
 	if err != nil {
-		return snap, nil, false
+		return 0, false // a fresh journal
 	}
 	payloads, torn := readFrames(blob)
 	for _, p := range payloads {
 		var rec journalRecord
-		if json.Unmarshal(p, &rec) != nil || rec.V != journalSchemaVersion {
-			// Unparsable or foreign-generation record: the clean prefix
-			// stands, everything from here on is discarded.
+		if json.Unmarshal(p, &rec) != nil || rec.V != journalSchemaVersion || !s.apply(rec) {
 			torn = true
 			break
 		}
-		recs = append(recs, rec)
+		if rec.Kind != "snapshot" {
+			records++
+		}
 	}
 	if torn {
 		j.stats.TailTruncations++
 	}
-	j.stats.Replayed += int64(len(recs))
-	return snap, recs, torn
+	j.stats.Replayed += int64(records)
+	return records, torn
 }
 
-// writeSnapshot commits one compacted state: framed snapshot to a temp
-// file, fsync, rename over queue.snap, then truncate the log. A crash
-// anywhere in between leaves either the old snapshot + full log or the
-// new snapshot + a log whose records reapply idempotently.
-func (j *QueueJournal) writeSnapshot(snap snapshotFile) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	payload, err := json.Marshal(snap)
+// compact rewrites the log as one snapshot record of s: temp file, sync,
+// rename over queue.wal, then append to the new file. A crash anywhere
+// before the rename leaves the old log, after it the new one.
+func (j *queueJournal) compact(s *queueState) error {
+	payload, err := json.Marshal(journalRecord{V: journalSchemaVersion, Kind: "snapshot", State: s})
 	if err != nil {
 		return fmt.Errorf("exp: marshal journal snapshot: %w", err)
 	}
 	buf := frame(payload)
-	tmp, err := os.CreateTemp(j.dir, snapName+".tmp-*")
+	tmp, err := os.CreateTemp(j.dir, walName+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("exp: journal snapshot temp file: %w", err)
 	}
@@ -366,29 +246,106 @@ func (j *QueueJournal) writeSnapshot(snap snapshotFile) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("exp: close journal snapshot: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(j.dir, snapName)); err != nil {
+	path := filepath.Join(j.dir, walName)
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("exp: commit journal snapshot: %w", err)
 	}
+	wal, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if j.wal != nil {
-		if err := j.wal.Truncate(0); err != nil {
-			return fmt.Errorf("exp: truncate journal log: %w", err)
-		}
+		j.wal.Close() // the replaced log; nothing more is written to it
 	}
-	j.walBytes = 0
+	j.wal, j.stats.WALBytes, j.broken = wal, 0, err != nil
+	if err != nil {
+		return fmt.Errorf("exp: reopen journal log: %w", err)
+	}
 	j.stats.Compactions++
 	j.stats.LastCompaction = time.Now().UTC().Format(time.RFC3339)
 	j.stats.SnapshotBytes = int64(len(buf))
 	return nil
 }
 
+// valid reports whether a decoded snapshot is a state the queue could
+// have built, so every later apply and operation finds what it expects:
+// no nil entries; every cell ID, pending fingerprint and lease worker
+// resolves; each unsettled cell sits in exactly one slice, in the state
+// its slice's lease implies; counters and leased counts match the cells
+// and slices; and job and lease IDs are unique and no higher than Seq.
+func (s *queueState) valid() bool {
+	issued := func(id, prefix string, spell func(int) string) bool {
+		num, ok := strings.CutPrefix(id, prefix)
+		n, err := strconv.Atoi(num)
+		return ok && err == nil && n >= 1 && n <= s.Seq && spell(n) == id
+	}
+	ids := make(map[string]bool)
+	for _, j := range s.Jobs {
+		if j == nil || j.Cells == nil || j.Workers == nil || len(j.Cells) != len(j.CellIDs) ||
+			!issued(j.ID, "j", jobID) || ids[j.ID] {
+			return false
+		}
+		ids[j.ID] = true
+		var cached, computed, failed, open int
+		for _, fp := range j.CellIDs {
+			c := j.Cells[fp]
+			switch {
+			case c == nil:
+				return false
+			case c.State == cellQueued || c.State == cellLeased:
+				open++
+			case c.State == cellDone && c.Cached:
+				cached++
+			case c.State == cellDone:
+				computed++
+			case c.State == cellFailed:
+				failed++
+			default:
+				return false
+			}
+		}
+		if cached != j.Cached || computed != j.Computed || failed != j.Failed {
+			return false
+		}
+		leased := make(map[string]int)
+		inSlice := make(map[string]bool)
+		for _, sl := range j.Slices {
+			if sl == nil {
+				return false
+			}
+			want := cellQueued
+			if l := sl.Lease; l != nil {
+				if j.Workers[l.Worker] == nil || len(sl.Pending) == 0 || !issued(l.ID, "l", leaseID) || ids[l.ID] {
+					return false
+				}
+				ids[l.ID] = true
+				leased[l.Worker] += len(sl.Pending)
+				want = cellLeased
+			}
+			for _, fp := range sl.Pending {
+				if c := j.Cells[fp]; c == nil || c.State != want || inSlice[fp] {
+					return false
+				}
+				inSlice[fp] = true
+			}
+		}
+		if len(inSlice) != open {
+			return false
+		}
+		for name, w := range j.Workers {
+			if w == nil || w.Leased != leased[name] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // RecoveryReport summarizes one RecoverJobQueue pass.
 type RecoveryReport struct {
-	// Jobs counts jobs restored (snapshot + log); Running counts those
-	// still unfinished — the ones the fleet resumes.
+	// Jobs counts jobs restored; Running counts those still unfinished —
+	// the ones the fleet resumes.
 	Jobs    int
 	Running int
-	// Records counts WAL records applied on top of the snapshot.
+	// Records counts log records applied on top of the snapshot.
 	Records int
 	// Requeued counts done cells the result store could no longer
 	// verify; they returned to pending and will be re-leased.
@@ -410,424 +367,82 @@ func (r RecoveryReport) String() string {
 	return line
 }
 
-// RecoverJobQueue builds a crash-safe queue: restore state from the
-// journal directory (snapshot, then WAL replay, tolerating a torn
-// tail), re-verify every done cell of every running job against the
-// result store through the standard trust gate (a "done" that no longer
-// loads returns to pending), re-arm surviving leases for one fresh TTL
-// (the restart acts as a heartbeat, so in-flight workers keep their
-// slices), compact the journal, and return the queue with the journal
-// attached so every subsequent transition is logged.
+// RecoverJobQueue builds a crash-safe queue: replay the journal
+// directory's log (tolerating a torn tail), re-verify every done cell of
+// every running job against the result store through the standard trust
+// gate (a "done" that no longer loads returns to pending), re-arm
+// surviving leases for one fresh TTL (the restart acts as a heartbeat,
+// so in-flight workers keep their slices), compact the journal, and
+// return the queue with the journal attached so every subsequent
+// transition is logged.
 func RecoverJobQueue(store *DiskCache, cfg QueueConfig, dir string) (*JobQueue, RecoveryReport, error) {
-	journal, err := OpenQueueJournal(dir)
-	if err != nil {
-		return nil, RecoveryReport{}, err
+	if dir == "" {
+		return nil, RecoveryReport{}, fmt.Errorf("exp: empty journal directory")
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, RecoveryReport{}, fmt.Errorf("exp: journal dir: %w", err)
+	}
+	journal := &queueJournal{dir: dir, maxBytes: journalMaxBytes}
 	q := NewJobQueue(store, cfg)
-	snap, recs, torn := journal.load()
 	var rep RecoveryReport
-	rep.Records = len(recs)
-	rep.TailTruncated = torn
-	if snap != nil {
-		q.restoreSnapshot(snap)
-	}
-	for _, rec := range recs {
-		q.applyRecord(rec)
-	}
+	rep.Records, rep.TailTruncated = journal.replay(&q.state)
 	rep.Requeued = q.reverifyDone()
-	q.repairAfterRecovery()
-	rep.Jobs = len(q.order)
-	for _, id := range q.order {
-		if q.stateLocked(q.jobs[id]) == "running" {
+	deadline := q.now().Add(q.cfg.TTL).UnixNano()
+	for _, j := range q.state.Jobs {
+		for _, sl := range j.Slices {
+			if sl.Lease != nil {
+				sl.Lease.Deadline = deadline
+			}
+		}
+		if j.state() == "running" {
 			rep.Running++
 		}
 	}
+	rep.Jobs = len(q.state.Jobs)
 	// Compact immediately: the restored state becomes the new snapshot
 	// and the replayed log (torn tail included) is discarded.
-	if err := journal.writeSnapshot(q.snapshotLocked()); err != nil {
-		journal.Close()
-		return nil, rep, err
+	if err := journal.compact(&q.state); err != nil {
+		return nil, rep, err // a failed compaction leaves no log open
 	}
 	q.journal = journal
 	return q, rep, nil
-}
-
-// restoreSnapshot loads a compacted state into an empty queue.
-func (q *JobQueue) restoreSnapshot(snap *snapshotFile) {
-	q.seq = snap.Seq
-	for _, sj := range snap.Jobs {
-		if q.jobs[sj.ID] != nil {
-			continue
-		}
-		j := &queueJob{
-			id:      sj.ID,
-			cells:   make(map[string]*queueCell, len(sj.Cells)),
-			workers: make(map[string]*queueWorker, len(sj.Workers)),
-		}
-		for _, sc := range sj.Cells {
-			fp := sc.Exp.Fingerprint()
-			if _, dup := j.cells[fp]; dup {
-				continue
-			}
-			c := &queueCell{exp: sc.Exp, err: sc.Err}
-			switch sc.State {
-			case "leased":
-				c.state = cellLeased
-			case "cached":
-				c.state, c.cached = cellDone, true
-				j.cached++
-			case "computed":
-				c.state = cellDone
-				j.computed++
-			case "failed":
-				c.state = cellFailed
-				j.failed++
-			}
-			j.cells[fp] = c
-			j.cellIDs = append(j.cellIDs, fp)
-		}
-		for _, ss := range sj.Slices {
-			sl := &queueSlice{shard: Shard{Index: ss.Index, Count: ss.Count}, pending: ss.Pending}
-			if ss.Lease != nil {
-				sl.lease = &queueLease{
-					id:       ss.Lease.ID,
-					worker:   ss.Lease.Worker,
-					deadline: time.Unix(0, ss.Lease.Deadline),
-				}
-			}
-			j.slices = append(j.slices, sl)
-		}
-		for name, sw := range sj.Workers {
-			j.workers[name] = &queueWorker{lastSeen: time.Unix(0, sw.LastSeen), done: sw.Done}
-		}
-		q.jobs[j.id] = j
-		q.order = append(q.order, j.id)
-	}
-}
-
-// snapshotLocked serializes the full queue state. Callers hold q.mu (or
-// own the queue exclusively, as recovery does).
-func (q *JobQueue) snapshotLocked() snapshotFile {
-	snap := snapshotFile{V: journalSchemaVersion, Seq: q.seq}
-	for _, id := range q.order {
-		j := q.jobs[id]
-		sj := snapJob{ID: j.id}
-		for _, fp := range j.cellIDs {
-			c := j.cells[fp]
-			sc := snapCell{Exp: c.exp, Err: c.err, State: "queued"}
-			switch c.state {
-			case cellLeased:
-				sc.State = "leased"
-			case cellDone:
-				if c.cached {
-					sc.State = "cached"
-				} else {
-					sc.State = "computed"
-				}
-			case cellFailed:
-				sc.State = "failed"
-			}
-			sj.Cells = append(sj.Cells, sc)
-		}
-		for _, sl := range j.slices {
-			if len(sl.pending) == 0 {
-				continue
-			}
-			ss := snapSlice{Index: sl.shard.Index, Count: sl.shard.Count, Pending: sl.pending}
-			if sl.lease != nil {
-				ss.Lease = &snapLease{
-					ID:       sl.lease.id,
-					Worker:   sl.lease.worker,
-					Deadline: sl.lease.deadline.UnixNano(),
-				}
-			}
-			sj.Slices = append(sj.Slices, ss)
-		}
-		if len(j.workers) > 0 {
-			sj.Workers = make(map[string]snapWorker, len(j.workers))
-			for name, w := range j.workers {
-				sj.Workers[name] = snapWorker{LastSeen: w.lastSeen.UnixNano(), Done: w.done}
-			}
-		}
-		snap.Jobs = append(snap.Jobs, sj)
-	}
-	return snap
-}
-
-// applyRecord replays one WAL record onto the recovering queue. Every
-// application is idempotent (a record already reflected in the snapshot
-// is a no-op), so a crash between snapshot rename and log truncation
-// cannot double-apply anything.
-func (q *JobQueue) applyRecord(rec journalRecord) {
-	switch rec.Kind {
-	case "submit":
-		q.applySubmit(rec)
-	case "lease":
-		q.applyLease(rec)
-	case "report":
-		q.applyReport(rec)
-	case "expire":
-		q.applyExpire(rec)
-	}
-}
-
-func (q *JobQueue) applySubmit(rec journalRecord) {
-	if rec.Job == "" || q.jobs[rec.Job] != nil {
-		return
-	}
-	q.seq = max(q.seq, rec.Seq)
-	j := &queueJob{
-		id:      rec.Job,
-		cells:   make(map[string]*queueCell, len(rec.Cells)),
-		workers: make(map[string]*queueWorker),
-	}
-	for _, e := range rec.Cells {
-		fp := e.Fingerprint()
-		if _, dup := j.cells[fp]; dup {
-			continue
-		}
-		j.cells[fp] = &queueCell{exp: e}
-		j.cellIDs = append(j.cellIDs, fp)
-	}
-	var queued []string
-	cached := make(map[string]bool, len(rec.Cached))
-	for _, fp := range rec.Cached {
-		cached[fp] = true
-	}
-	for _, fp := range j.cellIDs {
-		if cached[fp] {
-			j.cells[fp].state = cellDone
-			j.cells[fp].cached = true
-			j.cached++
-			continue
-		}
-		queued = append(queued, fp)
-	}
-	// The same deterministic fingerprint partition Submit used.
-	for i := 1; i <= rec.Slices; i++ {
-		sh := Shard{Index: i, Count: rec.Slices}
-		var pending []string
-		for _, fp := range queued {
-			if sh.owns(fp) {
-				pending = append(pending, fp)
-			}
-		}
-		if len(pending) > 0 {
-			j.slices = append(j.slices, &queueSlice{shard: sh, pending: pending})
-		}
-	}
-	q.jobs[j.id] = j
-	q.order = append(q.order, j.id)
-}
-
-func (q *JobQueue) applyLease(rec journalRecord) {
-	j := q.jobs[rec.Job]
-	if j == nil {
-		return
-	}
-	q.seq = max(q.seq, rec.Seq)
-	for _, sl := range j.slices {
-		if sl.lease != nil && sl.lease.id == rec.Lease {
-			return // already reflected (snapshot overlap)
-		}
-	}
-	granted := make(map[string]bool, len(rec.FPs))
-	var pending []string
-	for _, fp := range rec.FPs {
-		c := j.cells[fp]
-		if c == nil || c.state == cellDone || c.state == cellFailed || granted[fp] {
-			continue
-		}
-		granted[fp] = true
-		pending = append(pending, fp)
-		c.state = cellLeased
-	}
-	// The grant moved these cells out of whichever slice held them
-	// (an unleased slice, an expired lease, or a steal's donor).
-	for _, sl := range j.slices {
-		kept := sl.pending[:0]
-		for _, fp := range sl.pending {
-			if !granted[fp] {
-				kept = append(kept, fp)
-			}
-		}
-		sl.pending = kept
-	}
-	if len(pending) == 0 {
-		return
-	}
-	j.slices = append(j.slices, &queueSlice{
-		pending: pending,
-		lease:   &queueLease{id: rec.Lease, worker: rec.Worker, deadline: time.Unix(0, rec.Deadline)},
-	})
-	q.replayWorker(j, rec.Worker, rec.T)
-}
-
-func (q *JobQueue) applyReport(rec journalRecord) {
-	j := q.jobs[rec.Job]
-	if j == nil {
-		return
-	}
-	c := j.cells[rec.FP]
-	if c == nil || c.state == cellDone || c.state == cellFailed {
-		return
-	}
-	if rec.Failed {
-		c.state = cellFailed
-		c.err = rec.Err
-		j.failed++
-	} else {
-		c.state = cellDone
-		c.cached = false
-		j.computed++
-		q.replayWorker(j, rec.Worker, rec.T).done++
-		// Settled cells leave their slices in repairAfterRecovery.
-	}
-	q.replayWorker(j, rec.Worker, rec.T)
-}
-
-func (q *JobQueue) applyExpire(rec journalRecord) {
-	j := q.jobs[rec.Job]
-	if j == nil {
-		return
-	}
-	for _, sl := range j.slices {
-		if sl.lease != nil && sl.lease.id == rec.Lease {
-			for _, fp := range sl.pending {
-				if c := j.cells[fp]; c != nil && c.state == cellLeased {
-					c.state = cellQueued
-				}
-			}
-			sl.lease = nil
-			return
-		}
-	}
-}
-
-// replayWorker records worker liveness observed in the journal.
-func (q *JobQueue) replayWorker(j *queueJob, worker string, t int64) *queueWorker {
-	if worker == "" {
-		return &queueWorker{}
-	}
-	w := j.workers[worker]
-	if w == nil {
-		w = &queueWorker{}
-		j.workers[worker] = w
-	}
-	if seen := time.Unix(0, t); seen.After(w.lastSeen) {
-		w.lastSeen = seen
-	}
-	return w
 }
 
 // reverifyDone re-checks every done cell of every running job against
 // the result store through the decodeEntry trust gate — the journal
 // records claims, the store holds truth. Cells whose entry no longer
 // loads (evicted, corrupted, or never durably written) return to
-// pending. Finished jobs are left alone: reopening them would burn
-// fleet compute on results nobody is waiting for.
+// pending in one new slice, first in line for a lease; reports settle
+// cells out of their slices, so no other slice holds them. Finished
+// jobs are left alone: reopening them would burn fleet compute on
+// results nobody is waiting for.
 func (q *JobQueue) reverifyDone() int {
 	requeued := 0
-	for _, id := range q.order {
-		j := q.jobs[id]
-		if q.stateLocked(j) != "running" {
+	for _, j := range q.state.Jobs {
+		if j.state() != "running" {
 			continue
 		}
-		for _, fp := range j.cellIDs {
-			c := j.cells[fp]
-			if c.state != cellDone {
+		var rescinded []string
+		for _, fp := range j.CellIDs {
+			c := j.Cells[fp]
+			if c.State != cellDone {
 				continue
 			}
 			if _, ok := q.store.Load(fp); ok {
 				continue
 			}
-			if c.cached {
-				j.cached--
+			if c.Cached {
+				j.Cached--
 			} else {
-				j.computed--
+				j.Computed--
 			}
-			c.state = cellQueued
-			c.cached = false
-			requeued++
-			// Pull the cell out of whatever slice still holds it: the
-			// worker who reported it believes it is done and will never
-			// re-run it, so leaving it inside a surviving lease would
-			// stall it until that lease expires. Orphaned here, it lands
-			// in the recovered slice and is immediately re-leasable.
-			for _, sl := range j.slices {
-				for i, p := range sl.pending {
-					if p == fp {
-						sl.pending = append(sl.pending[:i], sl.pending[i+1:]...)
-						break
-					}
-				}
-			}
+			c.State, c.Cached = cellQueued, false
+			rescinded = append(rescinded, fp)
+		}
+		if len(rescinded) > 0 {
+			j.Slices = append([]*queueSlice{{Pending: rescinded}}, j.Slices...)
+			requeued += len(rescinded)
 		}
 	}
 	return requeued
-}
-
-// repairAfterRecovery restores the queue invariants replay can bend:
-// every unsettled cell sits in exactly one slice, slice membership
-// decides cell state, drained slices are gone, worker leased counters
-// match the slices, and surviving leases get one fresh TTL from the
-// recovery clock (the restart itself is the heartbeat — in-flight
-// workers keep their slices instead of losing them to a deadline that
-// passed while sweepd was down).
-func (q *JobQueue) repairAfterRecovery() {
-	now := q.now()
-	for _, id := range q.order {
-		j := q.jobs[id]
-		seen := make(map[string]bool, len(j.cellIDs))
-		kept := j.slices[:0]
-		for _, sl := range j.slices {
-			pending := sl.pending[:0]
-			for _, fp := range sl.pending {
-				c := j.cells[fp]
-				if c == nil || c.state == cellDone || c.state == cellFailed || seen[fp] {
-					continue
-				}
-				seen[fp] = true
-				pending = append(pending, fp)
-			}
-			sl.pending = pending
-			if len(pending) == 0 {
-				continue
-			}
-			kept = append(kept, sl)
-		}
-		j.slices = kept
-		// Unsettled cells in no slice (e.g. requeued by re-verification)
-		// gather into one recovered slice, first in line for a lease.
-		var orphans []string
-		for _, fp := range j.cellIDs {
-			c := j.cells[fp]
-			if (c.state == cellQueued || c.state == cellLeased) && !seen[fp] {
-				c.state = cellQueued
-				orphans = append(orphans, fp)
-			}
-		}
-		if len(orphans) > 0 {
-			j.slices = append(j.slices, &queueSlice{pending: orphans})
-		}
-		for _, w := range j.workers {
-			w.leased = 0
-		}
-		for _, sl := range j.slices {
-			state := cellQueued
-			if sl.lease != nil {
-				state = cellLeased
-				sl.lease.deadline = now.Add(q.cfg.TTL)
-				w := j.workers[sl.lease.worker]
-				if w == nil {
-					w = &queueWorker{lastSeen: now}
-					j.workers[sl.lease.worker] = w
-				}
-				w.leased += len(sl.pending)
-			}
-			for _, fp := range sl.pending {
-				j.cells[fp].state = state
-			}
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,12 +180,12 @@ func TestJournalRecoveryReverifiesDoneAgainstStore(t *testing.T) {
 	}
 }
 
-// buildJournalFixture produces a journal directory holding a snapshot
-// plus a WAL with one submit, one lease, and one verified report, and
-// returns the WAL bytes and the job ID.
-func buildJournalFixture(t *testing.T, store *DiskCache) (dir string, wal []byte, jobID string) {
+// buildJournalFixture produces a journal whose log holds a snapshot plus
+// one submit, one lease, and one verified report, and returns the log
+// bytes and the job ID.
+func buildJournalFixture(t *testing.T, store *DiskCache) (wal []byte, jobID string) {
 	t.Helper()
-	dir = t.TempDir()
+	dir := t.TempDir()
 	q, _ := recoverTestQueue(t, store, dir, QueueConfig{TTL: time.Minute, Slices: 1})
 	st, err := q.Submit(tinyMatrix(), 1)
 	if err != nil {
@@ -203,23 +204,16 @@ func buildJournalFixture(t *testing.T, store *DiskCache) (dir string, wal []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payloads, torn := readFrames(wal); len(payloads) != 3 || torn {
-		t.Fatalf("fixture WAL has %d records (torn=%v), want submit+lease+report", len(payloads), torn)
+	if payloads, torn := readFrames(wal); len(payloads) != 4 || torn {
+		t.Fatalf("fixture WAL has %d records (torn=%v), want snapshot+submit+lease+report", len(payloads), torn)
 	}
-	return dir, wal, st.ID
+	return wal, st.ID
 }
 
-// cloneJournalDir copies the fixture snapshot next to an arbitrary WAL.
-func cloneJournalDir(t *testing.T, src string, wal []byte) string {
+// cloneJournalDir makes a journal directory holding an arbitrary log.
+func cloneJournalDir(t *testing.T, wal []byte) string {
 	t.Helper()
 	dst := t.TempDir()
-	snap, err := os.ReadFile(filepath.Join(src, snapName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dst, snapName), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if err := os.WriteFile(filepath.Join(dst, walName), wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +229,7 @@ func TestJournalTornTailEveryPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, wal, jobID := buildJournalFixture(t, store)
+	wal, jobID := buildJournalFixture(t, store)
 	cfg := QueueConfig{TTL: time.Minute, Slices: 1}
 
 	// Sample the cut points: every byte near frame boundaries would be
@@ -259,7 +253,7 @@ func TestJournalTornTailEveryPrefix(t *testing.T) {
 	}
 
 	for cut := range cuts {
-		q, rep, err := RecoverJobQueue(store, cfg, cloneJournalDir(t, src, wal[:cut]))
+		q, rep, err := RecoverJobQueue(store, cfg, cloneJournalDir(t, wal[:cut]))
 		if err != nil {
 			t.Fatalf("cut %d: recover failed: %v", cut, err)
 		}
@@ -284,11 +278,11 @@ func TestJournalCorruptRecordTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, wal, jobID := buildJournalFixture(t, store)
+	wal, jobID := buildJournalFixture(t, store)
 	corrupt := append([]byte(nil), wal...)
 	corrupt[len(corrupt)-3] ^= 0x40 // inside the last record's payload
 
-	q, rep, err := RecoverJobQueue(store, QueueConfig{TTL: time.Minute, Slices: 1}, cloneJournalDir(t, src, corrupt))
+	q, rep, err := RecoverJobQueue(store, QueueConfig{TTL: time.Minute, Slices: 1}, cloneJournalDir(t, corrupt))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -314,13 +308,13 @@ func TestJournalForeignSchemaRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, wal, jobID := buildJournalFixture(t, store)
+	wal, jobID := buildJournalFixture(t, store)
 	foreign, err := json.Marshal(journalRecord{V: journalSchemaVersion + 1, Kind: "submit", Job: "j9999"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q, rep, err := RecoverJobQueue(store, QueueConfig{TTL: time.Minute, Slices: 1},
-		cloneJournalDir(t, src, append(append([]byte(nil), wal...), frame(foreign)...)))
+		cloneJournalDir(t, append(append([]byte(nil), wal...), frame(foreign)...)))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -337,22 +331,20 @@ func TestJournalForeignSchemaRecord(t *testing.T) {
 }
 
 // TestJournalForeignSnapshotIsCleanMiss: a snapshot from a future
-// generation discards snapshot and log together — the queue starts
-// empty (the store still prevents recomputation) instead of guessing.
+// generation at the head of the log stops replay before anything — the
+// queue starts empty (the store still prevents recomputation) instead
+// of guessing.
 func TestJournalForeignSnapshotIsCleanMiss(t *testing.T) {
 	store, err := NewDiskCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, wal, _ := buildJournalFixture(t, store)
-	dir := cloneJournalDir(t, src, wal)
-	blob, err := json.Marshal(snapshotFile{V: journalSchemaVersion + 1})
+	wal, _ := buildJournalFixture(t, store)
+	blob, err := json.Marshal(journalRecord{V: journalSchemaVersion + 1, Kind: "snapshot", State: &queueState{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapName), frame(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := cloneJournalDir(t, append(frame(blob), wal...))
 	q, rep, err := RecoverJobQueue(store, QueueConfig{TTL: time.Minute, Slices: 1}, dir)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -361,8 +353,8 @@ func TestJournalForeignSnapshotIsCleanMiss(t *testing.T) {
 	if rep.Jobs != 0 || rep.Records != 0 {
 		t.Fatalf("recovery = %+v, want a clean empty start", rep)
 	}
-	if stats := q.JournalStats(); stats == nil || stats.SnapshotsDiscarded != 1 {
-		t.Fatalf("journal stats = %+v, want one discarded snapshot", stats)
+	if stats := q.JournalStats(); stats == nil || stats.TailTruncations != 1 {
+		t.Fatalf("journal stats = %+v, want one tail truncation", stats)
 	}
 	// The queue still works: a resubmission resolves from the store.
 	if _, err := q.Submit(tinyMatrix(), 1); err != nil {
@@ -397,9 +389,9 @@ func TestJournalGarbageWALNeverPanics(t *testing.T) {
 	}
 }
 
-// TestJournalCheckpointCompacts: a drain-time checkpoint folds the WAL
-// into the snapshot; the next recovery reads zero records and the same
-// state.
+// TestJournalCheckpointCompacts: a drain-time checkpoint rewrites the
+// log as one snapshot record; the next recovery reads zero records and
+// the same state.
 func TestJournalCheckpointCompacts(t *testing.T) {
 	store, err := NewDiskCache(t.TempDir())
 	if err != nil {
@@ -418,8 +410,15 @@ func TestJournalCheckpointCompacts(t *testing.T) {
 	if err := q1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if info, err := os.Stat(filepath.Join(jdir, walName)); err != nil || info.Size() != 0 {
-		t.Fatalf("WAL after checkpoint: %v, %v — want empty", info, err)
+	blob, err := os.ReadFile(filepath.Join(jdir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payloads, torn := readFrames(blob); len(payloads) != 1 || torn || !strings.Contains(string(payloads[0]), `"kind":"snapshot"`) {
+		t.Fatalf("log after checkpoint holds %d records (torn=%v), want the snapshot alone", len(payloads), torn)
+	}
+	if entries, err := os.ReadDir(jdir); err != nil || len(entries) != 1 {
+		t.Fatalf("journal directory holds %v (%v), want %s alone", entries, err, walName)
 	}
 	stats := q1.JournalStats()
 	if stats.Compactions < 1 || stats.LastCompaction == "" {
@@ -438,7 +437,7 @@ func TestJournalCheckpointCompacts(t *testing.T) {
 	}
 }
 
-// TestJournalSizeThresholdCompacts: once the WAL outgrows MaxWALBytes
+// TestJournalSizeThresholdCompacts: once the WAL outgrows maxBytes
 // the queue compacts on its own, without a drain.
 func TestJournalSizeThresholdCompacts(t *testing.T) {
 	store, err := NewDiskCache(t.TempDir())
@@ -448,7 +447,7 @@ func TestJournalSizeThresholdCompacts(t *testing.T) {
 	jdir := t.TempDir()
 	q, _ := recoverTestQueue(t, store, jdir, QueueConfig{TTL: time.Minute, Slices: 1})
 	defer q.Close()
-	q.journal.MaxWALBytes = 256 // tiny threshold: the first submit overflows it
+	q.journal.maxBytes = 256 // tiny threshold: the first submit overflows it
 	if _, err := q.Submit(tinyMatrix(), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -627,5 +626,56 @@ func TestQueueFleetSurvivesSweepdRestart(t *testing.T) {
 	}
 	if string(MarshalResults(fleet)) != string(MarshalResults(direct)) {
 		t.Error("fleet output differs from the direct local run after the restart")
+	}
+}
+
+// TestJournalFailedAppendCompacts: a failed append (a full disk, say) can
+// leave a torn frame in the log, and every record appended behind it
+// would be invisible to recovery. A failed append must compact instead,
+// rewriting the log from memory, so later records recover.
+func TestJournalFailedAppendCompacts(t *testing.T) {
+	store, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jdir := t.TempDir()
+	cfg := QueueConfig{TTL: time.Minute, Slices: 1}
+	q1, _ := recoverTestQueue(t, store, jdir, cfg)
+	st, err := q1.Submit(tinyMatrix(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A torn frame reaches the log, and the journal's own handle breaks
+	// so that the next append fails.
+	f, err := os.OpenFile(filepath.Join(jdir, walName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame([]byte(`{"v":1,"kind":"report"}`))[:12]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q1.journal.wal.Close()
+
+	grant, ok := q1.Lease("w1")
+	if !ok {
+		t.Fatal("no lease")
+	}
+	computeAndStore(t, store, grant.Cells[0])
+	if ack, _ := q1.Report(grant.Job, grant.Lease, "w1", grant.Cells[0].Fingerprint(), false, ""); !ack.Verified {
+		t.Fatal("report rejected")
+	}
+	if stats := q1.JournalStats(); stats.AppendErrors == 0 {
+		t.Fatalf("journal stats = %+v, want the failed append counted", stats)
+	}
+	q1.Close()
+
+	q2, _ := recoverTestQueue(t, store, jdir, cfg)
+	defer q2.Close()
+	got, _ := q2.Status(st.ID)
+	if got.Computed != 1 || got.Leased != len(tinyMatrix())-1 {
+		t.Fatalf("recovered %+v, want the lease and the report that followed the failed append", got)
 	}
 }

@@ -72,8 +72,7 @@ func NewQueueHandler(q *JobQueue, cs *CacheServer) http.Handler {
 	})
 	mux.HandleFunc("POST "+jobsPath, func(w http.ResponseWriter, r *http.Request) {
 		var req submitRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes)).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("parse submission: %v", err), http.StatusBadRequest)
+		if !readJSON(w, r, maxJobBytes, "submission", &req) {
 			return
 		}
 		st, err := q.Submit(req.Cells, req.Slices)
@@ -104,8 +103,7 @@ func NewQueueHandler(q *JobQueue, cs *CacheServer) http.Handler {
 			return
 		}
 		var req reportRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("parse report: %v", err), http.StatusBadRequest)
+		if !readJSON(w, r, 1<<20, "report", &req) {
 			return
 		}
 		if !fingerprintPat.MatchString(req.Fingerprint) {
@@ -121,8 +119,7 @@ func NewQueueHandler(q *JobQueue, cs *CacheServer) http.Handler {
 	})
 	mux.HandleFunc("POST "+leasePath, func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("parse lease request: %v", err), http.StatusBadRequest)
+		if !readJSON(w, r, 1<<20, "lease request", &req) {
 			return
 		}
 		if req.Worker == "" {
@@ -146,6 +143,16 @@ func NewQueueHandler(q *JobQueue, cs *CacheServer) http.Handler {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// readJSON decodes a request body of at most limit bytes into v. When
+// it cannot, it answers 400 naming what was parsed and returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		http.Error(w, fmt.Sprintf("parse %s: %v", what, err), http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
 // jobKey extracts and validates the {id} path element.

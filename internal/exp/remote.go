@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -191,11 +192,46 @@ func (s *RemoteStore) Store(fp string, res Result) error {
 // ok == false with a nil error is a clean 404; any other defect
 // (network, non-2xx, oversized or unverifiable body) is an error.
 func (s *RemoteStore) fetch(fp string) (res Result, ok bool, err error) {
-	err = s.Retry.Do(func() error {
-		res, ok, err = s.fetchOnce(fp)
+	err = exchange(s.client, s.Retry, http.MethodGet, s.entryURL(fp), nil, func(resp *http.Response) error {
+		// A foreign-generation store announces itself in the header: fail
+		// before parsing the body (decodeEntry would catch it anyway, but
+		// this names the real problem — the peer, not the entry).
+		if h := resp.Header.Get(schemaHeader); h != "" && h != strconv.Itoa(DiskSchemaVersion) {
+			return fmt.Errorf("exp: remote store serves schema generation %s (this build reads %d)", h, DiskSchemaVersion)
+		}
+		blob, err := io.ReadAll(io.LimitReader(resp.Body, maxEntryBytes+1))
+		if err != nil {
+			return err
+		}
+		if len(blob) > maxEntryBytes {
+			return fmt.Errorf("exp: remote cache entry %s exceeds %d bytes", fp, maxEntryBytes)
+		}
+		res, err = decodeEntry(blob, fp)
 		return err
 	})
-	return res, ok, err
+	if errors.Is(err, errNotFound) {
+		return Result{}, false, nil
+	}
+	return res, err == nil, err
+}
+
+// push PUTs one entry's schema-version envelope to the server,
+// retrying transient failures per s.Retry.
+func (s *RemoteStore) push(fp string, res Result) error {
+	blob, err := json.Marshal(diskEntry{Schema: DiskSchemaVersion, Result: res})
+	if err != nil {
+		return fmt.Errorf("exp: marshal cache entry: %w", err)
+	}
+	return exchange(s.client, s.Retry, http.MethodPut, s.entryURL(fp), blob, nil)
+}
+
+// index GETs the server's sorted fingerprint list, retrying transient
+// failures per s.Retry.
+func (s *RemoteStore) index() (fps []string, err error) {
+	err = exchange(s.client, s.Retry, http.MethodGet, s.base+resultsPath, nil, func(resp *http.Response) error {
+		return decodeBody(resp, &fps)
+	})
+	return fps, err
 }
 
 // drainLimit bounds how much of a response body closeBody reads past
@@ -212,105 +248,76 @@ func closeBody(body io.ReadCloser) {
 	body.Close()
 }
 
-func (s *RemoteStore) fetchOnce(fp string) (Result, bool, error) {
-	resp, err := s.client.Get(s.entryURL(fp))
-	if err != nil {
-		return Result{}, false, Transient(err)
+// statusError is a non-2xx answer from a fleet server: the request, the
+// status code and the start of the server's text.
+type statusError struct {
+	Op   string
+	Code int
+	Text string
+}
+
+func (e *statusError) Error() string {
+	msg := fmt.Sprintf("exp: %d %s", e.Code, http.StatusText(e.Code))
+	if e.Op != "" {
+		msg = fmt.Sprintf("exp: %s: %d %s", e.Op, e.Code, http.StatusText(e.Code))
 	}
-	defer closeBody(resp.Body)
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return Result{}, false, nil
-	default:
-		err := fmt.Errorf("exp: remote cache GET %s: %s", fp, resp.Status)
-		if resp.StatusCode/100 == 5 {
-			return Result{}, false, Transient(err)
+	if e.Text != "" {
+		msg += ": " + e.Text
+	}
+	return msg
+}
+
+// errNotFound is every 404 answer: one shared value, so a cache miss
+// formats no error and reads no error text.
+var errNotFound = &statusError{Code: http.StatusNotFound}
+
+// exchange is one fleet-client call: one request per attempt, retried
+// per b. The body (nil for none) is replayed from the start on every
+// attempt. Transport errors and 5xx answers are Transient; a 404 is
+// errNotFound; any other non-2xx answer is a *statusError carrying the
+// server's text. A 2xx response goes to read, when non-nil. The
+// response body is closed on every path.
+func exchange(c *http.Client, b Backoff, method, url string, body []byte, read func(*http.Response) error) error {
+	return b.Do(func() error {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
 		}
-		return Result{}, false, err
-	}
-	// A foreign-generation store announces itself in the header: fail
-	// before parsing the body (decodeEntry would catch it anyway, but
-	// this names the real problem — the peer, not the entry).
-	if h := resp.Header.Get(schemaHeader); h != "" && h != strconv.Itoa(DiskSchemaVersion) {
-		return Result{}, false, fmt.Errorf("exp: remote store serves schema generation %s (this build reads %d)", h, DiskSchemaVersion)
-	}
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxEntryBytes+1))
-	if err != nil {
-		return Result{}, false, err
-	}
-	if len(blob) > maxEntryBytes {
-		return Result{}, false, fmt.Errorf("exp: remote cache entry %s exceeds %d bytes", fp, maxEntryBytes)
-	}
-	res, err := decodeEntry(blob, fp)
-	if err != nil {
-		return Result{}, false, err
-	}
-	return res, true, nil
-}
-
-// push PUTs one entry's schema-version envelope to the server,
-// retrying transient failures per s.Retry.
-func (s *RemoteStore) push(fp string, res Result) error {
-	blob, err := json.Marshal(diskEntry{Schema: DiskSchemaVersion, Result: res})
-	if err != nil {
-		return fmt.Errorf("exp: marshal cache entry: %w", err)
-	}
-	return s.Retry.Do(func() error { return s.pushOnce(fp, blob) })
-}
-
-func (s *RemoteStore) pushOnce(fp string, blob []byte) error {
-	// The body reader is built per attempt so a retry replays the full
-	// entry from the start.
-	req, err := http.NewRequest(http.MethodPut, s.entryURL(fp), bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return Transient(err)
-	}
-	defer closeBody(resp.Body)
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("exp: remote cache PUT %s: %s: %s", fp, resp.Status, bytes.TrimSpace(msg))
-		if resp.StatusCode/100 == 5 {
+		req, err := http.NewRequest(method, url, rd)
+		if err != nil {
+			return err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := c.Do(req)
+		if err != nil {
 			return Transient(err)
 		}
-		return err
+		defer closeBody(resp.Body)
+		switch {
+		case resp.StatusCode == http.StatusNotFound:
+			return errNotFound
+		case resp.StatusCode/100 != 2:
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+			err := &statusError{Op: method + " " + req.URL.Path, Code: resp.StatusCode, Text: string(bytes.TrimSpace(msg))}
+			if resp.StatusCode/100 == 5 {
+				return Transient(err)
+			}
+			return err
+		case read != nil:
+			return read(resp)
+		}
+		return nil
+	})
+}
+
+// decodeBody decodes a JSON response body into v.
+func decodeBody(resp *http.Response, v any) error {
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("exp: %s %s: bad response: %w", resp.Request.Method, resp.Request.URL.Path, err)
 	}
 	return nil
-}
-
-// index GETs the server's sorted fingerprint list, retrying transient
-// failures per s.Retry.
-func (s *RemoteStore) index() (fps []string, err error) {
-	err = s.Retry.Do(func() error {
-		fps, err = s.indexOnce()
-		return err
-	})
-	return fps, err
-}
-
-func (s *RemoteStore) indexOnce() ([]string, error) {
-	resp, err := s.client.Get(s.base + resultsPath)
-	if err != nil {
-		return nil, Transient(err)
-	}
-	defer closeBody(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("exp: remote cache index: %s", resp.Status)
-		if resp.StatusCode/100 == 5 {
-			return nil, Transient(err)
-		}
-		return nil, err
-	}
-	var fps []string
-	if err := json.NewDecoder(resp.Body).Decode(&fps); err != nil {
-		return nil, fmt.Errorf("exp: remote cache index: %w", err)
-	}
-	return fps, nil
 }
 
 // SyncReport summarizes one explicit Push or Pull pass.

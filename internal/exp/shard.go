@@ -44,8 +44,13 @@ func (s Shard) IsAll() bool { return s.Count <= 1 }
 
 // owns reports whether this shard is responsible for a fingerprint.
 func (s Shard) owns(fp string) bool {
-	if s.IsAll() {
-		return true
+	return s.IsAll() || shardOf(fp, s.Count) == s.Index
+}
+
+// shardOf is the index of the shard of n that owns a fingerprint.
+func shardOf(fp string, n int) int {
+	if n <= 1 {
+		return 1
 	}
 	// The fingerprint is 16 hex characters of SHA-256: parse it as the
 	// partition key instead of re-hashing.
@@ -53,9 +58,9 @@ func (s Shard) owns(fp string) bool {
 	if err != nil {
 		// Unreachable for Fingerprint output; fail closed to shard 1 so
 		// no experiment is ever silently dropped from every shard.
-		return s.Index == 1
+		return 1
 	}
-	return v%uint64(s.Count) == uint64(s.Index-1)
+	return int(v%uint64(n)) + 1
 }
 
 // Select returns the experiments this shard owns, preserving order.

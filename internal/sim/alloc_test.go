@@ -79,32 +79,6 @@ func TestSleepAllocFree(t *testing.T) {
 	}
 }
 
-// TestQueuePutGetAllocFree locks the queue rendezvous: Put wakes the
-// blocked getter through a typed event, Get pops by compaction — zero
-// allocations per item once the item buffer is warm.
-func TestQueuePutGetAllocFree(t *testing.T) {
-	skipIfRace(t)
-	k := New(1)
-	defer k.Close() // aborts the blocked consumer
-	q := NewQueue[int](k)
-	k.Go("consumer", func(p *Proc) {
-		for {
-			q.Get(p)
-		}
-	})
-	for i := 0; i < 64; i++ { // warm
-		q.Put(i)
-		k.Run()
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		q.Put(1)
-		k.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("Put+Get cycle allocates %v/op, want 0", allocs)
-	}
-}
-
 // TestSpawnAllocFree locks the process pool: once a finished coroutine is
 // in the free list, GoJob with a package-level body and a recycled arg
 // spawns, runs and retires processes without allocating.

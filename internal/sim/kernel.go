@@ -6,7 +6,7 @@
 //
 // On top of the raw event loop, the package offers cooperative processes
 // (Proc): coroutines that run one at a time under kernel control and block
-// in virtual time via Sleep, Signal.Wait, or Queue.Get. This lets higher
+// in virtual time via Sleep, Signal.Wait, or Mutex.Lock. This lets higher
 // layers (TCP flows, MPI ranks, applications) be written in ordinary
 // blocking style while remaining deterministic.
 //
@@ -21,7 +21,7 @@
 //     so Schedule performs no per-event heap allocation and no
 //     container/heap interface calls.
 //   - Same-instant events — Schedule(Now(), …), process wakeups from
-//     Signal.Fire / Queue.Put / Mutex.Unlock, TCP pump reschedules; the
+//     Signal.Fire / Mutex.Unlock, TCP pump reschedules; the
 //     dominant event class — bypass the heap entirely: they are appended
 //     to a FIFO ring buffer that Step drains ahead of any later-time heap
 //     event. The (time, seq) execution order is identical to a single
@@ -170,8 +170,8 @@ func (k *Kernel) Schedule(at Time, fn func()) { k.schedule(at, fn, nil, nil) }
 func (k *Kernel) After(d time.Duration, fn func()) { k.schedule(k.now+d, fn, nil, nil) }
 
 // scheduleProc schedules a typed process-transfer event: at time at, hand
-// control to p. It is the closure-free wakeup used by Sleep, Signal.Fire,
-// Queue.Put and Mutex.Unlock.
+// control to p. It is the closure-free wakeup used by Sleep, Signal.Fire
+// and Mutex.Unlock.
 func (k *Kernel) scheduleProc(at Time, p *Proc) { k.schedule(at, nil, p, nil) }
 
 // Step executes the next pending event, advancing the clock to its time.

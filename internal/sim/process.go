@@ -16,7 +16,7 @@ func (abortError) Error() string { return "sim: process aborted" }
 
 // Proc is a cooperative simulation process. Exactly one process (or the
 // kernel) runs at a time; a process yields control back to the kernel by
-// blocking in virtual time (Sleep, Signal.Wait, Queue.Get, Park). All Proc
+// blocking in virtual time (Sleep, Signal.Wait, Mutex.Lock, Park). All Proc
 // methods must be called from the process itself while it is running.
 //
 // Processes are continuations, not goroutines: each Proc owns an iter.Pull
@@ -139,8 +139,8 @@ func (k *Kernel) transfer(p *Proc, gen uint32) {
 	}
 }
 
-// Park blocks the process until the kernel resumes it. Sleep, Signal,
-// Queue and Mutex park after scheduling or registering their own wakeup;
+// Park blocks the process until the kernel resumes it. Sleep, Signal
+// and Mutex park after scheduling or registering their own wakeup;
 // called directly, Park schedules nothing, and the process stays parked
 // until an event hands it to Kernel.Resume (or Kernel.Close unwinds it).
 // The waker holds the *Proc and decides at run time when it continues.
@@ -185,10 +185,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.k.scheduleProc(p.k.now+d, p)
 	p.Park()
 }
-
-// Yield lets all other events scheduled for the current instant run before
-// the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 func (p *Proc) String() string { return fmt.Sprintf("sim.Proc(%s)", p.name) }
 
@@ -256,61 +252,6 @@ func (s *Signal) Wait(p *Proc) {
 		s.more = append(s.more, p)
 	}
 	p.Park()
-}
-
-// WaitAll blocks p until every signal in sigs has fired.
-func WaitAll(p *Proc, sigs ...*Signal) {
-	for _, s := range sigs {
-		s.Wait(p)
-	}
-}
-
-// Queue is an unbounded FIFO channel between processes in virtual time.
-// Put never blocks; Get blocks the caller until an item is available.
-// Items are delivered in Put order; blocked getters are served in Get order.
-type Queue[T any] struct {
-	k       *Kernel
-	items   []T
-	waiters []*Proc
-}
-
-// NewQueue creates an empty queue on kernel k.
-func NewQueue[T any](k *Kernel) *Queue[T] { return &Queue[T]{k: k} }
-
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Put appends v and wakes the oldest waiting getter, if any.
-func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		popFront(&q.waiters)
-		q.k.scheduleProc(q.k.now, w)
-	}
-}
-
-// Get removes and returns the oldest item, blocking p while the queue is
-// empty. p must be the calling process.
-func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p)
-		p.Park()
-	}
-	v := q.items[0]
-	popFront(&q.items)
-	return v
-}
-
-// TryGet removes and returns the oldest item without blocking; ok reports
-// whether an item was available.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
-	}
-	v = q.items[0]
-	popFront(&q.items)
-	return v, true
 }
 
 // popFront removes element 0 by compacting in place, keeping the slice's

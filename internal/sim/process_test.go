@@ -98,86 +98,6 @@ func TestSignalFireIdempotent(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	k := New(1)
-	defer k.Close()
-	q := NewQueue[int](k)
-	var got []int
-	k.Go("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			q.Put(i)
-			p.Sleep(time.Millisecond)
-		}
-	})
-	k.Go("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
-	k.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got %v, want 0..4 in order", got)
-		}
-	}
-}
-
-func TestQueueBlocksUntilPut(t *testing.T) {
-	k := New(1)
-	defer k.Close()
-	var gotAt Time
-	q := NewQueue[string](k)
-	k.Go("consumer", func(p *Proc) {
-		q.Get(p)
-		gotAt = p.Now()
-	})
-	k.Go("producer", func(p *Proc) {
-		p.Sleep(9 * time.Millisecond)
-		q.Put("x")
-	})
-	k.Run()
-	if gotAt != 9*time.Millisecond {
-		t.Fatalf("consumer resumed at %v, want 9ms", gotAt)
-	}
-}
-
-func TestQueueMultipleConsumersServedInOrder(t *testing.T) {
-	k := New(1)
-	defer k.Close()
-	q := NewQueue[int](k)
-	var served []string
-	for _, name := range []string{"c1", "c2"} {
-		name := name
-		k.Go(name, func(p *Proc) {
-			q.Get(p)
-			served = append(served, name)
-		})
-	}
-	k.Go("p", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		q.Put(1)
-		q.Put(2)
-	})
-	k.Run()
-	if len(served) != 2 || served[0] != "c1" || served[1] != "c2" {
-		t.Fatalf("served = %v", served)
-	}
-}
-
-func TestTryGet(t *testing.T) {
-	k := New(1)
-	defer k.Close()
-	q := NewQueue[int](k)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue reported ok")
-	}
-	q.Put(7)
-	v, ok := q.TryGet()
-	if !ok || v != 7 {
-		t.Fatalf("TryGet = %d,%v want 7,true", v, ok)
-	}
-}
-
 func TestCloseAbortsParkedProcs(t *testing.T) {
 	k := New(1)
 	s := k.NewSignal()
@@ -204,34 +124,15 @@ func TestCloseAbortsNeverStartedProc(t *testing.T) {
 	k.Close()
 }
 
-func TestWaitAll(t *testing.T) {
-	k := New(1)
-	defer k.Close()
-	s1, s2 := k.NewSignal(), k.NewSignal()
-	var doneAt Time
-	k.Go("w", func(p *Proc) {
-		WaitAll(p, s1, s2)
-		doneAt = p.Now()
-	})
-	k.Go("f", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		s1.Fire()
-		p.Sleep(time.Millisecond)
-		s2.Fire()
-	})
-	k.Run()
-	if doneAt != 2*time.Millisecond {
-		t.Fatalf("WaitAll resumed at %v, want 2ms", doneAt)
-	}
-}
-
-func TestYieldRunsPendingSameInstantEvents(t *testing.T) {
+// TestSleepZeroRunsPendingSameInstantEvents: Sleep(0) still yields,
+// letting events already scheduled for this instant run first.
+func TestSleepZeroRunsPendingSameInstantEvents(t *testing.T) {
 	k := New(1)
 	defer k.Close()
 	var order []string
 	k.Go("a", func(p *Proc) {
 		k.Schedule(k.Now(), func() { order = append(order, "event") })
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "proc")
 	})
 	k.Run()
