@@ -21,6 +21,11 @@ import (
 	"repro/internal/tcpsim"
 )
 
+// rennesNancy is the Figure 2 testbed with n nodes per site.
+func rennesNancy(n int) *netsim.Network {
+	return netsim.New([]netsim.Site{grid5000.Cluster(grid5000.Rennes, n), grid5000.Cluster(grid5000.Nancy, n)}, grid5000.OneWay)
+}
+
 // BenchmarkAblationPacing isolates GridMPI's TCP pacing: time for the
 // per-message bandwidth of 1 MB WAN pingpongs to reach 450 Mbps, paced vs
 // unpaced, all else equal.
@@ -31,7 +36,7 @@ func BenchmarkAblationPacing(b *testing.B) {
 		prof.Pacing = paced
 		k := sim.New(1)
 		defer k.Close()
-		net := grid5000.RennesNancy(1)
+		net := rennesNancy(1)
 		hosts := []*netsim.Host{net.Host("rennes-1"), net.Host("nancy-1")}
 		w := mpi.NewWorld(k, net, tcpsim.Tuned4MB(), prof, hosts)
 		trace, err := perf.BandwidthTrace(w, 1<<20, 200)
@@ -52,7 +57,7 @@ func BenchmarkAblationPacing(b *testing.B) {
 // on the tuned WAN (the model's congestion-avoidance flavour).
 func BenchmarkAblationCongestionControl(b *testing.B) {
 	transfer := func(cc string) time.Duration {
-		k, net := sim.New(1), grid5000.RennesNancy(1)
+		k, net := sim.New(1), rennesNancy(1)
 		defer k.Close()
 		cfg := tcpsim.Tuned4MB()
 		cfg.Congestion = cc
@@ -81,7 +86,7 @@ func BenchmarkAblationGridCollectives(b *testing.B) {
 		prof.GridCollectives = gridColl
 		k := sim.New(1)
 		defer k.Close()
-		net := grid5000.RennesNancy(8)
+		net := rennesNancy(8)
 		var hosts []*netsim.Host
 		hosts = append(hosts, net.SiteHosts(grid5000.Rennes)...)
 		hosts = append(hosts, net.SiteHosts(grid5000.Nancy)...)

@@ -105,7 +105,7 @@ func run(args []string, out, errOut io.Writer) error {
 		Topology: topo,
 		Workload: wl,
 	}
-	runner, err := exp.NewRunnerDir(1, *cacheDir)
+	runner, _, err := exp.NewRunnerCache(1, *cacheDir, "")
 	if err != nil {
 		return err
 	}

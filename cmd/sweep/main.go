@@ -32,10 +32,11 @@
 // -submit posts the matrix as a job and waits for the fleet, -worker
 // turns the invocation into a pull-based fleet worker that leases
 // cells, computes them, and publishes results through the server's
-// verified store. Workers can be killed and added at any time.
+// verified store. A worker computes one cell at a time, so a machine
+// runs one worker per core; workers can be killed and added at any time.
 //
 //	sweep -submit http://stately:8078 -workload pattern:alltoall
-//	sweep -worker http://stately:8078 -workers 4
+//	sweep -worker http://stately:8078
 package main
 
 import (
@@ -283,11 +284,15 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	// -worker is the fleet's execution side: an endless pull loop against
 	// a sweepd control plane. The matrix flags are ignored — the server
-	// decides what runs — but -workers sizes the local pool and -cache
+	// decides what runs — and the worker computes one cell at a time, so
+	// the fleet's unit of parallelism is the worker process. -cache
 	// gives the worker a warm local tier under the server store.
 	if *workerURL != "" {
 		if *submitURL != "" {
 			return fmt.Errorf("-worker and -submit are exclusive: one invocation is either fleet muscle or the submitting client")
+		}
+		if *workers > 1 {
+			return fmt.Errorf("-worker computes one cell at a time, so -workers %d would go unused: start one worker per core instead", *workers)
 		}
 		id := *workerID
 		if id == "" {
@@ -302,7 +307,7 @@ func run(args []string, out, errOut io.Writer) error {
 			return err
 		}
 		client.Retry = exp.Backoff{Window: *retryWindow}
-		runner, remote, err := exp.NewRunnerCache(*workers, *cacheDir, *workerURL)
+		runner, remote, err := exp.NewRunnerCache(1, *cacheDir, *workerURL)
 		if err != nil {
 			return err
 		}
@@ -319,7 +324,7 @@ func run(args []string, out, errOut io.Writer) error {
 			fmt.Fprintf(errOut, "worker %s: %v, finishing current cell\n", id, sig)
 			close(stopCh)
 		}()
-		fmt.Fprintf(errOut, "worker %s: polling %s (%d-worker pool)\n", id, *workerURL, runner.Workers())
+		fmt.Fprintf(errOut, "worker %s: polling %s\n", id, *workerURL)
 		rep := client.Work(exp.WorkerConfig{
 			ID:       id,
 			Runner:   runner,

@@ -473,7 +473,7 @@ func TestRunFleetSubmitMatchesLocal(t *testing.T) {
 		defer wg.Done()
 		var workerOut, workerErr strings.Builder
 		args := []string{"-worker", srv.URL, "-worker-id", "w1",
-			"-worker-poll", "10ms", "-worker-idle-exit", "300", "-workers", "2"}
+			"-worker-poll", "10ms", "-worker-idle-exit", "300"}
 		if err := run(args, &workerOut, &workerErr); err != nil {
 			t.Errorf("worker: %v\n%s", err, workerErr.String())
 		}
@@ -524,6 +524,7 @@ func TestRunFleetDetachAndBadCombos(t *testing.T) {
 		{"-submit", srv.URL, "-guidelines"},
 		{"-submit", "not-a-url"},
 		{"-worker", "not-a-url"},
+		{"-worker", srv.URL, "-workers", "4", "-worker-idle-exit", "1", "-worker-poll", "1ms"},
 	} {
 		var out, errOut strings.Builder
 		if err := run(append(append([]string{}, args...), tinyArgs...), &out, &errOut); err == nil {

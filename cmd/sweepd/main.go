@@ -6,7 +6,7 @@
 //
 //	sweepd -cache /srv/repro-cache -journal /srv/repro-queue -addr :8078
 //	sweep -submit http://stately:8078 -workload pattern:alltoall   # submit + wait
-//	sweep -worker http://stately:8078                              # on each machine
+//	sweep -worker http://stately:8078                              # one per core on each machine
 //
 // Workers publish every computed result through the store's verified
 // ingest (PUT /v1/results/<fp>, re-hashed on arrival) before reporting

@@ -20,34 +20,15 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiimpl"
 	"repro/internal/perf"
+	"repro/internal/tables"
 )
 
-// Placement says where the two pingpong processes run.
-type Placement int
-
-const (
-	// Cluster places both processes in Rennes (PR1, PR2 of Figure 2).
-	Cluster Placement = iota
-	// Grid places them in Rennes and Nancy (PR1, PN1 of Figure 2).
-	Grid
+// The two pingpong testbeds of Figure 2: both processes in Rennes, or
+// one in Rennes and one in Nancy.
+var (
+	clusterPair = exp.Cluster(2)
+	gridPair    = exp.Grid(1)
 )
-
-func (p Placement) String() string {
-	if p == Cluster {
-		return "cluster"
-	}
-	return "grid"
-}
-
-// Topology maps a placement onto the experiment engine's testbed
-// description: both pingpong processes in Rennes, or one in Rennes and
-// one in Nancy (Figure 2).
-func (p Placement) Topology() exp.Topology {
-	if p == Cluster {
-		return exp.Cluster(2)
-	}
-	return exp.Grid(1)
-}
 
 // Series is one labeled pingpong curve.
 type Series struct {
@@ -89,11 +70,11 @@ func DefaultSizes() []int { return exp.PaperSizes() }
 // DefaultReps matches the paper's 200 round trips per size.
 const DefaultReps = 200
 
-func pingpongFigure(r *exp.Runner, name, title string, placement Placement, tcpTuned, mpiTuned bool, sizes []int, reps int) Figure {
+func pingpongFigure(r *exp.Runner, name, title string, topo exp.Topology, tcpTuned, mpiTuned bool, sizes []int, reps int) Figure {
 	sweep := exp.Sweep{
 		Impls:      mpiimpl.WithTCP,
 		Tunings:    []exp.Tuning{{TCP: tcpTuned, MPI: mpiTuned}},
-		Topologies: []exp.Topology{placement.Topology()},
+		Topologies: []exp.Topology{topo},
 		Workloads:  []exp.Workload{exp.PingPongWorkload(sizes, reps)},
 	}
 	fig := Figure{Name: name, Title: title}
@@ -111,7 +92,7 @@ func pingpongFigure(r *exp.Runner, name, title string, placement Placement, tcpT
 func Figure3(r *exp.Runner, reps int) Figure {
 	return pingpongFigure(r, "figure3",
 		"MPI bandwidth, grid (Rennes-Nancy), default parameters",
-		Grid, false, false, DefaultSizes(), reps)
+		gridPair, false, false, DefaultSizes(), reps)
 }
 
 // Figure5 is the cluster pingpong with default parameters: everything
@@ -120,7 +101,7 @@ func Figure3(r *exp.Runner, reps int) Figure {
 func Figure5(r *exp.Runner, reps int) Figure {
 	return pingpongFigure(r, "figure5",
 		"MPI bandwidth, cluster (Rennes), default parameters",
-		Cluster, false, false, DefaultSizes(), reps)
+		clusterPair, false, false, DefaultSizes(), reps)
 }
 
 // Figure6 is the grid pingpong after TCP tuning (4 MB buffers plus the
@@ -129,7 +110,7 @@ func Figure5(r *exp.Runner, reps int) Figure {
 func Figure6(r *exp.Runner, reps int) Figure {
 	return pingpongFigure(r, "figure6",
 		"MPI bandwidth, grid, after TCP tuning",
-		Grid, true, false, DefaultSizes(), reps)
+		gridPair, true, false, DefaultSizes(), reps)
 }
 
 // Figure7 is the grid pingpong after TCP and MPI tuning: every curve
@@ -137,7 +118,7 @@ func Figure6(r *exp.Runner, reps int) Figure {
 func Figure7(r *exp.Runner, reps int) Figure {
 	return pingpongFigure(r, "figure7",
 		"MPI bandwidth, grid, after TCP tuning and MPI optimizations",
-		Grid, true, true, DefaultSizes(), reps)
+		gridPair, true, true, DefaultSizes(), reps)
 }
 
 // LatencyRow is one row of Table 4: 1-byte one-way latency in the cluster
@@ -155,7 +136,7 @@ func Table4(r *exp.Runner, reps int) []LatencyRow {
 	sweep := exp.Sweep{
 		Impls:      mpiimpl.WithTCP,
 		Tunings:    []exp.Tuning{{}},
-		Topologies: []exp.Topology{Cluster.Topology(), Grid.Topology()},
+		Topologies: []exp.Topology{clusterPair, gridPair},
 		Workloads:  []exp.Workload{exp.PingPongWorkload([]int{1}, reps)},
 	}
 	results := r.RunSweep(sweep)
@@ -198,7 +179,7 @@ func Figure9(r *exp.Runner, count int) []Trace {
 	sweep := exp.Sweep{
 		Impls:      mpiimpl.WithTCP,
 		Tunings:    []exp.Tuning{{TCP: true, MPI: true}},
-		Topologies: []exp.Topology{Grid.Topology()},
+		Topologies: []exp.Topology{gridPair},
 		Workloads:  []exp.Workload{exp.TraceWorkload(1<<20, count)},
 	}
 	var traces []Trace
@@ -237,7 +218,7 @@ func Table5(runner *exp.Runner, reps int) []ThresholdRow {
 		if mpiimpl.Profile(impl).EagerThreshold == mpi.Infinite {
 			continue
 		}
-		for _, placement := range []Placement{Cluster, Grid} {
+		for _, topo := range []exp.Topology{clusterPair, gridPair} {
 			for _, thr := range thresholdCandidates {
 				if impl == mpiimpl.OpenMPI && thr > 32<<20 {
 					continue
@@ -245,7 +226,7 @@ func Table5(runner *exp.Runner, reps int) []ThresholdRow {
 				exps = append(exps, exp.Experiment{
 					Impl:           impl,
 					Tuning:         exp.Tuning{TCP: true},
-					Topology:       placement.Topology(),
+					Topology:       topo,
 					Workload:       exp.PingPongWorkload(sweepSizes, reps),
 					EagerThreshold: thr,
 				})
@@ -287,35 +268,10 @@ func Table5(runner *exp.Runner, reps int) []ThresholdRow {
 		}
 		rows = append(rows, ThresholdRow{
 			Impl:     impl,
-			Original: formatSize(base.EagerThreshold),
-			Cluster:  formatSize(bestThr[cell{impl, Cluster.Topology().String()}]),
-			Grid:     formatSize(bestThr[cell{impl, Grid.Topology().String()}]),
+			Original: tables.Size(int64(base.EagerThreshold)),
+			Cluster:  tables.Size(int64(bestThr[cell{impl, clusterPair.String()}])),
+			Grid:     tables.Size(int64(bestThr[cell{impl, gridPair.String()}])),
 		})
 	}
 	return rows
-}
-
-func formatSize(n int) string {
-	switch {
-	case n >= 1<<20:
-		return itoa(n>>20) + " MB"
-	case n >= 1<<10:
-		return itoa(n>>10) + " kB"
-	default:
-		return itoa(n) + " B"
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -31,7 +31,7 @@ func ExtensionMPICHG2(r *exp.Runner, reps int) []StreamsPoint {
 	measure := func(impl string) []perf.Point {
 		res := r.Run(exp.Experiment{
 			Impl:     impl,
-			Topology: Grid.Topology(),
+			Topology: gridPair,
 			Workload: exp.PingPongWorkload(sizes, reps),
 		})
 		if res.Err != "" {
@@ -80,7 +80,7 @@ func BufferSweep(r *exp.Runner, reps int) []BufferPoint {
 		exps[i] = exp.Experiment{
 			Impl:         mpiimpl.RawTCP,
 			Tuning:       exp.Tuning{TCP: true},
-			Topology:     Grid.Topology(),
+			Topology:     gridPair,
 			Workload:     exp.PingPongWorkload([]int{64 << 20}, reps),
 			SocketBuffer: buf,
 		}

@@ -555,8 +555,11 @@ func (e Experiment) check() error {
 		if e.Tuning != (Tuning{}) {
 			return fmt.Errorf("exp: fabric workloads always run the 4 MB-tuned stack with the stock profile; leave Tuning zero")
 		}
-		if wl.FabricRate <= 0 || len(wl.Sizes) == 0 {
-			return fmt.Errorf("exp: underspecified fabric workload %s", wl)
+		if len(wl.Sizes) == 0 || !(wl.FabricRate >= 1) {
+			return fmt.Errorf("exp: fabric workload %s needs message sizes and a rate of at least 1 B/s", wl)
+		}
+		if wl.FabricOneWay < 0 || wl.FabricStack < 0 || wl.Gateway < 0 {
+			return fmt.Errorf("exp: fabric workload %s has a negative delay", wl)
 		}
 	default:
 		return fmt.Errorf("exp: unknown workload kind %q", wl.Kind)
@@ -614,8 +617,14 @@ const fabricSite = "local"
 func (e Experiment) testbed() (*netsim.Network, []*netsim.Host, error) {
 	wl := e.Workload
 	if wl.Kind == KindFabric {
-		net := netsim.New()
-		return net, net.AddSite(fabricSite, 2, 1.0, wl.FabricRate, wl.FabricOneWay), nil
+		net := netsim.New([]netsim.Site{{
+			Name:     fabricSite,
+			Nodes:    2,
+			CPUSpeed: 1,
+			NICRate:  wl.FabricRate,
+			OneWay:   wl.FabricOneWay,
+		}}, nil)
+		return net, net.Hosts(), nil
 	}
 	topo := e.topology()
 	net, err := topo.Build()

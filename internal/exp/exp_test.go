@@ -91,22 +91,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-func TestTopologyBuildMatchesGrid5000(t *testing.T) {
-	net, err := Grid(2).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := grid5000.Build(2, grid5000.Rennes, grid5000.Nancy)
-	if len(net.Hosts()) != len(ref.Hosts()) {
-		t.Fatalf("hosts = %d, want %d", len(net.Hosts()), len(ref.Hosts()))
-	}
-	p := net.Path(net.Host("rennes-1"), net.Host("nancy-1"))
-	rp := ref.Path(ref.Host("rennes-1"), ref.Host("nancy-1"))
-	if p.OneWay != rp.OneWay {
-		t.Errorf("WAN one-way = %v, want %v", p.OneWay, rp.OneWay)
-	}
-}
-
 func TestTopologyWANOverrides(t *testing.T) {
 	topo := Grid(1)
 	topo.WANOneWay = 25 * time.Millisecond
@@ -122,7 +106,7 @@ func TestTopologyWANOverrides(t *testing.T) {
 	if got := p.Bottleneck(); got != 1.25e8 {
 		t.Errorf("bottleneck = %g, want the overridden 1 Gbps uplink", got)
 	}
-	// An unknown site must fail like grid5000.Build does, not default to
+	// An unknown site must fail like a standard layout does, not default to
 	// a silently wrong CPU speed.
 	bad := Run(Experiment{Impl: mpiimpl.RawTCP,
 		Topology: Topology{Layout: []SiteSpec{{"renne", 1}, {"nancy", 1}}, WANRate: 1e8},
@@ -246,6 +230,12 @@ func TestBadExperimentsReportErr(t *testing.T) {
 		{Impl: mpiimpl.MPICH2, Topology: Asym(Site(grid5000.Nancy, 2), Site(grid5000.Sophia, 2)), Workload: Ray2MeshWorkload(grid5000.Rennes, 0.05)},
 		{Impl: mpiimpl.MPICH2, Topology: Cluster(1), Workload: Ray2MeshWorkload(grid5000.Rennes, 0.05)},
 		{Impl: mpiimpl.MPICH2, Workload: Ray2MeshWorkload(grid5000.Rennes, -0.05)},
+		// A fabric faster than light or slower than a byte per second
+		// would run and cache an impossible bandwidth.
+		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(-time.Millisecond, 250e6, time.Microsecond, 0, tinySizes, 1)},
+		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 250e6, -time.Millisecond, 0, tinySizes, 1)},
+		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 250e6, time.Microsecond, -time.Millisecond, tinySizes, 1)},
+		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 1e-300, time.Microsecond, 0, tinySizes, 1)},
 	}
 	for _, e := range bad {
 		if res := Run(e); res.Err == "" {

@@ -65,7 +65,7 @@ func TestMultilevelLargeCollectivesReplay(t *testing.T) {
 	}
 	dir := t.TempDir()
 	run := func(workers int, dir string) ([]Result, CacheStats) {
-		r, err := NewRunnerDir(workers, dir)
+		r, _, err := NewRunnerCache(workers, dir, "")
 		if err != nil {
 			t.Fatal(err)
 		}

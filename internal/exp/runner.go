@@ -62,35 +62,25 @@ func NewRunnerStore(workers int, s Store) *Runner {
 	return r
 }
 
-// NewRunnerDir is the CLI wiring of a -cache flag: a plain runner for
-// an empty dir, a DiskCache-backed one otherwise.
-func NewRunnerDir(workers int, dir string) (*Runner, error) {
-	if dir == "" {
-		return NewRunner(workers), nil
-	}
-	store, err := NewDiskCache(dir)
-	if err != nil {
-		return nil, err
-	}
-	return NewRunnerStore(workers, store), nil
-}
-
 // NewRunnerCache is the CLI wiring of the -cache/-cache-remote flag
 // pair. With a remote URL, the runner's backing store is a RemoteStore
 // (returned so the front-end can report its counters); a non-empty dir
 // then becomes its local read-through/write-behind tier. Without one,
-// this is exactly NewRunnerDir and the returned RemoteStore is nil.
+// the returned RemoteStore is nil and the runner is plain for an empty
+// dir, DiskCache-backed otherwise.
 func NewRunnerCache(workers int, dir, remote string) (*Runner, *RemoteStore, error) {
-	if remote == "" {
-		r, err := NewRunnerDir(workers, dir)
-		return r, nil, err
-	}
 	var local *DiskCache
 	if dir != "" {
 		var err error
 		if local, err = NewDiskCache(dir); err != nil {
 			return nil, nil, err
 		}
+	}
+	if remote == "" {
+		if local == nil {
+			return NewRunner(workers), nil, nil
+		}
+		return NewRunnerStore(workers, local), nil, nil
 	}
 	rs, err := NewRemoteStore(remote, local)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/grid5000"
 	"repro/internal/netsim"
-	"repro/internal/tcpsim"
 )
 
 // SiteSpec is one site's contribution to a topology: a Grid'5000 cluster
@@ -346,10 +345,10 @@ func (t *Topology) UnmarshalJSON(blob []byte) error {
 }
 
 // Validate checks that the topology can be built: a non-empty layout of
-// distinct, known sites with positive node counts, and a recognized
-// placement. It returns an error instead of panicking mid-run, so a
-// worker pool surfaces a bad topology as Result.Err without relying on
-// Run's recover.
+// distinct, known sites with positive node counts, WAN overrides that
+// are zero or physical, and a recognized placement. It returns an error
+// instead of panicking mid-run, so a worker pool surfaces a bad topology
+// as Result.Err without relying on Run's recover.
 func (t Topology) Validate() error {
 	if len(t.Layout) == 0 {
 		return fmt.Errorf("exp: empty topology")
@@ -367,44 +366,35 @@ func (t Topology) Validate() error {
 		}
 		seen[s.Name] = true
 	}
+	if t.WANOneWay < 0 {
+		return fmt.Errorf("exp: negative WAN one-way delay %v", t.WANOneWay)
+	}
+	if t.WANRate != 0 && !(t.WANRate >= 1) {
+		return fmt.Errorf("exp: WAN rate %g B/s, need at least 1 B/s (or 0 for 10 GbE)", t.WANRate)
+	}
 	return t.Placement.valid(t.Layout)
 }
 
 // Build constructs the network, validating first: unknown sites and
-// malformed layouts come back as errors, never as a mid-run panic.
-// Standard topologies match grid5000.BuildLayout exactly; WAN overrides
-// assemble the same layout with the requested delay/uplink.
+// malformed layouts come back as errors, never as a mid-run panic. Each
+// layout entry becomes a grid5000.Cluster site, with the WAN overrides
+// applied to its uplink rate and to the delay between sites.
 func (t Topology) Build() (*netsim.Network, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if t.WANOneWay == 0 && t.WANRate == 0 {
-		layout := make([]grid5000.SiteCount, len(t.Layout))
-		for i, s := range t.Layout {
-			layout[i] = grid5000.SiteCount{Name: s.Name, Nodes: s.Nodes}
-		}
-		return grid5000.BuildLayout(layout), nil
-	}
-	net := netsim.New()
-	uplink := t.WANRate
-	if uplink == 0 {
-		uplink = tcpsim.TenGigabitEthernet
-	}
-	for _, s := range t.Layout {
-		site, _ := grid5000.Lookup(s.Name) // Validate vouched for it
-		net.AddSite(s.Name, s.Nodes, site.CPUSpeed, tcpsim.GigabitEthernet, grid5000.IntraClusterOneWay)
-		net.SetUplink(s.Name, uplink)
-	}
-	for i := 0; i < len(t.Layout); i++ {
-		for j := i + 1; j < len(t.Layout); j++ {
-			owd := t.WANOneWay
-			if owd == 0 {
-				owd = grid5000.OneWay(t.Layout[i].Name, t.Layout[j].Name)
-			}
-			net.ConnectSites(t.Layout[i].Name, t.Layout[j].Name, owd)
+	sites := make([]netsim.Site, len(t.Layout))
+	for i, s := range t.Layout {
+		sites[i] = grid5000.Cluster(s.Name, s.Nodes)
+		if t.WANRate != 0 {
+			sites[i].UplinkRate = t.WANRate
 		}
 	}
-	return net, nil
+	wan := grid5000.OneWay
+	if t.WANOneWay != 0 {
+		wan = func(string, string) time.Duration { return t.WANOneWay }
+	}
+	return netsim.New(sites, wan), nil
 }
 
 // RankHosts maps ranks onto the built network's hosts according to the

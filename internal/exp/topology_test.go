@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/grid5000"
 	"repro/internal/mpiimpl"
+	"repro/internal/netsim"
 	"repro/internal/perf"
 )
 
@@ -168,15 +170,18 @@ func TestPrePRDiskCacheServesHits(t *testing.T) {
 // Build/Validate, never as a mid-run panic.
 func TestTopologyValidate(t *testing.T) {
 	cases := map[string]Topology{
-		"empty":             {},
-		"unknown site":      Asym(Site("paris", 2)),
-		"zero nodes":        Asym(Site(grid5000.Rennes, 0)),
-		"duplicate site":    Asym(Site(grid5000.Rennes, 2), Site(grid5000.Rennes, 2)),
-		"bad placement":     {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: "scatter"},
-		"master not in set": {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: PlaceMasterOn(grid5000.Nancy)},
-		"zero stride":       {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: PlaceStrided(0)},
-		"bad stride":        {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: "strided:two"},
-		"negative stride":   {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: "strided:-3"},
+		"empty":              {},
+		"unknown site":       Asym(Site("paris", 2)),
+		"zero nodes":         Asym(Site(grid5000.Rennes, 0)),
+		"duplicate site":     Asym(Site(grid5000.Rennes, 2), Site(grid5000.Rennes, 2)),
+		"bad placement":      {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: "scatter"},
+		"master not in set":  {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: PlaceMasterOn(grid5000.Nancy)},
+		"zero stride":        {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: PlaceStrided(0)},
+		"bad stride":         {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: "strided:two"},
+		"negative stride":    {Layout: []SiteSpec{{grid5000.Rennes, 2}}, Placement: "strided:-3"},
+		"negative WAN delay": {Layout: []SiteSpec{{grid5000.Rennes, 1}, {grid5000.Nancy, 1}}, WANOneWay: -time.Millisecond},
+		"negative WAN rate":  {Layout: []SiteSpec{{grid5000.Rennes, 1}, {grid5000.Nancy, 1}}, WANRate: -1e8},
+		"sub-byte WAN rate":  {Layout: []SiteSpec{{grid5000.Rennes, 1}, {grid5000.Nancy, 1}}, WANRate: 1e-300},
 	}
 	for name, topo := range cases {
 		if err := topo.Validate(); err == nil {
@@ -411,4 +416,106 @@ func TestWANOverridesOnAsymmetricLayouts(t *testing.T) {
 	if p.OneWay != 40*time.Millisecond {
 		t.Errorf("override one-way = %v", p.OneWay)
 	}
+}
+
+// TestTopologyPathsFollowSites pins the route rule of every testbed: a
+// host reaches itself over a private loopback link, a host of its own
+// site across the two NICs at the site's delay, and a host of another
+// site across its NIC, its site's uplink, the other site's uplink and
+// the other NIC, at the WAN delay. Routes are built once per network.
+func TestTopologyPathsFollowSites(t *testing.T) {
+	asym, err := ParseLayout("rennes:3+nancy:2+sophia:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	override := Grid(1)
+	override.WANOneWay = 25 * time.Millisecond
+	override.WANRate = 1.25e8
+	fixedWAN := func(string, string) time.Duration { return override.WANOneWay }
+	fabric := Experiment{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 250e6, time.Microsecond, 0, []int{1}, 1)}
+	cases := []struct {
+		name    string
+		build   func() (*netsim.Network, error)
+		hosts   int
+		intra   time.Duration
+		wan     func(a, b string) time.Duration
+		uplinks bool
+	}{
+		{"cluster", Cluster(3).Build, 3, grid5000.IntraClusterOneWay, grid5000.OneWay, true},
+		{"grid", Grid(2).Build, 4, grid5000.IntraClusterOneWay, grid5000.OneWay, true},
+		{"3site", asym.Build, 7, grid5000.IntraClusterOneWay, grid5000.OneWay, true},
+		{"4site", Asym(Site(grid5000.Rennes, 3), Site(grid5000.Nancy, 2), Site(grid5000.Sophia, 2), Site(grid5000.Toulouse, 1)).Build, 8, grid5000.IntraClusterOneWay, grid5000.OneWay, true},
+		{"wan override", override.Build, 2, grid5000.IntraClusterOneWay, fixedWAN, true},
+		{"fabric", func() (*netsim.Network, error) {
+			net, _, err := fabric.testbed()
+			return net, err
+		}, 2, 3 * time.Microsecond, nil, false},
+	}
+	for _, c := range cases {
+		net, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := len(net.Hosts()); got != c.hosts {
+			t.Errorf("%s: %d hosts, want %d", c.name, got, c.hosts)
+		}
+		for _, a := range net.Hosts() {
+			for _, b := range net.Hosts() {
+				p := net.Path(a, b)
+				if net.Path(a, b) != p {
+					t.Errorf("%s: second Path(%s, %s) built a new path", c.name, a, b)
+				}
+				if p.Src != a || p.Dst != b {
+					t.Errorf("%s: Path(%s, %s) runs %s", c.name, a, b, p)
+				}
+				var owd time.Duration
+				var want []*netsim.Link
+				switch {
+				case a == b:
+					owd = netsim.LoopbackDelay
+					if len(p.Links) != 1 || p.Links[0].Name != a.Name+":lo" || p.Links[0].Rate != netsim.LoopbackRate {
+						t.Errorf("%s: Path(%s, %s) = %v, want the loopback", c.name, a, b, linkNames(p.Links))
+					}
+					want = p.Links
+				case a.Site == b.Site:
+					owd = c.intra
+					want = []*netsim.Link{a.NIC, b.NICIn}
+				default:
+					owd = c.wan(a.Site, b.Site)
+					want = []*netsim.Link{a.NIC}
+					if out, _, ok := net.Uplink(a.Site); ok {
+						want = append(want, out)
+					}
+					if _, in, ok := net.Uplink(b.Site); ok {
+						want = append(want, in)
+					}
+					want = append(want, b.NICIn)
+				}
+				if p.OneWay != owd {
+					t.Errorf("%s: Path(%s, %s) one-way = %v, want %v", c.name, a, b, p.OneWay, owd)
+				}
+				if !slices.Equal(p.Links, want) {
+					t.Errorf("%s: Path(%s, %s) crosses %v, want %v", c.name, a, b, linkNames(p.Links), linkNames(want))
+				}
+			}
+			if a.NIC.Name != a.Name+":nic-tx" || a.NICIn.Name != a.Name+":nic-rx" {
+				t.Errorf("%s: %s has NICs %s, %s", c.name, a, a.NIC.Name, a.NICIn.Name)
+			}
+			out, in, ok := net.Uplink(a.Site)
+			if ok != c.uplinks {
+				t.Errorf("%s: site %s has an uplink: %v, want %v", c.name, a.Site, ok, c.uplinks)
+			} else if ok && (out.Name != a.Site+":uplink-out" || in.Name != a.Site+":uplink-in") {
+				t.Errorf("%s: site %s has uplinks %s, %s", c.name, a.Site, out.Name, in.Name)
+			}
+		}
+	}
+}
+
+// linkNames lists the names of a chain of links.
+func linkNames(links []*netsim.Link) []string {
+	names := make([]string, len(links))
+	for i, l := range links {
+		names[i] = l.Name
+	}
+	return names
 }

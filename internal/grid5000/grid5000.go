@@ -1,6 +1,7 @@
-// Package grid5000 provides ready-made netsim topologies for the Grid'5000
-// testbeds the paper experiments on: the Rennes–Nancy pingpong/NPB setup of
-// Figure 2 / Table 3, and the four-site ray2mesh setup of Figure 8.
+// Package grid5000 holds the site data of the Grid'5000 testbeds the
+// paper experiments on: the Rennes–Nancy pingpong/NPB setup of Figure 2 /
+// Table 3, and the four-site ray2mesh setup of Figure 8. Cluster turns a
+// site into a netsim.Site, and OneWay gives the WAN delay between two.
 //
 // One-way delays are chosen so a raw TCP pingpong reproduces Table 4: the
 // 29 µs intra-cluster delay plus 2×6 µs of stack overhead gives the paper's
@@ -72,17 +73,8 @@ func RTT(a, b string) time.Duration {
 // OneWay returns half the WAN RTT between two sites.
 func OneWay(a, b string) time.Duration { return RTT(a, b) / 2 }
 
-func spec(name string) Site {
-	s, ok := Lookup(name)
-	if !ok {
-		panic("grid5000: unknown site " + name)
-	}
-	return s
-}
-
 // Lookup returns the named site's description, reporting whether it is
-// one of the four paper clusters (callers that prefer errors over panics
-// validate with it before building).
+// one of the four paper clusters.
 func Lookup(name string) (Site, bool) {
 	for _, s := range Sites {
 		if s.Name == name {
@@ -92,43 +84,21 @@ func Lookup(name string) (Site, bool) {
 	return Site{}, false
 }
 
-// SiteCount pairs a site with its node count, for layouts whose clusters
-// contribute different numbers of nodes.
-type SiteCount struct {
-	Name  string
-	Nodes int
-}
-
-// Build constructs a network with the named sites, n nodes each, 1 Gbps
-// NICs, 10 Gbps site uplinks, and the published WAN delays between every
-// pair of requested sites.
-func Build(nodesPerSite int, sites ...string) *netsim.Network {
-	layout := make([]SiteCount, len(sites))
-	for i, name := range sites {
-		layout[i] = SiteCount{Name: name, Nodes: nodesPerSite}
+// Cluster describes nodes of the named paper cluster as a netsim site:
+// its CPU speed, 1 Gbps NICs, the intra-cluster delay and a 10 Gbps
+// uplink. It panics on a name outside Sites; callers that prefer errors
+// validate with Lookup first.
+func Cluster(name string, nodes int) netsim.Site {
+	s, ok := Lookup(name)
+	if !ok {
+		panic("grid5000: unknown site " + name)
 	}
-	return BuildLayout(layout)
-}
-
-// BuildLayout is Build for per-site node counts: each entry contributes
-// its own number of nodes, with the same NICs, uplinks and WAN delays.
-func BuildLayout(layout []SiteCount) *netsim.Network {
-	net := netsim.New()
-	for _, sc := range layout {
-		s := spec(sc.Name)
-		net.AddSite(s.Name, sc.Nodes, s.CPUSpeed, tcpsim.GigabitEthernet, IntraClusterOneWay)
-		net.SetUplink(s.Name, tcpsim.TenGigabitEthernet)
+	return netsim.Site{
+		Name:       name,
+		Nodes:      nodes,
+		CPUSpeed:   s.CPUSpeed,
+		NICRate:    tcpsim.GigabitEthernet,
+		OneWay:     IntraClusterOneWay,
+		UplinkRate: tcpsim.TenGigabitEthernet,
 	}
-	for i := 0; i < len(layout); i++ {
-		for j := i + 1; j < len(layout); j++ {
-			net.ConnectSites(layout[i].Name, layout[j].Name, OneWay(layout[i].Name, layout[j].Name))
-		}
-	}
-	return net
-}
-
-// RennesNancy builds the Figure 2 testbed: n nodes in Rennes and n in
-// Nancy across the 11.6 ms RTT WAN.
-func RennesNancy(nodesPerSite int) *netsim.Network {
-	return Build(nodesPerSite, Rennes, Nancy)
 }

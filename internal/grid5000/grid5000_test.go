@@ -3,6 +3,8 @@ package grid5000
 import (
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 func TestRTTMatrixSymmetricAndComplete(t *testing.T) {
@@ -23,7 +25,7 @@ func TestRTTMatrixSymmetricAndComplete(t *testing.T) {
 }
 
 func TestRennesNancyTopology(t *testing.T) {
-	net := RennesNancy(8)
+	net := netsim.New([]netsim.Site{Cluster(Rennes, 8), Cluster(Nancy, 8)}, OneWay)
 	if got := len(net.Hosts()); got != 16 {
 		t.Fatalf("hosts = %d, want 16", got)
 	}
@@ -38,7 +40,7 @@ func TestRennesNancyTopology(t *testing.T) {
 }
 
 func TestRayTestbedSpeeds(t *testing.T) {
-	net := Build(8, Nancy, Rennes, Sophia, Toulouse) // the Figure 8 testbed
+	net := netsim.New([]netsim.Site{Cluster(Nancy, 8), Cluster(Rennes, 8), Cluster(Sophia, 8), Cluster(Toulouse, 8)}, OneWay) // the Figure 8 testbed
 	if got := len(net.Hosts()); got != 32 {
 		t.Fatalf("hosts = %d, want 32", got)
 	}
@@ -60,5 +62,5 @@ func TestUnknownSitePanics(t *testing.T) {
 			t.Fatal("unknown site did not panic")
 		}
 	}()
-	Build(2, "lyon") // not in the four-site spec table
+	Cluster("lyon", 2) // not in the four-site spec table
 }

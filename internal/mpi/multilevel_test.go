@@ -22,15 +22,15 @@ import (
 // boundaries; the 1-site layout pins the fall-through path.
 var mlLayouts = []struct {
 	name   string
-	layout []grid5000.SiteCount
+	layout []netsim.Site
 }{
-	{"1site", []grid5000.SiteCount{{Name: grid5000.Rennes, Nodes: 5}}},
-	{"2site", []grid5000.SiteCount{{Name: grid5000.Rennes, Nodes: 5}, {Name: grid5000.Nancy, Nodes: 3}}},
-	{"3site", []grid5000.SiteCount{{Name: grid5000.Rennes, Nodes: 3}, {Name: grid5000.Nancy, Nodes: 2}, {Name: grid5000.Sophia, Nodes: 2}}},
-	{"4site", []grid5000.SiteCount{{Name: grid5000.Rennes, Nodes: 3}, {Name: grid5000.Nancy, Nodes: 2}, {Name: grid5000.Sophia, Nodes: 2}, {Name: grid5000.Toulouse, Nodes: 1}}},
+	{"1site", []netsim.Site{grid5000.Cluster(grid5000.Rennes, 5)}},
+	{"2site", []netsim.Site{grid5000.Cluster(grid5000.Rennes, 5), grid5000.Cluster(grid5000.Nancy, 3)}},
+	{"3site", []netsim.Site{grid5000.Cluster(grid5000.Rennes, 3), grid5000.Cluster(grid5000.Nancy, 2), grid5000.Cluster(grid5000.Sophia, 2)}},
+	{"4site", []netsim.Site{grid5000.Cluster(grid5000.Rennes, 3), grid5000.Cluster(grid5000.Nancy, 2), grid5000.Cluster(grid5000.Sophia, 2), grid5000.Cluster(grid5000.Toulouse, 1)}},
 }
 
-func layoutNP(layout []grid5000.SiteCount) int {
+func layoutNP(layout []netsim.Site) int {
 	np := 0
 	for _, sc := range layout {
 		np += sc.Nodes
@@ -40,10 +40,10 @@ func layoutNP(layout []grid5000.SiteCount) int {
 
 // newLayoutWorld builds a world over an arbitrary per-site layout, hosts
 // in site order (block placement).
-func newLayoutWorld(t *testing.T, prof Profile, layout []grid5000.SiteCount) (*sim.Kernel, *World) {
+func newLayoutWorld(t *testing.T, prof Profile, layout []netsim.Site) (*sim.Kernel, *World) {
 	t.Helper()
 	k := sim.New(1)
-	net := grid5000.BuildLayout(layout)
+	net := netsim.New(layout, grid5000.OneWay)
 	var hosts []*netsim.Host
 	for _, sc := range layout {
 		hosts = append(hosts, net.SiteHosts(sc.Name)...)
@@ -52,7 +52,7 @@ func newLayoutWorld(t *testing.T, prof Profile, layout []grid5000.SiteCount) (*s
 }
 
 // runCollStats runs body on the layout and returns the world's stats.
-func runCollStats(t *testing.T, multilevel bool, layout []grid5000.SiteCount, body func(r *Rank)) *Stats {
+func runCollStats(t *testing.T, multilevel bool, layout []netsim.Site, body func(r *Rank)) *Stats {
 	t.Helper()
 	prof := Reference()
 	prof.Multilevel = multilevel
@@ -272,11 +272,11 @@ func TestMultilevelSingleSiteEventStreamIdentical(t *testing.T) {
 func TestSiteGroupsFirstAppearanceOrder(t *testing.T) {
 	k := sim.New(1)
 	defer k.Close()
-	net := grid5000.BuildLayout([]grid5000.SiteCount{
-		{Name: grid5000.Rennes, Nodes: 3},
-		{Name: grid5000.Nancy, Nodes: 2},
-		{Name: grid5000.Sophia, Nodes: 1},
-	})
+	net := netsim.New([]netsim.Site{
+		grid5000.Cluster(grid5000.Rennes, 3),
+		grid5000.Cluster(grid5000.Nancy, 2),
+		grid5000.Cluster(grid5000.Sophia, 1),
+	}, grid5000.OneWay)
 	r := net.SiteHosts(grid5000.Rennes)
 	n := net.SiteHosts(grid5000.Nancy)
 	s := net.SiteHosts(grid5000.Sophia)

@@ -84,7 +84,6 @@ func (r *Rank) Isend(dst, tag int, size int) *Request {
 func (r *Rank) IsendPayload(dst, tag, size int, data any) *Request {
 	req := r.w.getReq(r)
 	r.recordUserSend(dst, int64(size))
-	r.isendSeq++
 	j := r.w.getJob()
 	j.r, j.dst, j.tag, j.ctx, j.size, j.data, j.req = r, dst, tag, ctxUser, int64(size), data, req
 	r.w.K.GoJob("isend", runSendJob, j)

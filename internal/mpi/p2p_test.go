@@ -19,11 +19,11 @@ func newWorld(t *testing.T, prof Profile, tcp tcpsim.Config, perSite int, grid b
 	var net *netsim.Network
 	var hosts []*netsim.Host
 	if grid {
-		net = grid5000.RennesNancy(perSite)
+		net = netsim.New([]netsim.Site{grid5000.Cluster(grid5000.Rennes, perSite), grid5000.Cluster(grid5000.Nancy, perSite)}, grid5000.OneWay)
 		hosts = append(hosts, net.SiteHosts(grid5000.Rennes)...)
 		hosts = append(hosts, net.SiteHosts(grid5000.Nancy)...)
 	} else {
-		net = grid5000.Build(2*perSite, grid5000.Rennes)
+		net = netsim.New([]netsim.Site{grid5000.Cluster(grid5000.Rennes, 2*perSite)}, grid5000.OneWay)
 		hosts = net.SiteHosts(grid5000.Rennes)
 	}
 	return k, NewWorld(k, net, tcp, prof, hosts)
@@ -367,7 +367,7 @@ func TestStatsCensus(t *testing.T) {
 func TestComputeScalesWithCPUSpeed(t *testing.T) {
 	k := sim.New(1)
 	defer k.Close()
-	net := grid5000.Build(1, grid5000.Rennes, grid5000.Sophia) // 1.0 vs 1.22
+	net := netsim.New([]netsim.Site{grid5000.Cluster(grid5000.Rennes, 1), grid5000.Cluster(grid5000.Sophia, 1)}, grid5000.OneWay) // 1.0 vs 1.22
 	hosts := []*netsim.Host{net.Host("rennes-1"), net.Host("sophia-1")}
 	w := NewWorld(k, net, tcpsim.DefaultLinux26(), Reference(), hosts)
 	var tr, ts sim.Time

@@ -158,10 +158,9 @@ type Rank struct {
 	rndvRecv   map[int64]*Request
 	// bigOut counts in-flight oversized messages per destination, for the
 	// fast-buffer collision model (see sendProto).
-	bigOut   map[int]int
-	reqSeq   int64
-	collSeq  int
-	isendSeq int
+	bigOut  map[int]int
+	reqSeq  int64
+	collSeq int
 }
 
 // Rank returns this process's rank id.

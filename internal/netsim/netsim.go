@@ -1,6 +1,8 @@
 // Package netsim models the physical network of a computational grid:
-// hosts with NICs, shared links, and host-to-host paths with one-way delay
-// and a chain of capacity-constrained links.
+// sites of hosts with NICs, shared links, and host-to-host paths with
+// one-way delay and a chain of capacity-constrained links. New builds a
+// network in one call from its list of sites; a path follows from its two
+// hosts' sites and is built the first time a run asks for it.
 //
 // Capacity sharing uses a max-min-style approximation suited to flow-level
 // TCP simulation: each link tracks how many flows are actively transferring
@@ -11,7 +13,9 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"time"
 )
 
@@ -263,152 +267,115 @@ func (p *Path) String() string {
 	return fmt.Sprintf("%s->%s owd=%v", p.Src.Name, p.Dst.Name, p.OneWay)
 }
 
-// Network is a set of hosts plus a route table of host-pair paths.
+// Site describes one cluster of identical hosts behind a non-blocking
+// switch, so that a path between two of its hosts crosses only their
+// NICs.
+type Site struct {
+	Name  string
+	Nodes int
+	// CPUSpeed is the relative compute speed of every host (see Host).
+	CPUSpeed float64
+	// NICRate is each host's NIC rate per direction, in bytes/s.
+	NICRate float64
+	// OneWay is the one-way delay between two hosts of the site.
+	OneWay time.Duration
+	// UplinkRate is the rate per direction, in bytes/s, of the site's
+	// shared WAN access, which every path to or from another site
+	// crosses. 0 means the site has no uplink.
+	UplinkRate float64
+}
+
+// Network is a set of sites and their hosts, plus the paths between
+// hosts that Path has built so far.
 type Network struct {
 	hosts   map[string]*Host
 	ordered []*Host
-	paths   map[[2]string]*Path
-	// uplinks maps a site name to its shared WAN access links (egress and
-	// ingress sides), if any.
-	uplinks map[string]*duplex
-	// intraOWD remembers each site's intra-cluster one-way delay.
-	intraOWD map[string]time.Duration
+	sites   map[string]*site
+	// wan gives the one-way delay between two distinct sites.
+	wan   func(a, b string) time.Duration
+	paths map[[2]*Host]*Path
 }
 
-// New creates an empty network.
-// duplex is a full-duplex link pair.
-type duplex struct {
-	out *Link
-	in  *Link
+// site is a Site with its hosts and its uplink pair (nil without one).
+type site struct {
+	Site
+	hosts   []*Host
+	out, in *Link
 }
 
-func New() *Network {
-	return &Network{
-		hosts:    make(map[string]*Host),
-		paths:    make(map[[2]string]*Path),
-		uplinks:  make(map[string]*duplex),
-		intraOWD: make(map[string]time.Duration),
+// New creates the hosts of every site, named <site>-1..n, in site
+// order, each with its NIC pair, and each site's uplink pair. wan gives
+// the one-way delay between two distinct sites; a nil wan leaves the
+// sites unconnected. Site names must be distinct.
+func New(sites []Site, wan func(a, b string) time.Duration) *Network {
+	total := 0
+	for _, s := range sites {
+		total += s.Nodes
 	}
-}
-
-// AddHost creates a host with a dedicated NIC of the given rate (bytes/s).
-func (n *Network) AddHost(name, site string, cpuSpeed, nicRate float64) *Host {
-	if _, dup := n.hosts[name]; dup {
-		panic("netsim: duplicate host " + name)
+	n := &Network{
+		hosts:   make(map[string]*Host, total),
+		ordered: make([]*Host, 0, total),
+		sites:   make(map[string]*site, len(sites)),
+		wan:     wan,
+		paths:   make(map[[2]*Host]*Path),
 	}
-	h := &Host{
-		Name:     name,
-		Site:     site,
-		CPUSpeed: cpuSpeed,
-		NIC:      &Link{Name: name + ":nic-tx", Rate: nicRate},
-		NICIn:    &Link{Name: name + ":nic-rx", Rate: nicRate},
+	for _, s := range sites {
+		if _, dup := n.sites[s.Name]; dup {
+			panic("netsim: duplicate site " + s.Name)
+		}
+		st := &site{Site: s}
+		if s.UplinkRate != 0 {
+			st.out = &Link{Name: s.Name + ":uplink-out", Rate: s.UplinkRate}
+			st.in = &Link{Name: s.Name + ":uplink-in", Rate: s.UplinkRate}
+		}
+		first := len(n.ordered)
+		for i := range s.Nodes {
+			name := s.Name + "-" + strconv.Itoa(i+1)
+			h := &Host{
+				Name:     name,
+				Site:     s.Name,
+				CPUSpeed: s.CPUSpeed,
+				NIC:      &Link{Name: name + ":nic-tx", Rate: s.NICRate},
+				NICIn:    &Link{Name: name + ":nic-rx", Rate: s.NICRate},
+			}
+			n.hosts[name] = h
+			n.ordered = append(n.ordered, h)
+		}
+		// Capped, so that appending to SiteHosts' result copies instead
+		// of overwriting the next site's hosts.
+		st.hosts = n.ordered[first:len(n.ordered):len(n.ordered)]
+		n.sites[s.Name] = st
 	}
-	n.hosts[name] = h
-	n.ordered = append(n.ordered, h)
-	return h
+	return n
 }
 
 // Host returns the named host, or nil.
 func (n *Network) Host(name string) *Host { return n.hosts[name] }
 
-// Hosts returns all hosts in insertion order.
+// Hosts returns all hosts, site by site in the order New got the sites.
 func (n *Network) Hosts() []*Host { return n.ordered }
 
-// SiteHosts returns the hosts of one site, in insertion order.
-func (n *Network) SiteHosts(site string) []*Host {
-	var out []*Host
-	for _, h := range n.ordered {
-		if h.Site == site {
-			out = append(out, h)
-		}
+// SiteHosts returns the hosts of one site in order, or nil for a site
+// the network does not have.
+func (n *Network) SiteHosts(name string) []*Host {
+	if s := n.sites[name]; s != nil {
+		return s.hosts
 	}
-	return out
+	return nil
 }
 
-// Sites returns the distinct site names, sorted.
-func (n *Network) Sites() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, h := range n.ordered {
-		if !seen[h.Site] {
-			seen[h.Site] = true
-			out = append(out, h.Site)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AddSite creates count hosts named <site>-1..count on one cluster with a
-// non-blocking switch: intra-site paths cross only the two NICs.
-func (n *Network) AddSite(site string, count int, cpuSpeed, nicRate float64, intraOWD time.Duration) []*Host {
-	hosts := make([]*Host, count)
-	for i := range hosts {
-		hosts[i] = n.AddHost(fmt.Sprintf("%s-%d", site, i+1), site, cpuSpeed, nicRate)
-	}
-	n.intraOWD[site] = intraOWD
-	// Full mesh of intra-site paths (switch assumed non-blocking).
-	all := n.SiteHosts(site)
-	for _, a := range all {
-		for _, b := range all {
-			if a != b {
-				n.setPath(a, b, intraOWD, []*Link{a.NIC, b.NICIn})
-			}
-		}
-	}
-	return hosts
-}
-
-// SetUplink gives a site a shared full-duplex WAN access of the given rate
-// per direction. All inter-site paths from or to the site cross it. Call
-// before ConnectSites.
-func (n *Network) SetUplink(site string, rate float64) {
-	n.uplinks[site] = &duplex{
-		out: &Link{Name: site + ":uplink-out", Rate: rate},
-		in:  &Link{Name: site + ":uplink-in", Rate: rate},
-	}
-}
+// Sites returns the site names, sorted.
+func (n *Network) Sites() []string { return slices.Sorted(maps.Keys(n.sites)) }
 
 // Uplink returns the site's WAN access links (egress, ingress), or ok=false
-// when the site has no uplink configured. Fault injection uses it to target
-// "the rennes uplink" by name.
-func (n *Network) Uplink(site string) (out, in *Link, ok bool) {
-	up := n.uplinks[site]
-	if up == nil {
+// when the site has no uplink. Fault injection uses it to target "the
+// rennes uplink" by name.
+func (n *Network) Uplink(name string) (out, in *Link, ok bool) {
+	s := n.sites[name]
+	if s == nil || s.out == nil {
 		return nil, nil, false
 	}
-	return up.out, up.in, true
-}
-
-// ConnectSites installs paths between every host of site a and every host
-// of site b (both directions) with one-way delay owd. Paths cross the two
-// NICs and any configured site uplinks.
-func (n *Network) ConnectSites(a, b string, owd time.Duration) {
-	ha, hb := n.SiteHosts(a), n.SiteHosts(b)
-	if len(ha) == 0 || len(hb) == 0 {
-		panic(fmt.Sprintf("netsim: ConnectSites(%q,%q): missing hosts", a, b))
-	}
-	for _, x := range ha {
-		for _, y := range hb {
-			n.setPath(x, y, owd, n.wanLinks(x, y))
-			n.setPath(y, x, owd, n.wanLinks(y, x))
-		}
-	}
-}
-
-func (n *Network) wanLinks(src, dst *Host) []*Link {
-	links := []*Link{src.NIC}
-	if up := n.uplinks[src.Site]; up != nil {
-		links = append(links, up.out)
-	}
-	if up := n.uplinks[dst.Site]; up != nil {
-		links = append(links, up.in)
-	}
-	return append(links, dst.NICIn)
-}
-
-func (n *Network) setPath(a, b *Host, owd time.Duration, links []*Link) {
-	n.paths[[2]string{a.Name, b.Name}] = &Path{Src: a, Dst: b, OneWay: owd, Links: links}
+	return s.out, s.in, true
 }
 
 // LoopbackRate is the byte rate of intra-host communication (shared-memory
@@ -418,25 +385,45 @@ const (
 	LoopbackDelay = 5 * time.Microsecond
 )
 
-// Path returns the route from a to b. Two processes on the same host
-// communicate over a synthetic loopback path. It panics when no route
-// exists between distinct hosts, because every experiment topology is
-// fully connected by construction.
+// Path returns the route from a to b, built on the first call for the
+// pair and cached. Two processes on one host share a loopback link.
+// Within a site the route crosses a's NIC and b's NIC at the site's
+// delay; across sites it also crosses the uplink of each site that has
+// one, at the WAN delay. Path panics for hosts on unconnected sites.
 func (n *Network) Path(a, b *Host) *Path {
-	key := [2]string{a.Name, b.Name}
-	if p, ok := n.paths[key]; ok {
-		return p
-	}
-	if a == b {
-		p := &Path{
-			Src: a, Dst: b,
-			OneWay: LoopbackDelay,
-			Links:  []*Link{{Name: a.Name + ":lo", Rate: LoopbackRate}},
-		}
+	key := [2]*Host{a, b}
+	p := n.paths[key]
+	if p == nil {
+		p = n.route(a, b)
 		n.paths[key] = p
-		return p
 	}
-	panic(fmt.Sprintf("netsim: no path %s -> %s", a.Name, b.Name))
+	return p
+}
+
+func (n *Network) route(a, b *Host) *Path {
+	p := &Path{Src: a, Dst: b}
+	src, dst := n.sites[a.Site], n.sites[b.Site]
+	switch {
+	case a == b:
+		p.OneWay = LoopbackDelay
+		p.Links = []*Link{{Name: a.Name + ":lo", Rate: LoopbackRate}}
+	case src != nil && src == dst:
+		p.OneWay = src.OneWay
+		p.Links = []*Link{a.NIC, b.NICIn}
+	case src != nil && dst != nil && n.wan != nil:
+		p.OneWay = n.wan(a.Site, b.Site)
+		p.Links = append(make([]*Link, 0, 4), a.NIC)
+		if src.out != nil {
+			p.Links = append(p.Links, src.out)
+		}
+		if dst.in != nil {
+			p.Links = append(p.Links, dst.in)
+		}
+		p.Links = append(p.Links, b.NICIn)
+	default:
+		panic(fmt.Sprintf("netsim: no path %s -> %s", a.Name, b.Name))
+	}
+	return p
 }
 
 // SameSite reports whether two hosts are on the same site.

@@ -9,13 +9,10 @@ const gbps = 125e6 // 1 Gbit/s in bytes/s
 
 func buildTwoSites(t *testing.T) *Network {
 	t.Helper()
-	n := New()
-	n.AddSite("rennes", 2, 1.0, gbps, 20*time.Microsecond)
-	n.AddSite("nancy", 2, 0.9, gbps, 20*time.Microsecond)
-	n.SetUplink("rennes", 10*gbps)
-	n.SetUplink("nancy", 10*gbps)
-	n.ConnectSites("rennes", "nancy", 5800*time.Microsecond)
-	return n
+	return New([]Site{
+		{Name: "rennes", Nodes: 2, CPUSpeed: 1.0, NICRate: gbps, OneWay: 20 * time.Microsecond, UplinkRate: 10 * gbps},
+		{Name: "nancy", Nodes: 2, CPUSpeed: 0.9, NICRate: gbps, OneWay: 20 * time.Microsecond, UplinkRate: 10 * gbps},
+	}, func(a, b string) time.Duration { return 5800 * time.Microsecond })
 }
 
 func TestIntraSitePath(t *testing.T) {
@@ -132,20 +129,20 @@ func TestSiteQueries(t *testing.T) {
 	}
 }
 
+// TestDuplicateHostPanics: host names derive from site names, so a
+// repeated site is the one way to name two hosts alike.
 func TestDuplicateHostPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate AddHost did not panic")
+			t.Fatal("duplicate site did not panic")
 		}
 	}()
-	n := New()
-	n.AddHost("x", "s", 1, gbps)
-	n.AddHost("x", "s", 1, gbps)
+	New([]Site{{Name: "s", Nodes: 1, CPUSpeed: 1, NICRate: gbps}, {Name: "s", Nodes: 1, CPUSpeed: 1, NICRate: gbps}}, nil)
 }
 
 func TestLoopbackPath(t *testing.T) {
-	n := New()
-	a := n.AddHost("a", "s", 1, gbps)
+	n := New([]Site{{Name: "s", Nodes: 1, CPUSpeed: 1, NICRate: gbps}}, nil)
+	a := n.Host("s-1")
 	p := n.Path(a, a)
 	if p.OneWay != LoopbackDelay {
 		t.Fatalf("loopback delay = %v", p.OneWay)
@@ -172,9 +169,8 @@ func TestFullDuplexNICs(t *testing.T) {
 }
 
 func TestMissingPathPanics(t *testing.T) {
-	n := New()
-	a := n.AddHost("a", "s1", 1, gbps)
-	b := n.AddHost("b", "s2", 1, gbps)
+	n := New([]Site{{Name: "s1", Nodes: 1, CPUSpeed: 1, NICRate: gbps}, {Name: "s2", Nodes: 1, CPUSpeed: 1, NICRate: gbps}}, nil)
+	a, b := n.Host("s1-1"), n.Host("s2-1")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Path between unconnected hosts did not panic")

@@ -13,7 +13,7 @@ import (
 
 func world() (*sim.Kernel, *mpi.World) {
 	k := sim.New(1)
-	net := grid5000.RennesNancy(1)
+	net := netsim.New([]netsim.Site{grid5000.Cluster(grid5000.Rennes, 1), grid5000.Cluster(grid5000.Nancy, 1)}, grid5000.OneWay)
 	hosts := []*netsim.Host{net.Host("rennes-1"), net.Host("nancy-1")}
 	return k, mpi.NewWorld(k, net, tcpsim.Tuned4MB(), mpi.Reference(), hosts)
 }

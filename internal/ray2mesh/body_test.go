@@ -21,7 +21,7 @@ import (
 func TestTerminatesBelowOneChunkPerSlave(t *testing.T) {
 	for _, rays := range []int{0, 1, 999, 1000, 1234, 3999, 5000} {
 		k := sim.New(1)
-		net := grid5000.Build(2, grid5000.Rennes, grid5000.Nancy)
+		net := netsim.New([]netsim.Site{grid5000.Cluster(grid5000.Rennes, 2), grid5000.Cluster(grid5000.Nancy, 2)}, grid5000.OneWay)
 		hosts := append([]*netsim.Host{net.Host("rennes-1")}, net.Hosts()...)
 		w := mpi.NewWorld(k, net, tcpsim.Tuned4MB(), mpi.Reference(), hosts)
 		cfg := Default()

@@ -69,9 +69,3 @@ func Size(n int64) string {
 		return fmt.Sprintf("%d B", n)
 	}
 }
-
-// F1 formats a float with one decimal.
-func F1(v float64) string { return fmt.Sprintf("%.1f", v) }
-
-// F2 formats a float with two decimals.
-func F2(v float64) string { return fmt.Sprintf("%.2f", v) }

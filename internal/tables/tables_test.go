@@ -53,9 +53,3 @@ func TestSize(t *testing.T) {
 		}
 	}
 }
-
-func TestFloatFormats(t *testing.T) {
-	if F1(3.14159) != "3.1" || F2(3.14159) != "3.14" {
-		t.Fatal("float formatting broken")
-	}
-}

@@ -13,12 +13,10 @@ import (
 // latency after stack overheads), 5.8 ms one-way across the WAN.
 func testbed() (*sim.Kernel, *netsim.Network) {
 	k := sim.New(1)
-	n := netsim.New()
-	n.AddSite("rennes", 2, 1.0, GigabitEthernet, 29*time.Microsecond)
-	n.AddSite("nancy", 2, 1.0, GigabitEthernet, 29*time.Microsecond)
-	n.SetUplink("rennes", TenGigabitEthernet)
-	n.SetUplink("nancy", TenGigabitEthernet)
-	n.ConnectSites("rennes", "nancy", 5800*time.Microsecond)
+	n := netsim.New([]netsim.Site{
+		{Name: "rennes", Nodes: 2, CPUSpeed: 1.0, NICRate: GigabitEthernet, OneWay: 29 * time.Microsecond, UplinkRate: TenGigabitEthernet},
+		{Name: "nancy", Nodes: 2, CPUSpeed: 1.0, NICRate: GigabitEthernet, OneWay: 29 * time.Microsecond, UplinkRate: TenGigabitEthernet},
+	}, func(a, b string) time.Duration { return 5800 * time.Microsecond })
 	return k, n
 }
 

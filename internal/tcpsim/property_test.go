@@ -180,11 +180,8 @@ func TestIncastTimeouts(t *testing.T) {
 // incastNet builds eight senders in Rennes and one receiver in Nancy: the
 // receiver's NIC is the oversubscribed bottleneck.
 func incastNet() *netsim.Network {
-	n := netsim.New()
-	n.AddSite("rennes", 8, 1.0, GigabitEthernet, 29*time.Microsecond)
-	n.AddSite("nancy", 1, 1.0, GigabitEthernet, 29*time.Microsecond)
-	n.SetUplink("rennes", TenGigabitEthernet)
-	n.SetUplink("nancy", TenGigabitEthernet)
-	n.ConnectSites("rennes", "nancy", 5800*time.Microsecond)
-	return n
+	return netsim.New([]netsim.Site{
+		{Name: "rennes", Nodes: 8, CPUSpeed: 1.0, NICRate: GigabitEthernet, OneWay: 29 * time.Microsecond, UplinkRate: TenGigabitEthernet},
+		{Name: "nancy", Nodes: 1, CPUSpeed: 1.0, NICRate: GigabitEthernet, OneWay: 29 * time.Microsecond, UplinkRate: TenGigabitEthernet},
+	}, func(a, b string) time.Duration { return 5800 * time.Microsecond })
 }

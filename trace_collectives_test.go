@@ -36,12 +36,12 @@ func collectiveTraceProfiles() []mpi.Profile {
 // powers of two, so flat trees straddle site boundaries.
 var collectiveTraceLayouts = []struct {
 	name   string
-	layout []grid5000.SiteCount
+	layout []netsim.Site
 }{
-	{"1site", []grid5000.SiteCount{{Name: grid5000.Rennes, Nodes: 5}}},
-	{"2site", []grid5000.SiteCount{{Name: grid5000.Rennes, Nodes: 5}, {Name: grid5000.Nancy, Nodes: 3}}},
-	{"3site", []grid5000.SiteCount{{Name: grid5000.Rennes, Nodes: 3}, {Name: grid5000.Nancy, Nodes: 2}, {Name: grid5000.Sophia, Nodes: 2}}},
-	{"4site", []grid5000.SiteCount{{Name: grid5000.Rennes, Nodes: 3}, {Name: grid5000.Nancy, Nodes: 2}, {Name: grid5000.Sophia, Nodes: 2}, {Name: grid5000.Toulouse, Nodes: 1}}},
+	{"1site", []netsim.Site{grid5000.Cluster(grid5000.Rennes, 5)}},
+	{"2site", []netsim.Site{grid5000.Cluster(grid5000.Rennes, 5), grid5000.Cluster(grid5000.Nancy, 3)}},
+	{"3site", []netsim.Site{grid5000.Cluster(grid5000.Rennes, 3), grid5000.Cluster(grid5000.Nancy, 2), grid5000.Cluster(grid5000.Sophia, 2)}},
+	{"4site", []netsim.Site{grid5000.Cluster(grid5000.Rennes, 3), grid5000.Cluster(grid5000.Nancy, 2), grid5000.Cluster(grid5000.Sophia, 2), grid5000.Cluster(grid5000.Toulouse, 1)}},
 }
 
 // vsizes is a per-rank size vector for the v-collectives: some ranks
@@ -91,7 +91,7 @@ func TestCollectiveEventOrderTrace(t *testing.T) {
 	var out strings.Builder
 	for _, prof := range collectiveTraceProfiles() {
 		for _, lt := range collectiveTraceLayouts {
-			net := grid5000.BuildLayout(lt.layout)
+			net := netsim.New(lt.layout, grid5000.OneWay)
 			var hosts []*netsim.Host
 			for _, sc := range lt.layout {
 				hosts = append(hosts, net.SiteHosts(sc.Name)...)
