@@ -2,6 +2,12 @@
 // figure of the paper, in order, printing the regenerated results. Its
 // output is the body of EXPERIMENTS.md.
 //
+//	gridrepro [flags] [section ...]
+//
+// Naming sections (table1, figure3, ..., buffer-sweep; an unknown name
+// lists them all) prints only those, in paper order, after the same
+// header; with no names the whole paper prints.
+//
 // All sections are generated concurrently through one shared experiment
 // runner (-workers bounds the pool); the output order is fixed and the
 // results are deterministic virtual-time simulation, so stdout is
@@ -10,7 +16,7 @@
 // fingerprint: an immediately repeated invocation recomputes nothing and
 // serves every cell from disk (the cache summary on stderr reports the
 // split). With -cache-remote URL, the backing store is a shared
-// cmd/cached server instead, and -cache becomes its local read-through
+// cmd/sweepd server instead, and -cache becomes its local read-through
 // tier — a machine that has never run the reproduction regenerates the
 // whole paper from a warm server without executing one experiment.
 //
@@ -26,6 +32,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -43,27 +51,45 @@ func main() {
 	}
 }
 
-// errFlagParse marks a parse failure the FlagSet has already reported on
-// stderr; main must not print it a second time.
+// errFlagParse marks a bad invocation (a flag or section name) already
+// reported on stderr; main must not print it a second time.
 var errFlagParse = errors.New("flag parsing failed")
 
 // section is one unit of the paper, generated concurrently and printed
 // in order.
 type section struct {
 	name string
-	gen  func() string
+	gen  func(*exp.Runner) string
+}
+
+// pick keeps the named sections, in their paper order and once each; no
+// names keeps them all.
+func pick(all []section, names []string) ([]section, error) {
+	if len(names) == 0 {
+		return all, nil
+	}
+	valid := make([]string, len(all))
+	for i, s := range all {
+		valid[i] = s.name
+	}
+	for _, n := range names {
+		if !slices.Contains(valid, n) {
+			return nil, fmt.Errorf("unknown section %q (have %s)", n, strings.Join(valid, ", "))
+		}
+	}
+	return slices.DeleteFunc(all, func(s section) bool { return !slices.Contains(names, s.name) }), nil
 }
 
 // generate runs one section, converting a generator panic (a failed
 // experiment) into an error instead of killing the whole regeneration
 // goroutine pool.
-func generate(s section) (out string, err error) {
+func generate(s section, r *exp.Runner) (out string, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("section %s: %v", s.name, r)
+		if p := recover(); p != nil {
+			err = fmt.Errorf("section %s: %v", s.name, p)
 		}
 	}()
-	return s.gen(), nil
+	return s.gen(r), nil
 }
 
 func run(args []string, out, errOut io.Writer) error {
@@ -72,7 +98,7 @@ func run(args []string, out, errOut io.Writer) error {
 	quick := fs.Bool("quick", false, "use reduced repetitions and workload scales")
 	workers := fs.Int("workers", 0, "experiment worker-pool size (0 = one per CPU)")
 	cacheDir := fs.String("cache", "", "persistent result-cache directory (empty = in-memory only)")
-	remoteURL := fs.String("cache-remote", "", "remote result-cache server URL (a cmd/cached instance); with -cache, the directory becomes its local read-through/write-behind tier")
+	remoteURL := fs.String("cache-remote", "", "result-store server URL (a cmd/sweepd instance); with -cache, the directory becomes its local read-through/write-behind tier")
 	evictStr := fs.String("cache-evict", "", `age/size bound applied to -cache after the run, e.g. "720h", "512M" or "720h,512M"`)
 	verifyP := fs.Float64("cache-verify", 0, "instead of regenerating, re-run this deterministic sample fraction (0..1] of -cache entries and report results the current simulator no longer reproduces")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -89,10 +115,71 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		return errFlagParse // already reported by the FlagSet
 	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(errOut, "unexpected arguments: %v\n", fs.Args())
+
+	reps, nasScale, rayScale, traceN := core.DefaultReps, 0.25, 1.0, 200
+	if *quick {
+		reps, nasScale, rayScale, traceN = 20, 0.1, 0.1, 100
+	}
+	if *repsFlag > 0 {
+		reps = *repsFlag
+	}
+	if *nasFlag > 0 {
+		nasScale = *nasFlag
+	}
+	if *rayFlag > 0 {
+		rayScale = *rayFlag
+	}
+	if *traceFlag > 0 {
+		traceN = *traceFlag
+	}
+	sections := []section{
+		{"table1", func(*exp.Runner) string { return core.RenderTable1(core.Table1()) }},
+		{"table2", func(r *exp.Runner) string { return core.RenderTable2(core.Table2(r, nasScale)) }},
+		{"table4", func(r *exp.Runner) string { return core.RenderTable4(core.Table4(r, reps)) }},
+		{"figure5", func(r *exp.Runner) string { return core.RenderPingPongFigure(core.Figure5(r, reps)) }},
+		{"figure3", func(r *exp.Runner) string { return core.RenderPingPongFigure(core.Figure3(r, reps)) }},
+		{"figure6", func(r *exp.Runner) string { return core.RenderPingPongFigure(core.Figure6(r, reps)) }},
+		{"table5", func(r *exp.Runner) string { return core.RenderTable5(core.Table5(r, reps)) }},
+		{"figure7", func(r *exp.Runner) string { return core.RenderPingPongFigure(core.Figure7(r, reps)) }},
+		{"figure9", func(r *exp.Runner) string { return core.RenderFigure9(core.Figure9(r, traceN)) }},
+		{"figure10", func(r *exp.Runner) string { return core.RenderNASFigure(core.Figure10(r, nasScale)) }},
+		{"figure11", func(r *exp.Runner) string { return core.RenderNASFigure(core.Figure11(r, nasScale)) }},
+		{"figure12", func(r *exp.Runner) string { return core.RenderNASFigure(core.Figure12(r, nasScale)) }},
+		{"figure13", func(r *exp.Runner) string { return core.RenderNASFigure(core.Figure13(r, nasScale)) }},
+		{"table6", func(r *exp.Runner) string { return core.RenderTable6(core.Table6(r, rayScale)) }},
+		{"table7", func(r *exp.Runner) string { return core.RenderTable7(core.Table7(r, rayScale)) }},
+		// Beyond the paper: the §5 future-work experiments and an ablation.
+		{"extension-g2", func(r *exp.Runner) string { return core.RenderExtensionMPICHG2(core.ExtensionMPICHG2(r, reps)) }},
+		{"extension-het", func(r *exp.Runner) string {
+			return core.RenderExtensionHeterogeneity(core.ExtensionHeterogeneity(r, reps))
+		}},
+		{"buffer-sweep", func(r *exp.Runner) string { return core.RenderBufferSweep(core.BufferSweep(r, reps)) }},
+	}
+	// The reliability matrix only exists under -faults, so the default
+	// section list — and with it the stdout golden — is untouched.
+	if *faultsStr != "" {
+		plan, err := exp.ParseFaultPlan(*faultsStr)
+		if err != nil {
+			return err
+		}
+		sections = append(sections, section{"reliability", func(r *exp.Runner) string {
+			return core.RenderReliabilityMatrix(plan, core.ReliabilityMatrix(r, reps, plan))
+		}})
+	}
+	// Likewise -multilevel: the extension table appends after the golden
+	// prefix without disturbing it.
+	if *multilevel {
+		sections = append(sections, section{"multilevel", func(r *exp.Runner) string {
+			const size = 1 << 20
+			return core.RenderMultilevelTable(core.MultilevelTable(r, size, 3), size)
+		}})
+	}
+	sections, err := pick(sections, fs.Args())
+	if err != nil {
+		fmt.Fprintln(errOut, err)
 		return errFlagParse
 	}
+
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -128,23 +215,6 @@ func run(args []string, out, errOut io.Writer) error {
 		return nil
 	}
 
-	reps, nasScale, rayScale, traceN := core.DefaultReps, 0.25, 1.0, 200
-	if *quick {
-		reps, nasScale, rayScale, traceN = 20, 0.1, 0.1, 100
-	}
-	if *repsFlag > 0 {
-		reps = *repsFlag
-	}
-	if *nasFlag > 0 {
-		nasScale = *nasFlag
-	}
-	if *rayFlag > 0 {
-		rayScale = *rayFlag
-	}
-	if *traceFlag > 0 {
-		traceN = *traceFlag
-	}
-
 	var evict exp.EvictPolicy
 	if *evictStr != "" {
 		if *cacheDir == "" {
@@ -162,47 +232,6 @@ func run(args []string, out, errOut io.Writer) error {
 		return err
 	}
 
-	sections := []section{
-		{"table1", func() string { return core.RenderTable1(core.Table1()) }},
-		{"table2", func() string { return core.RenderTable2(core.Table2(r, nasScale)) }},
-		{"table4", func() string { return core.RenderTable4(core.Table4(r, reps)) }},
-		{"figure5", func() string { return core.RenderPingPongFigure(core.Figure5(r, reps)) }},
-		{"figure3", func() string { return core.RenderPingPongFigure(core.Figure3(r, reps)) }},
-		{"figure6", func() string { return core.RenderPingPongFigure(core.Figure6(r, reps)) }},
-		{"table5", func() string { return core.RenderTable5(core.Table5(r, reps)) }},
-		{"figure7", func() string { return core.RenderPingPongFigure(core.Figure7(r, reps)) }},
-		{"figure9", func() string { return core.RenderFigure9(core.Figure9(r, traceN)) }},
-		{"figure10", func() string { return core.RenderNASFigure(core.Figure10(r, nasScale)) }},
-		{"figure11", func() string { return core.RenderNASFigure(core.Figure11(r, nasScale)) }},
-		{"figure12", func() string { return core.RenderNASFigure(core.Figure12(r, nasScale)) }},
-		{"figure13", func() string { return core.RenderNASFigure(core.Figure13(r, nasScale)) }},
-		{"table6", func() string { return core.RenderTable6(core.Table6(r, rayScale)) }},
-		{"table7", func() string { return core.RenderTable7(core.Table7(r, rayScale)) }},
-		// Beyond the paper: the §5 future-work experiments and an ablation.
-		{"extension-g2", func() string { return core.RenderExtensionMPICHG2(core.ExtensionMPICHG2(r, reps)) }},
-		{"extension-het", func() string { return core.RenderExtensionHeterogeneity(core.ExtensionHeterogeneity(r, reps)) }},
-		{"buffer-sweep", func() string { return core.RenderBufferSweep(core.BufferSweep(r, reps)) }},
-	}
-	// The reliability matrix only exists under -faults, so the default
-	// section list — and with it the stdout golden — is untouched.
-	if *faultsStr != "" {
-		plan, err := exp.ParseFaultPlan(*faultsStr)
-		if err != nil {
-			return err
-		}
-		sections = append(sections, section{"reliability", func() string {
-			return core.RenderReliabilityMatrix(plan, core.ReliabilityMatrix(r, reps, plan))
-		}})
-	}
-	// Likewise -multilevel: the extension table appends after the golden
-	// prefix without disturbing it.
-	if *multilevel {
-		sections = append(sections, section{"multilevel", func() string {
-			const size = 1 << 20
-			return core.RenderMultilevelTable(core.MultilevelTable(r, size, 3), size)
-		}})
-	}
-
 	// Every section generates concurrently; the runner's semaphore keeps
 	// total simulation work bounded by -workers, and the fixed print
 	// order below keeps stdout byte-identical whatever the pool size.
@@ -213,7 +242,7 @@ func run(args []string, out, errOut io.Writer) error {
 		wg.Add(1)
 		go func(i int, s section) {
 			defer wg.Done()
-			outs[i], errs[i] = generate(s)
+			outs[i], errs[i] = generate(s, r)
 		}(i, s)
 	}
 	wg.Wait()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,46 @@ func TestStdoutMatchesPrePRGolden(t *testing.T) {
 	}
 }
 
+// sectionNames are the sections gridrepro prints by default, in print
+// order: the names it accepts without -faults or -multilevel.
+var sectionNames = []string{
+	"table1", "table2", "table4", "figure5", "figure3", "figure6", "table5",
+	"figure7", "figure9", "figure10", "figure11", "figure12", "figure13",
+	"table6", "table7", "extension-g2", "extension-het", "buffer-sweep",
+}
+
+const header = "=== Reproduction of: Comparison and tuning of MPI implementations in a grid context (Hablot et al., 2007) ===\n\n"
+
+// TestSectionsByName: each section named alone prints the header and
+// exactly that section's bytes of the golden, and the sections in order
+// rebuild the golden. Named sections print in paper order, once each.
+func TestSectionsByName(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "quick_tiny.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	bodies := make(map[string]string)
+	rebuilt := header
+	for _, name := range sectionNames {
+		out, _ := regen(t, "-cache", dir, name)
+		body, ok := strings.CutPrefix(out, header)
+		if !ok || body == "" || !strings.HasPrefix(string(golden[len(rebuilt):]), body) {
+			t.Fatalf("section %s is not the golden's next section:\n%s", name, out)
+		}
+		bodies[name] = body
+		rebuilt += body
+	}
+	if rebuilt != string(golden) {
+		t.Errorf("the sections rebuild %d bytes of the %d-byte golden", len(rebuilt), len(golden))
+	}
+
+	out, _ := regen(t, "-cache", dir, "table7", "figure3", "table7", "table1")
+	if want := header + bodies["table1"] + bodies["figure3"] + bodies["table7"]; out != want {
+		t.Errorf("table7 figure3 table7 table1 printed:\n%s\nwant:\n%s", out, want)
+	}
+}
+
 // TestFaultsAppendReliabilitySection: -faults tacks the reliability matrix
 // onto the end of the regeneration without moving a byte of the paper's
 // own sections — the pre-PR golden must remain an exact prefix.
@@ -113,8 +154,16 @@ func TestBadInvocations(t *testing.T) {
 	if err := run([]string{"-faults", "1s frobnicate site=rennes"}, &out, &errOut); err == nil {
 		t.Error("malformed -faults plan accepted")
 	}
-	if err := run([]string{"extra"}, &out, &errOut); err == nil {
-		t.Error("positional arguments accepted")
+	// An unknown section name is a usage error (exit 2) that lists the
+	// valid names; reliability and multilevel need their flags.
+	for _, args := range [][]string{{"extra"}, {"table3"}, {"table1", "reliability"}, {"multilevel"}} {
+		errOut.Reset()
+		if err := run(args, &out, &errOut); !errors.Is(err, errFlagParse) {
+			t.Errorf("%v: err = %v, want a usage error", args, err)
+		}
+		if !strings.Contains(errOut.String(), "unknown section") || !strings.Contains(errOut.String(), "buffer-sweep") {
+			t.Errorf("%v: stderr does not list the sections: %s", args, errOut.String())
+		}
 	}
 	if err := run([]string{"-cache", "\x00impossible/dir"}, &out, &errOut); err == nil {
 		t.Error("uncreatable cache dir accepted")

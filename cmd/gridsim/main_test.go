@@ -43,8 +43,10 @@ func TestRunJSON(t *testing.T) {
 // pattern.
 func TestRunBadFlags(t *testing.T) {
 	var out, errOut strings.Builder
-	if err := run([]string{"-size", "12q"}, &out, &errOut); err == nil {
-		t.Error("bad -size accepted")
+	for _, size := range []string{"12q", "-4k"} {
+		if err := run([]string{"-size", size, "-pattern", "bcast"}, &out, &errOut); err == nil {
+			t.Errorf("-size %s accepted", size)
+		}
 	}
 	if err := run([]string{"-pattern", "nope", "-nodes", "1"}, &out, &errOut); err == nil {
 		t.Error("unknown pattern accepted")

@@ -21,12 +21,12 @@
 // nonzero, linter-style.
 //
 // Results persist to a local directory (-cache) and/or a shared
-// cmd/cached server (-cache-remote); -shard i/n partitions a matrix
+// cmd/sweepd server (-cache-remote); -shard i/n partitions a matrix
 // across machines that all point at one server, and -push/-pull sync an
 // existing cache directory with a server one-shot:
 //
-//	sweep -shard 1/4 -cache-remote http://stately:8077
-//	sweep -cache ~/.cache/sweep -cache-remote http://stately:8077 -push
+//	sweep -shard 1/4 -cache-remote http://stately:8078
+//	sweep -cache ~/.cache/sweep -cache-remote http://stately:8078 -push
 //
 // With a cmd/sweepd control plane the partitioning is automatic:
 // -submit posts the matrix as a job and waits for the fleet, -worker
@@ -216,7 +216,7 @@ func run(args []string, out, errOut io.Writer) error {
 	maxSizeStr := fs.String("max-size", "64M", "largest pingpong message size")
 	workers := fs.Int("workers", 0, "worker pool size (0 = one per CPU)")
 	cacheDir := fs.String("cache", "", "persistent result-cache directory (empty = in-memory only)")
-	remoteURL := fs.String("cache-remote", "", "remote result-cache server URL (a cmd/cached instance); with -cache, the directory becomes its local read-through/write-behind tier")
+	remoteURL := fs.String("cache-remote", "", "result-store server URL (a cmd/sweepd instance); with -cache, the directory becomes its local read-through/write-behind tier")
 	pushFlag := fs.Bool("push", false, "instead of sweeping, upload every -cache entry the -cache-remote server is missing, then exit")
 	pullFlag := fs.Bool("pull", false, "instead of sweeping, download every -cache-remote entry missing from -cache, then exit (with -push too: pull first, then push)")
 	faultsStr := fs.String("faults", "", `seeded fault plan applied to every experiment: semicolon-separated clauses "seed=N", "<time> down|up site=S|host=H", "<time> loss <p> [site=|host=]", "<time> jitter <dur> [site=|host=]" — e.g. "seed=7; 100ms down site=rennes; 300ms up site=rennes"`)
@@ -473,7 +473,13 @@ func run(args []string, out, errOut io.Writer) error {
 		suite := exp.GuidelineSuite(impls, tunings, topos, exp.DefaultGuidelines, size, *iters)
 		gres := runner.RunAll(suite)
 		results = append(results, gres...)
-		guidelineViolations = exp.WriteGuidelineReport(out, gres,
+		// JSON and CSV keep stdout machine-readable: the report goes to
+		// stderr.
+		report := out
+		if *format != "table" {
+			report = errOut
+		}
+		guidelineViolations = exp.WriteGuidelineReport(report, gres,
 			exp.DefaultGuidelines, exp.DefaultGuidelineTolerance)
 	}
 	if *cacheDir != "" || *remoteURL != "" {

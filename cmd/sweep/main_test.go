@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -165,6 +166,31 @@ func TestRunGuidelines(t *testing.T) {
 	}
 }
 
+// TestRunGuidelinesKeepStdoutParseable: with -format json or csv the
+// guideline report goes to stderr, so stdout still parses.
+func TestRunGuidelinesKeepStdoutParseable(t *testing.T) {
+	for _, format := range []string{"json", "csv"} {
+		var out, errOut strings.Builder
+		args := []string{"-impls", "TCP,MPICH2", "-tunings", "default",
+			"-reps", "2", "-max-size", "4k", "-size", "4k", "-iters", "2",
+			"-guidelines", "-format", format}
+		if err := run(args, &out, &errOut); err != nil && !strings.Contains(err.Error(), "guideline violation") {
+			t.Fatalf("%s: run: %v", format, err)
+		}
+		if format == "json" {
+			var results []exp.Result
+			if err := json.Unmarshal([]byte(out.String()), &results); err != nil || len(results) != 2 {
+				t.Errorf("json: stdout does not parse as the 2 sweep results (%v):\n%s", err, out.String())
+			}
+		} else if _, err := csv.NewReader(strings.NewReader(out.String())).ReadAll(); err != nil {
+			t.Errorf("csv: stdout does not parse (%v):\n%s", err, out.String())
+		}
+		if strings.Contains(out.String(), "Guidelines:") || !strings.Contains(errOut.String(), "Guidelines:") {
+			t.Errorf("%s: guideline report not on stderr alone:\nstdout:\n%s\nstderr:\n%s", format, out.String(), errOut.String())
+		}
+	}
+}
+
 // faultSpec is the tiny seeded plan the fault tests share: a 100ms
 // rennes-uplink outage over 2% background loss.
 const faultSpec = "seed=7; 20ms down site=rennes; 120ms up site=rennes; 0s loss 0.02"
@@ -262,7 +288,7 @@ func TestRunShardsPartitionAndMerge(t *testing.T) {
 	}
 }
 
-// newCacheServer starts an in-process cached server over a fresh
+// newCacheServer starts an in-process sweepd handler over a fresh
 // DiskCache directory.
 func newCacheServer(t *testing.T) *httptest.Server {
 	t.Helper()
@@ -270,12 +296,17 @@ func newCacheServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(exp.NewCacheHandler(store))
+	srv := httptest.NewServer(storeHandler(store))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
-// TestRunRemoteCache: shard runs publish to one cached server; a replay
+// storeHandler is the sweepd handler over store with an empty queue.
+func storeHandler(store *exp.DiskCache) http.Handler {
+	return exp.NewQueueHandler(exp.NewJobQueue(store, exp.QueueConfig{}), exp.NewCacheServer(store))
+}
+
+// TestRunRemoteCache: shard runs publish to one result server; a replay
 // through the same server recomputes nothing and renders output
 // identical to a serverless run.
 func TestRunRemoteCache(t *testing.T) {
@@ -547,7 +578,7 @@ func TestRunPushPartialFailureExitsNonzero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := exp.NewCacheHandler(store)
+	inner := storeHandler(store)
 	var mu sync.Mutex
 	puts := 0
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

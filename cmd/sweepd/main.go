@@ -1,12 +1,18 @@
 // Command sweepd is the sweep fleet's control plane: it serves a
-// persistent result store (an exp.DiskCache, same protocol as
-// cmd/cached) and, on top of it, an HTTP job queue that partitions
-// submitted experiment matrices into fingerprint-keyed shard slices and
-// leases them to pull-based workers:
+// persistent result store (an exp.DiskCache) over HTTP and, on top of
+// it, an HTTP job queue that partitions submitted experiment matrices
+// into fingerprint-keyed shard slices and leases them to pull-based
+// workers:
 //
 //	sweepd -cache /srv/repro-cache -journal /srv/repro-queue -addr :8078
 //	sweep -submit http://stately:8078 -workload pattern:alltoall   # submit + wait
 //	sweep -worker http://stately:8078                              # one per core on each machine
+//
+// The store alone is the shared cache of a sharded sweep or of
+// gridrepro: `sweep -shard i/n -cache-remote URL` pulls warm entries
+// from it and pushes fresh results back, with no job ever submitted.
+// The directory stays an ordinary -cache dir (replayable, evictable,
+// verifiable with gridrepro -cache-verify).
 //
 // Workers publish every computed result through the store's verified
 // ingest (PUT /v1/results/<fp>, re-hashed on arrival) before reporting
@@ -28,8 +34,8 @@
 // leases, in-flight reports accepted for -drain-grace, state
 // checkpointed, exit 0.
 //
-// Endpoints: the full cached results protocol (GET /healthz,
-// GET/HEAD/PUT /v1/results...), POST/GET /v1/jobs, GET /v1/jobs/{id},
+// Endpoints: the results protocol (GET /healthz, GET /v1/results,
+// GET/HEAD/PUT /v1/results/{fp}), POST/GET /v1/jobs, GET /v1/jobs/{id},
 // POST /v1/jobs/{id}/report, POST /v1/lease, and GET /statusz (store
 // counters, every job's progress, queue tuning, journal accounting).
 package main

@@ -55,12 +55,13 @@ func TestRunBadFlags(t *testing.T) {
 
 // TestRunServesFleetAndShutsDown boots the real control plane on an
 // ephemeral port, drives one tiny job through it over HTTP — submit,
-// worker loop, statusz — and exercises graceful shutdown.
+// worker loop, results index, statusz — and exercises graceful shutdown
+// and -v request logging.
 func TestRunServesFleetAndShutsDown(t *testing.T) {
 	var out, errOut syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-cache", t.TempDir(), "-addr", "127.0.0.1:0", "-lease-ttl", "5s"}, &out, &errOut)
+		done <- run([]string{"-cache", t.TempDir(), "-addr", "127.0.0.1:0", "-lease-ttl", "5s", "-v"}, &out, &errOut)
 	}()
 
 	// The banner carries the bound address.
@@ -113,6 +114,17 @@ func TestRunServesFleetAndShutsDown(t *testing.T) {
 		t.Fatalf("job = %+v, %v", final, err)
 	}
 
+	// The results index lists what the worker published.
+	resp, err = http.Get(base + "/v1/results")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("index = %v, %v", resp, err)
+	}
+	var fps []string
+	if err := json.NewDecoder(resp.Body).Decode(&fps); err != nil || len(fps) != 2 {
+		t.Fatalf("index = %v, %v; want the job's 2 fingerprints", fps, err)
+	}
+	resp.Body.Close()
+
 	// /statusz reports the store and the job side by side.
 	resp, err = http.Get(base + "/statusz")
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -143,6 +155,9 @@ func TestRunServesFleetAndShutsDown(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "draining") {
 		t.Errorf("no shutdown notice on stderr: %q", errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "GET /healthz") {
+		t.Errorf("-v did not log requests: %q", errOut.String())
 	}
 
 	// The store directory outlives the server: results land on disk.

@@ -1,6 +1,6 @@
 // NPB runs one NAS benchmark skeleton on a simulated grid and prints its
 // communication census and cluster-vs-grid timing — a small version of
-// what cmd/npbrun does for all of Figures 10-13.
+// what `gridrepro figure10 figure11 figure12 figure13` does.
 //
 // Both runs flow through the exp engine (the single execution front
 // door): the cluster placement is exp.Cluster(np), the grid placement an

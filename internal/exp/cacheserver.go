@@ -10,15 +10,14 @@ import (
 	"sync/atomic"
 )
 
-// CacheServer exposes a DiskCache directory over HTTP — the handler
-// cmd/cached serves and RemoteStore speaks to — and counts what it
-// serves, so a fleet can be debugged from /statusz instead of server
-// logs.
+// CacheServer exposes a DiskCache directory over HTTP — the results
+// half of the cmd/sweepd handler (NewQueueHandler), which RemoteStore
+// speaks to — and counts what it serves, so a fleet can be debugged
+// from /statusz instead of server logs.
 //
-// Routes (see Handler):
+// Routes:
 //
 //	GET  /healthz               liveness probe ("ok")
-//	GET  /statusz               JSON status: entry count + served counters
 //	GET  /v1/results            sorted JSON array of committed fingerprints
 //	HEAD /v1/results/<fp>       200 when a loadable entry exists, else 404
 //	GET  /v1/results/<fp>       the entry's schema-version envelope
@@ -47,10 +46,6 @@ type CacheServer struct {
 // NewCacheServer wraps a DiskCache in the HTTP serving layer.
 func NewCacheServer(c *DiskCache) *CacheServer { return &CacheServer{cache: c} }
 
-// NewCacheHandler is the one-call wiring used when the counters are not
-// needed separately: NewCacheServer(c).Handler().
-func NewCacheHandler(c *DiskCache) http.Handler { return NewCacheServer(c).Handler() }
-
 // Stats reports the served/ingested accounting in RemoteStats form —
 // the same shape the client side prints, seen from the server: Hits
 // are entries served, Misses clean 404s, Pushes accepted PUTs, Errors
@@ -65,52 +60,26 @@ func (s *CacheServer) Stats() RemoteStats {
 }
 
 // ServerStatus is the /statusz document: how many verified entries the
-// directory holds and what the server has served since boot.
+// directory holds, what the server has served since boot, and the
+// control plane's state.
 type ServerStatus struct {
 	// Entries counts committed fingerprints in the cache directory.
 	Entries int `json:"entries"`
 	// Served is the request accounting (see CacheServer.Stats).
 	Served RemoteStats `json:"served"`
-	// Jobs is the control-plane section, present only on a sweepd
-	// server (nil on a plain cached instance).
+	// Jobs is every submitted job's progress, omitted while there are
+	// none.
 	Jobs []JobStatus `json:"jobs,omitempty"`
 	// Queue is the control plane's tuning (lease TTL, slices, steal
-	// threshold, poll hint), present only on a sweepd server.
-	Queue *QueueConfigStatus `json:"queue,omitempty"`
+	// threshold, poll hint).
+	Queue QueueConfigStatus `json:"queue"`
 	// Journal is the write-ahead journal accounting, present only on a
 	// sweepd server running with -journal.
 	Journal *JournalStats `json:"journal,omitempty"`
 }
 
-// Handler builds the full route set, statusz included.
-func (s *CacheServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.register(mux)
-	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
-		s.writeStatus(w, nil)
-	})
-	return mux
-}
-
-// writeStatus renders the /statusz document, optionally decorated with
-// control-plane sections (jobs, queue tuning, journal accounting).
-func (s *CacheServer) writeStatus(w http.ResponseWriter, decorate func(*ServerStatus)) {
-	n, err := s.cache.Len()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	st := ServerStatus{Entries: n, Served: s.Stats()}
-	if decorate != nil {
-		decorate(&st)
-	}
-	writeJSON(w, st)
-}
-
-// register installs the health and results routes on a mux — shared by
-// the plain cached handler and the sweepd control plane, so both speak
-// the identical results protocol and a worker's RemoteStore cannot tell
-// them apart.
+// register installs the health and results routes on the control
+// plane's mux: the results protocol a worker's RemoteStore speaks.
 func (s *CacheServer) register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")

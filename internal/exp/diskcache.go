@@ -15,10 +15,10 @@ import (
 // one JSON file per experiment fingerprint under a single directory.
 // Because every Result is a pure function of its Experiment and the
 // fingerprint is a stable content hash of the experiment definition, a
-// cache directory can be reused across processes — and shared between
-// cmd/gridrepro, cmd/sweep and cmd/gridsim invocations, or sharded
-// across machines — without ever serving a result for the wrong
-// configuration.
+// cache directory can be reused across processes — shared between
+// cmd/gridrepro, cmd/sweep and cmd/gridsim invocations, served to other
+// machines by cmd/sweepd, or sharded across machines — without ever
+// serving a result for the wrong configuration.
 //
 // Writes go to a temporary file in the same directory followed by an
 // atomic rename, so a crashed or concurrent writer can never leave a
@@ -68,7 +68,7 @@ func (c *DiskCache) path(fp string) string {
 // current DiskSchemaVersion generation (entries written before
 // versioning read as 1), and the embedded experiment must hash back to
 // fp. It is the single trust gate shared by DiskCache.Load, the
-// RemoteStore client, and the cmd/cached ingest path — wherever an
+// RemoteStore client, and the cmd/sweepd ingest path — wherever an
 // entry crosses a process boundary, it passes through here first.
 func decodeEntry(blob []byte, fp string) (Result, error) {
 	var entry diskEntry

@@ -10,7 +10,7 @@
 // into a work list, and a Runner executes the list across a bounded worker
 // pool with result caching keyed by experiment fingerprint. Results
 // persist through the Store tier: a DiskCache directory on the local
-// machine, or a RemoteStore speaking to a shared cmd/cached server with
+// machine, or a RemoteStore speaking to a shared cmd/sweepd server with
 // the DiskCache as its read-through tier — which is how one sweep matrix
 // is sharded across machines (Shard) without ever recomputing a cell.
 //
@@ -286,7 +286,7 @@ func (e Experiment) normalized() Experiment {
 
 // Fingerprint is a stable content hash of the experiment definition
 // (SHA-256 of the normalized JSON, truncated to 16 hex digits): the
-// Runner's cache key, the DiskCache file name, the cmd/cached wire
+// Runner's cache key, the DiskCache file name, the cmd/sweepd wire
 // address, and the shard/verify partition key. Zero-value workload
 // aliases are normalized first, so e.g. NPB at Scale 0 and Scale 1.0
 // share a key. Stable across processes, machines and releases — a
@@ -524,6 +524,11 @@ func (e Experiment) check() error {
 		return err
 	}
 	wl := e.Workload
+	// A negative message size would run as an empty message and report
+	// a negative bandwidth.
+	if wl.Size < 0 || slices.ContainsFunc(wl.Sizes, func(n int) bool { return n < 0 }) {
+		return fmt.Errorf("exp: %s has a negative message size", wl)
+	}
 	switch wl.Kind {
 	case KindPingPong, KindTrace:
 		if e.Topology.NP() < 2 {

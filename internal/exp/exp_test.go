@@ -236,6 +236,13 @@ func TestBadExperimentsReportErr(t *testing.T) {
 		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 250e6, -time.Millisecond, 0, tinySizes, 1)},
 		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 250e6, time.Microsecond, -time.Millisecond, tinySizes, 1)},
 		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 1e-300, time.Microsecond, 0, tinySizes, 1)},
+		// A negative message size runs as an empty one and reports a
+		// negative bandwidth.
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload([]int{-1024}, 3)},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload([]int{1024, -1}, 3)},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: TraceWorkload(-1<<20, 3)},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(2), Workload: PatternWorkload("bcast", -4096, 1)},
+		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 250e6, time.Microsecond, 0, []int{-1}, 1)},
 	}
 	for _, e := range bad {
 		if res := Run(e); res.Err == "" {
@@ -299,8 +306,10 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParseSize("12q"); err == nil {
-		t.Error("ParseSize accepted garbage")
+	for _, bad := range []string{"12q", "-4k", "-1", "9223372036854775807k", "8589934592G", "99999999999999999999"} {
+		if n, err := ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) = %d, want an error", bad, n)
+		}
 	}
 }
 

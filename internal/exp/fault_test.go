@@ -29,7 +29,7 @@ func tinyFaultPlan() *FaultPlan {
 // TestEmptyFaultPlanIsInvisible is the satellite property test: an absent,
 // nil, or zero-value FaultPlan must leave the experiment's normalized JSON
 // — the input of the fingerprint, and with it the DiskCache filename
-// (<fingerprint>.json) and the cmd/cached wire address — byte-identical to
+// (<fingerprint>.json) and the cmd/sweepd wire address — byte-identical to
 // a pre-fault build's encoding. The expected bytes are hand-written, not
 // encoder output, so the test cannot rot into a tautology.
 func TestEmptyFaultPlanIsInvisible(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/perf"
 	"repro/internal/tables"
 )
 
@@ -75,13 +76,7 @@ func headline(r Result) string {
 	case r.Exp.Workload.Kind == KindPingPong:
 		return fmt.Sprintf("%.1f", r.MaxMbps())
 	case r.Exp.Workload.Kind == KindTrace:
-		best := 0.0
-		for _, p := range r.Trace {
-			if p.Mbps > best {
-				best = p.Mbps
-			}
-		}
-		return fmt.Sprintf("%.1f", best)
+		return fmt.Sprintf("%.1f", perf.MaxMbps(r.Trace))
 	default:
 		return fmt.Sprintf("%.2fs", r.Elapsed.Seconds())
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -106,18 +107,25 @@ func PatternBody(pattern string, size, iters int) (func(*mpi.Rank), error) {
 }
 
 // ParseSize parses a byte count with optional k/M/G suffixes (powers of
-// two), e.g. "64k", "1M".
+// two), e.g. "64k", "1M". Negative counts and counts that overflow an
+// int are errors.
 func ParseSize(s string) (int, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
+	num := strings.TrimSpace(strings.ToLower(s))
 	mult := 1
 	switch {
-	case strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "g")
-	case strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "m")
-	case strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "k")
+	case strings.HasSuffix(num, "g"):
+		mult, num = 1<<30, strings.TrimSuffix(num, "g")
+	case strings.HasSuffix(num, "m"):
+		mult, num = 1<<20, strings.TrimSuffix(num, "m")
+	case strings.HasSuffix(num, "k"):
+		mult, num = 1<<10, strings.TrimSuffix(num, "k")
 	}
-	n, err := strconv.Atoi(s)
-	return n * mult, err
+	n, err := strconv.Atoi(num)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 || n > math.MaxInt/mult {
+		return 0, fmt.Errorf("size %q is negative or too large", s)
+	}
+	return n * mult, nil
 }

@@ -46,7 +46,7 @@ type reportRequest struct {
 	Err         string `json:"err,omitempty"`
 }
 
-// NewQueueHandler assembles the sweepd control plane: the full cached
+// NewQueueHandler assembles the sweepd control plane: the CacheServer's
 // results protocol (workers' RemoteStores push verified entries through
 // it, clients pull finished cells from it) plus the job-queue routes:
 //
@@ -55,7 +55,8 @@ type reportRequest struct {
 //	GET  /v1/jobs/{id}          one job's progress snapshot
 //	POST /v1/jobs/{id}/report   close out one leased cell
 //	POST /v1/lease              pull one slice of pending work
-//	GET  /statusz               store counters + job list
+//	GET  /statusz               store counters, job list, queue tuning
+//	                            and journal accounting
 //
 // The queue must be backed by the same DiskCache the CacheServer
 // serves: done-verification reads the store that workers publish into.
@@ -63,12 +64,12 @@ func NewQueueHandler(q *JobQueue, cs *CacheServer) http.Handler {
 	mux := http.NewServeMux()
 	cs.register(mux)
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
-		cs.writeStatus(w, func(st *ServerStatus) {
-			st.Jobs = q.Jobs()
-			cfg := q.Config()
-			st.Queue = &cfg
-			st.Journal = q.JournalStats()
-		})
+		n, err := cs.cache.Len()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		writeJSON(w, ServerStatus{Entries: n, Served: cs.Stats(), Jobs: q.Jobs(), Queue: q.Config(), Journal: q.JournalStats()})
 	})
 	mux.HandleFunc("POST "+jobsPath, func(w http.ResponseWriter, r *http.Request) {
 		var req submitRequest

@@ -39,7 +39,7 @@ const maxEntryBytes = 16 << 20
 // entries a Load would not find.
 var fingerprintPat = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
-// RemoteStore is a Store served by a remote cmd/cached server: loads
+// RemoteStore is a Store served by a remote cmd/sweepd server: loads
 // GET the entry by fingerprint, stores PUT it back, and an optional
 // local DiskCache acts as a read-through/write-behind tier (remote hits
 // are copied down so the next run is warm; fresh results land in both).
@@ -71,7 +71,7 @@ type RemoteStore struct {
 	localErrors int64 // failed write-behinds into the local tier
 }
 
-// NewRemoteStore connects to a cmd/cached server at baseURL
+// NewRemoteStore connects to a cmd/sweepd server at baseURL
 // (http[s]://host:port). local, when non-nil, becomes the
 // read-through/write-behind tier; nil means remote-only (every load is
 // a round trip, every store a publish).
@@ -91,7 +91,7 @@ func NewRemoteStore(baseURL string, local *DiskCache) (*RemoteStore, error) {
 // same shape serves both sides of the wire: a client's view of one
 // store, and — via CacheServer.Stats, where Hits/Misses/Pushes count
 // requests answered rather than made — the /statusz document of a
-// cached or sweepd server.
+// sweepd server.
 type RemoteStats struct {
 	// LocalHits were served by the local read-through tier without a
 	// round trip.

@@ -18,7 +18,7 @@ import (
 	"repro/internal/mpiimpl"
 )
 
-// newCacheServer starts an in-process cached server over a fresh
+// newCacheServer starts an in-process sweepd handler over a fresh
 // directory and returns it with its backing store.
 func newCacheServer(t *testing.T) (*httptest.Server, *DiskCache) {
 	t.Helper()
@@ -26,9 +26,15 @@ func newCacheServer(t *testing.T) (*httptest.Server, *DiskCache) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewCacheHandler(store))
+	srv := httptest.NewServer(storeHandler(store))
 	t.Cleanup(srv.Close)
 	return srv, store
+}
+
+// storeHandler is the sweepd handler over store with an empty queue: the
+// results protocol plus /statusz.
+func storeHandler(store *DiskCache) http.Handler {
+	return NewQueueHandler(NewJobQueue(store, QueueConfig{}), NewCacheServer(store))
 }
 
 // envelope serializes one result as the wire/disk schema-version
@@ -391,7 +397,7 @@ func TestRemoteStoreMissKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var opened atomic.Int64
-	srv := httptest.NewUnstartedServer(NewCacheHandler(cache))
+	srv := httptest.NewUnstartedServer(storeHandler(cache))
 	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
 		if state == http.StateNew {
 			opened.Add(1)
@@ -428,7 +434,7 @@ func TestNewRemoteStoreRejectsBadURLs(t *testing.T) {
 }
 
 // TestShardedSweepThroughRemoteMatchesLocal is the acceptance check in
-// miniature: two shard workers sharing one cached server cover the full
+// miniature: two shard workers sharing one result server cover the full
 // matrix between them, and a replay through the same server recomputes
 // nothing while serving 100% from the remote tier, byte-identical to a
 // direct local run.
@@ -569,7 +575,7 @@ func TestPushPullRoundTrip(t *testing.T) {
 	}
 }
 
-// flakyCacheServer wraps a real cache handler so tests can break the
+// flakyCacheServer wraps a real sweepd handler so tests can break the
 // transfer of chosen fingerprints: PUTs are 422ed, GETs answer garbage.
 func flakyCacheServer(t *testing.T) (*httptest.Server, *DiskCache, map[string]bool) {
 	t.Helper()
@@ -578,7 +584,7 @@ func flakyCacheServer(t *testing.T) (*httptest.Server, *DiskCache, map[string]bo
 		t.Fatal(err)
 	}
 	broken := make(map[string]bool)
-	inner := NewCacheHandler(store)
+	inner := storeHandler(store)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if fp := strings.TrimPrefix(r.URL.Path, resultsPath+"/"); broken[fp] {
 			switch r.Method {

@@ -21,7 +21,7 @@ package exp
 //   - Both methods are safe for concurrent use by many goroutines.
 //
 // DiskCache implements the interface over a local directory; RemoteStore
-// implements it over HTTP against a cmd/cached server, with an optional
+// implements it over HTTP against a cmd/sweepd server, with an optional
 // DiskCache as a read-through/write-behind tier.
 type Store interface {
 	Load(fingerprint string) (Result, bool)

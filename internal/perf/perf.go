@@ -63,16 +63,6 @@ func PingPong(w *mpi.World, sizes []int, reps int) ([]Point, error) {
 	return points, err
 }
 
-// Latency1Byte runs the Table 4 measurement: minimum one-way latency of a
-// 1-byte pingpong.
-func Latency1Byte(w *mpi.World, reps int) (time.Duration, error) {
-	pts, err := PingPong(w, []int{1}, reps)
-	if err != nil {
-		return 0, err
-	}
-	return pts[0].OneWay(), nil
-}
-
 // TracePoint is one message of a bandwidth trace: when the round trip
 // finished and the bandwidth that message achieved.
 type TracePoint struct {

@@ -88,15 +88,3 @@ func TestPowersOfTwoSizes(t *testing.T) {
 		}
 	}
 }
-
-func TestLatency1Byte(t *testing.T) {
-	k, w := world()
-	defer k.Close()
-	lat, err := Latency1Byte(w, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat < 5800*time.Microsecond || lat > 5830*time.Microsecond {
-		t.Fatalf("1-byte one-way latency = %v", lat)
-	}
-}
