@@ -204,12 +204,13 @@ func (r EvictReport) String() string {
 		r.Removed, r.Scanned, r.RemovedBytes, r.RemainingBytes)
 }
 
-// Evict applies an age/size bound to the cache directory: entries older
-// than MaxAge go first, then oldest-first entries until the total is
-// within MaxBytes. Stale temp files from crashed writers (older than an
-// hour) are cleaned up as a side effect. Eviction is maintenance, not
-// correctness: a concurrently re-written entry simply survives as a
-// fresh file.
+// Evict applies an age/size bound to the cache directory's entries:
+// entries older than MaxAge go first, then oldest-first entries until the
+// total is within MaxBytes. Files that are not fingerprint-named entries
+// are left alone, except that stale temp files from crashed writers
+// (older than an hour) are cleaned up as a side effect. Eviction is
+// maintenance, not correctness: a concurrently re-written entry simply
+// survives as a fresh file.
 func (c *DiskCache) Evict(p EvictPolicy) (EvictReport, error) {
 	dirEntries, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -237,7 +238,7 @@ func (c *DiskCache) Evict(p EvictPolicy) (EvictReport, error) {
 			}
 			continue
 		}
-		if filepath.Ext(e.Name()) != ".json" {
+		if _, ok := entryFingerprint(e.Name()); !ok {
 			continue
 		}
 		files = append(files, file{e.Name(), info.Size(), info.ModTime()})
@@ -281,26 +282,26 @@ func (c *DiskCache) Evict(p EvictPolicy) (EvictReport, error) {
 	return rep, nil
 }
 
-// Len counts the committed entries in the cache directory.
+// Len counts the committed entries in the cache directory, as
+// Fingerprints lists them.
 func (c *DiskCache) Len() (int, error) {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
-			n++
-		}
-	}
-	return n, nil
+	fps, err := c.Fingerprints()
+	return len(fps), err
+}
+
+// entryFingerprint returns the fingerprint a file name stores an entry
+// for, and whether the name is an entry's at all.
+func entryFingerprint(name string) (string, bool) {
+	fp, ok := strings.CutSuffix(name, ".json")
+	return fp, ok && fingerprintPat.MatchString(fp)
 }
 
 // Fingerprints lists the committed entry keys, sorted. Only file names
 // that are actually fingerprints count — in-flight temp files and stray
-// foreign .json files in the directory are excluded, so the sync and
-// index paths built on this enumeration never chase keys no Load could
-// serve. Entries are not verified (Load does that when they are read).
+// foreign .json files in the directory are excluded, so Len, Verify,
+// Evict and the sync and index paths built on this enumeration never
+// count, chase or delete keys no Load could serve. Entries are not
+// verified (Load does that when they are read).
 func (c *DiskCache) Fingerprints() ([]string, error) {
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -308,15 +309,9 @@ func (c *DiskCache) Fingerprints() ([]string, error) {
 	}
 	var fps []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != ".json" {
-			continue
+		if fp, ok := entryFingerprint(e.Name()); ok && !e.IsDir() {
+			fps = append(fps, fp)
 		}
-		fp := strings.TrimSuffix(name, ".json")
-		if !fingerprintPat.MatchString(fp) {
-			continue
-		}
-		fps = append(fps, fp)
 	}
 	sort.Strings(fps)
 	return fps, nil

@@ -280,6 +280,55 @@ func TestDiskCacheEvict(t *testing.T) {
 	}
 }
 
+// TestDiskCacheIgnoresStrayFiles: files in the cache directory that are
+// not fingerprint-named entries — a user's notes.json, an upper-case hex
+// name — are not counted by Len, not sampled by Verify, and never deleted
+// by Evict, however old they are.
+func TestDiskCacheIgnoresStrayFiles(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewRunnerStore(1, store).RunAll([]Experiment{tinyPingPong(mpiimpl.RawTCP, Tuning{})})
+	stray := []string{"notes.json", "ABCDEF0123456789.json"}
+	old := time.Now().Add(-48 * time.Hour)
+	for _, name := range stray {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(`{"note": "not a cache entry"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := store.Len(); err != nil || n != 1 {
+		t.Errorf("Len = %d, %v; want 1", n, err)
+	}
+	if fps, err := store.Fingerprints(); err != nil || len(fps) != 1 {
+		t.Errorf("Fingerprints = %v, %v; want 1", fps, err)
+	}
+	rep, err := store.Verify(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Entries != 1 || rep.Sampled != 1 || rep.Unreadable != 0 || !rep.OK() {
+		t.Errorf("Verify = %s; want 1 of 1 entries sampled, none unreadable", rep)
+	}
+	ev, err := store.Evict(EvictPolicy{MaxAge: 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Scanned != 1 || ev.Removed != 0 {
+		t.Errorf("Evict = %s; want 0 of 1 entries removed", ev)
+	}
+	for _, name := range stray {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("Evict deleted the stray file %s: %v", name, err)
+		}
+	}
+}
+
 // TestParseEvictPolicy covers the CLI spec syntax.
 func TestParseEvictPolicy(t *testing.T) {
 	p, err := ParseEvictPolicy("720h,512M")

@@ -164,40 +164,29 @@ func (p *FaultPlan) inject(k *sim.Kernel, net *netsim.Network) error {
 		if err != nil {
 			return fmt.Errorf("exp: fault event %d: %w", i, err)
 		}
+		k.Schedule(ev.At, func() { ev.apply(links) })
+	}
+	return nil
+}
+
+// apply sets the event's fault state on its target links.
+func (ev FaultEvent) apply(links []*netsim.Link) {
+	for _, l := range links {
 		switch ev.Kind {
 		case FaultDown, FaultCrash:
 			// A crash is a down with no matching up (Validate rejects one):
 			// the host's ranks park on sends and receives that can never
 			// complete, the run DNFs at its time budget, and Kernel.Close
 			// aborts the permanently-parked processes.
-			k.Schedule(ev.At, func() {
-				for _, l := range links {
-					l.SetDown(true)
-				}
-			})
+			l.SetDown(true)
 		case FaultUp:
-			k.Schedule(ev.At, func() {
-				for _, l := range links {
-					l.SetDown(false)
-				}
-			})
+			l.SetDown(false)
 		case FaultLoss:
-			loss := ev.Loss
-			k.Schedule(ev.At, func() {
-				for _, l := range links {
-					l.SetExtraLoss(loss)
-				}
-			})
+			l.SetExtraLoss(ev.Loss)
 		case FaultJitter:
-			jit := ev.Jitter
-			k.Schedule(ev.At, func() {
-				for _, l := range links {
-					l.SetJitter(jit)
-				}
-			})
+			l.SetJitter(ev.Jitter)
 		}
 	}
-	return nil
 }
 
 // resolve maps one event's target spec to concrete links: a site's uplink

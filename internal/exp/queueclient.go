@@ -320,10 +320,6 @@ func (c *QueueClient) Work(cfg WorkerConfig) WorkerReport {
 			time.Sleep(poll())
 			continue
 		}
-		if down {
-			down = false
-			logf("sweepd reachable again")
-		}
 		idle = 0
 		rep.Leases++
 		logf("lease %s: %d cells of job %s", grant.Lease, len(grant.Cells), grant.Job)

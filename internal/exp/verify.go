@@ -4,13 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 )
 
 // VerifyMismatch is one cache entry whose stored result the current
@@ -68,88 +62,48 @@ func sampledBy(fp string, p float64) bool {
 	if p <= 0 {
 		return false
 	}
-	v, err := strconv.ParseUint(fp, 16, 64)
-	if err != nil {
-		return true // fail open: never silently exempt a strange entry
-	}
+	v, _ := strconv.ParseUint(fp, 16, 64) // a fingerprint is 16 hex digits
 	return float64(v>>11)/(1<<53) < p
 }
 
 // Verify re-executes a deterministic fingerprint-keyed sample fraction p
-// of the cache's entries across a worker pool and compares the fresh
-// results byte-for-byte (canonical JSON) with the stored ones. It is the
-// stale-simulator detector: after a change to the simulation kernel or
-// the models above it, a non-empty mismatch list means the code now
-// computes different results and DiskSchemaVersion must be bumped (with
-// goldens regenerated); an empty one is direct evidence the change
-// preserved every sampled trajectory.
+// of the cache's entries on a storeless Runner of the given worker count
+// and compares the fresh results byte-for-byte (canonical JSON) with the
+// stored ones. It is the stale-simulator detector: after a change to the
+// simulation kernel or the models above it, a non-empty mismatch list
+// means the code now computes different results and DiskSchemaVersion
+// must be bumped (with goldens regenerated); an empty one is direct
+// evidence the change preserved every sampled trajectory.
 func (c *DiskCache) Verify(p float64, workers int) (VerifyReport, error) {
-	entries, err := os.ReadDir(c.dir)
+	fps, err := c.Fingerprints()
 	if err != nil {
 		return VerifyReport{}, err
 	}
-	var rep VerifyReport
-	var sample []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != ".json" || strings.Contains(name, ".tmp-") {
+	rep := VerifyReport{Entries: len(fps)}
+	var stored []Result
+	var exps []Experiment
+	for _, fp := range fps { // sorted: deterministic work and report order
+		if !sampledBy(fp, p) {
 			continue
 		}
-		rep.Entries++
-		if fp := strings.TrimSuffix(name, ".json"); sampledBy(fp, p) {
-			sample = append(sample, fp)
-		}
-	}
-	sort.Strings(sample) // deterministic work order and report order
-	rep.Sampled = len(sample)
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0) // match NewRunner's "-workers 0" default
-	}
-	if workers > len(sample) {
-		workers = len(sample)
-	}
-
-	type outcome struct {
-		unreadable bool
-		mismatch   *VerifyMismatch
-	}
-	outcomes := make([]outcome, len(sample))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fp := sample[i]
-				stored, ok := c.Load(fp)
-				if !ok {
-					outcomes[i] = outcome{unreadable: true}
-					continue
-				}
-				fresh := Run(stored.Exp)
-				if d := diffResults(stored, fresh); d != "" {
-					outcomes[i] = outcome{mismatch: &VerifyMismatch{
-						Fingerprint: fp,
-						Name:        stored.Exp.Name(),
-						Detail:      d,
-					}}
-				}
-			}
-		}()
-	}
-	for i := range sample {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	for _, o := range outcomes {
-		if o.unreadable {
+		rep.Sampled++
+		res, ok := c.Load(fp)
+		if !ok {
 			rep.Unreadable++
+			continue
 		}
-		if o.mismatch != nil {
-			rep.Mismatches = append(rep.Mismatches, *o.mismatch)
+		stored = append(stored, res)
+		exps = append(exps, res.Exp)
+	}
+	// A storeless Runner computes every cell fresh and returns the results
+	// in input order.
+	for i, fresh := range NewRunner(workers).RunAll(exps) {
+		if d := diffResults(stored[i], fresh); d != "" {
+			rep.Mismatches = append(rep.Mismatches, VerifyMismatch{
+				Fingerprint: exps[i].Fingerprint(),
+				Name:        exps[i].Name(),
+				Detail:      d,
+			})
 		}
 	}
 	return rep, nil

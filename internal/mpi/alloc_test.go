@@ -112,15 +112,15 @@ func TestArenaRecycling(t *testing.T) {
 	if _, err := w.Run(body); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.freeMsgs) == 0 || len(w.freeDeliv) == 0 {
-		t.Fatalf("pools empty after traffic: msgs=%d deliveries=%d", len(w.freeMsgs), len(w.freeDeliv))
+	if len(w.msgs.free) == 0 || len(w.delivs.free) == 0 {
+		t.Fatalf("pools empty after traffic: msgs=%d deliveries=%d", len(w.msgs.free), len(w.delivs.free))
 	}
-	msgs, deliv, reqs := len(w.freeMsgs), len(w.freeDeliv), len(w.freeReqs)
+	msgs, deliv, reqs := len(w.msgs.free), len(w.delivs.free), len(w.reqs.free)
 	if _, err := w.Run(body); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.freeMsgs) != msgs || len(w.freeDeliv) != deliv || len(w.freeReqs) != reqs {
+	if len(w.msgs.free) != msgs || len(w.delivs.free) != deliv || len(w.reqs.free) != reqs {
 		t.Fatalf("pool sizes changed on identical rerun: msgs %d→%d deliveries %d→%d reqs %d→%d",
-			msgs, len(w.freeMsgs), deliv, len(w.freeDeliv), reqs, len(w.freeReqs))
+			msgs, len(w.msgs.free), deliv, len(w.delivs.free), reqs, len(w.reqs.free))
 	}
 }

@@ -1,13 +1,15 @@
 package mpi
 
-// Protocol arenas: free lists recycling the per-message objects a sweep
-// used to heap-allocate once per message — Requests, arrived-but-unmatched
-// inMsg envelopes, Isend protocol bodies (sendJob) and delivery callbacks
-// (delivery) — plus the rendezvous CTS signals. A World runs on a single
-// kernel, which is one flow of control (see sim.Proc), so the pools need
-// no locking. Together with the kernel's event slab and pooled process
-// coroutines, steady-state message traffic allocates nothing (pinned by
-// TestMpiHotPathAllocFree).
+// Protocol arenas: one free-list type recycles the per-message objects a
+// sweep would otherwise heap-allocate once per message — Requests,
+// arrived-but-unmatched inMsg envelopes, Isend protocol bodies (sendJob),
+// delivery records (delivery) and the rendezvous CTS signals. Each kind
+// keeps its reset where it is used: a Request's done signal is rearmed on
+// get, a CTS signal is Reset on get, and records are zeroed before put. A
+// World runs on a single kernel, which is one flow of control (see
+// sim.Proc), so the lists need no locking. Together with the kernel's
+// event slab and pooled process coroutines, steady-state message traffic
+// allocates nothing (pinned by TestMpiHotPathAllocFree).
 
 import "repro/internal/sim"
 
@@ -28,7 +30,9 @@ func runSendJob(p *sim.Proc, a any) {
 	j := a.(*sendJob)
 	j.r.sendProto(p, j.dst, j.tag, j.size, j.ctx, false, j.data)
 	j.req.done.Fire()
-	j.r.w.putJob(j)
+	w := j.r.w
+	*j = sendJob{}
+	w.jobs.put(j)
 }
 
 // Delivery kinds: what runDelivery does when the bytes land.
@@ -70,94 +74,40 @@ func runDelivery(a any) {
 	default:
 		d.dst.deliverRndvData(d.reqID)
 	}
-	w.putDelivery(d)
-}
-
-// getReq takes a Request from the pool, keeping its done Signal across
-// recycles (rearmed here). Requests return to the pool when Wait returns.
-func (w *World) getReq(r *Rank) *Request {
-	if n := len(w.freeReqs); n > 0 {
-		q := w.freeReqs[n-1]
-		w.freeReqs[n-1] = nil
-		w.freeReqs = w.freeReqs[:n-1]
-		q.rank = r
-		q.done.Reset()
-		return q
-	}
-	return &Request{rank: r, done: w.K.NewSignal()}
-}
-
-func (w *World) putReq(q *Request) {
-	q.rank = nil
-	q.isRecv = false
-	q.ctx, q.src, q.tag = 0, 0, 0
-	q.Status = Status{} // drop the payload ref; don't pin user data
-	w.freeReqs = append(w.freeReqs, q)
-}
-
-// getMsg takes a zeroed inMsg from the pool. Messages return to the pool
-// at their consumption points: an eager match, an unexpected-queue take,
-// or rendezvous acceptance.
-func (w *World) getMsg() *inMsg {
-	if n := len(w.freeMsgs); n > 0 {
-		m := w.freeMsgs[n-1]
-		w.freeMsgs[n-1] = nil
-		w.freeMsgs = w.freeMsgs[:n-1]
-		return m
-	}
-	return &inMsg{}
-}
-
-func (w *World) putMsg(m *inMsg) {
-	*m = inMsg{}
-	w.freeMsgs = append(w.freeMsgs, m)
-}
-
-func (w *World) getJob() *sendJob {
-	if n := len(w.freeJobs); n > 0 {
-		j := w.freeJobs[n-1]
-		w.freeJobs[n-1] = nil
-		w.freeJobs = w.freeJobs[:n-1]
-		return j
-	}
-	return &sendJob{}
-}
-
-func (w *World) putJob(j *sendJob) {
-	*j = sendJob{}
-	w.freeJobs = append(w.freeJobs, j)
-}
-
-func (w *World) getDelivery() *delivery {
-	if n := len(w.freeDeliv); n > 0 {
-		d := w.freeDeliv[n-1]
-		w.freeDeliv[n-1] = nil
-		w.freeDeliv = w.freeDeliv[:n-1]
-		return d
-	}
-	return &delivery{}
-}
-
-func (w *World) putDelivery(d *delivery) {
 	*d = delivery{}
-	w.freeDeliv = append(w.freeDeliv, d)
+	w.delivs.put(d)
 }
 
-// getSignal takes a rearmed one-shot Signal from the pool (rendezvous CTS
-// gates); putSignal accepts only fired signals, per Signal.Reset.
-func (w *World) getSignal() *sim.Signal {
-	if n := len(w.freeSigs); n > 0 {
-		s := w.freeSigs[n-1]
-		w.freeSigs[n-1] = nil
-		w.freeSigs = w.freeSigs[:n-1]
-		s.Reset()
-		return s
+// freeList recycles one kind of pooled object. get pops the most recently
+// put one, or makes one with fresh (new(T) when fresh is nil).
+type freeList[T any] struct {
+	free  []*T
+	fresh func() *T
+}
+
+func (l *freeList[T]) get() *T {
+	n := len(l.free)
+	if n == 0 {
+		if l.fresh != nil {
+			return l.fresh()
+		}
+		return new(T)
 	}
-	return w.K.NewSignal()
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
 }
 
-func (w *World) putSignal(s *sim.Signal) {
-	w.freeSigs = append(w.freeSigs, s)
+func (l *freeList[T]) put(x *T) { l.free = append(l.free, x) }
+
+// getReq takes a Request for rank r, keeping its done Signal across
+// recycles (rearmed here). Requests return to the list when Wait returns.
+func (w *World) getReq(r *Rank) *Request {
+	q := w.reqs.get()
+	q.rank = r
+	q.done.Reset()
+	return q
 }
 
 // popAt removes element i of s preserving order, zeroing the vacated tail

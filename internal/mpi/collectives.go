@@ -34,7 +34,7 @@ func (r *Rank) csend(dst, tag int, size int64) {
 
 func (r *Rank) cisend(dst, tag int, size int64) *Request {
 	req := r.w.getReq(r)
-	j := r.w.getJob()
+	j := r.w.jobs.get()
 	j.r, j.dst, j.tag, j.ctx, j.size, j.req = r, dst, tag, ctxColl, size, req
 	r.w.K.GoJob("coll-isend", runSendJob, j)
 	return req

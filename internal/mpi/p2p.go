@@ -84,7 +84,7 @@ func (r *Rank) Isend(dst, tag int, size int) *Request {
 func (r *Rank) IsendPayload(dst, tag, size int, data any) *Request {
 	req := r.w.getReq(r)
 	r.recordUserSend(dst, int64(size))
-	j := r.w.getJob()
+	j := r.w.jobs.get()
 	j.r, j.dst, j.tag, j.ctx, j.size, j.data, j.req = r, dst, tag, ctxUser, int64(size), data, req
 	r.w.K.GoJob("isend", runSendJob, j)
 	return req
@@ -125,9 +125,9 @@ func (r *Rank) sendProto(p *sim.Proc, dst, tag int, size int64, ctx int, record 
 	}
 
 	if !prof.UsesRendezvous(int(size)) {
-		m := r.w.getMsg()
+		m := r.w.msgs.get()
 		m.ctx, m.src, m.tag, m.size, m.eager, m.data = ctx, r.id, tag, size, true, data
-		d := r.w.getDelivery()
+		d := r.w.delivs.get()
 		d.src, d.dst, d.m, d.big, d.kind = r, dstRank, m, big, delivEager
 		r.sendPayload(p, flow, dst, wan, EnvelopeBytes+size, d)
 		return
@@ -141,17 +141,18 @@ func (r *Rank) sendProto(p *sim.Proc, dst, tag int, size int64, ctx int, record 
 		lock.Lock(p)
 	}
 	reqID := r.newReqID()
-	cts := r.w.getSignal()
+	cts := r.w.sigs.get()
+	cts.Reset()
 	r.pendingCTS[reqID] = cts
-	m := r.w.getMsg()
+	m := r.w.msgs.get()
 	m.ctx, m.src, m.tag, m.size, m.reqID, m.data = ctx, r.id, tag, size, reqID, data
-	rts := r.w.getDelivery()
+	rts := r.w.delivs.get()
 	rts.src, rts.dst, rts.m, rts.kind = r, dstRank, m, delivRTS
 	flow.SendArg(p, ControlBytes, runDelivery, rts)
 	cts.Wait(p)
 	delete(r.pendingCTS, reqID)
-	r.w.putSignal(cts)
-	d := r.w.getDelivery()
+	r.w.sigs.put(cts) // fired, so Reset may rearm it
+	d := r.w.delivs.get()
 	d.src, d.dst, d.reqID, d.big, d.kind = r, dstRank, reqID, big, delivRndvData
 	r.sendPayload(p, flow, dst, wan, EnvelopeBytes+size, d)
 	if lock != nil {
@@ -165,8 +166,7 @@ func (r *Rank) sendProto(p *sim.Proc, dst, tag int, size int64, ctx int, record 
 // applied as one aggregate delay so the TCP stream itself stays
 // contiguous. When the profile stripes large WAN messages over parallel
 // streams (MPICH-G2), the payload is split across extra flows and
-// delivered when the last stripe lands (the one closure the rare striped
-// path still allocates).
+// delivered when the last stripe lands.
 func (r *Rank) sendPayload(p *sim.Proc, flow *tcpsim.Flow, dst int, wan bool, wireBytes int64, d *delivery) {
 	if fs := int64(r.w.Prof.FragmentSize); fs > 0 && wireBytes > fs {
 		frags := (wireBytes + fs - 1) / fs
@@ -174,7 +174,7 @@ func (r *Rank) sendPayload(p *sim.Proc, flow *tcpsim.Flow, dst int, wan bool, wi
 	}
 	streams := r.w.Prof.ParallelStreams
 	if streams > 1 && wan && wireBytes >= int64(r.w.Prof.StreamMinSize) {
-		r.sendStriped(p, dst, streams, wireBytes, func() { runDelivery(d) })
+		r.sendStriped(p, dst, streams, wireBytes, d)
 		return
 	}
 	flow.SendArg(p, wireBytes, runDelivery, d)
@@ -182,14 +182,14 @@ func (r *Rank) sendPayload(p *sim.Proc, flow *tcpsim.Flow, dst int, wan bool, wi
 
 // sendStriped splits the payload across parallel TCP streams to dst. The
 // call keeps eager semantics: it returns once every stripe is buffered,
-// and delivered fires when the slowest stripe has fully arrived.
-func (r *Rank) sendStriped(p *sim.Proc, dst, streams int, wireBytes int64, delivered func()) {
+// and d fires when the slowest stripe has fully arrived.
+func (r *Rank) sendStriped(p *sim.Proc, dst, streams int, wireBytes int64, d *delivery) {
 	stripe := wireBytes / int64(streams)
 	remaining := streams
 	lastLanded := func() {
 		remaining--
-		if remaining == 0 && delivered != nil {
-			delivered()
+		if remaining == 0 {
+			runDelivery(d)
 		}
 	}
 	buffered := r.w.K.NewSignal()
@@ -248,7 +248,8 @@ func (r *Rank) irecv(src, tag, ctx int) *Request {
 			req.Status = m.status()
 			copyCost := time.Duration(float64(m.size) / r.w.Prof.CopyRate * float64(time.Second))
 			req.done.FireAfter(copyCost)
-			r.w.putMsg(m)
+			*m = inMsg{}
+			r.w.msgs.put(m)
 		} else {
 			r.acceptRndv(req, m)
 		}
@@ -264,7 +265,8 @@ func (r *Rank) irecv(src, tag, ctx int) *Request {
 func (r *Rank) Wait(req *Request) Status {
 	req.done.Wait(r.proc)
 	st := req.Status
-	r.w.putReq(req)
+	*req = Request{done: req.done} // drop the payload ref; don't pin user data
+	r.w.reqs.put(req)
 	return st
 }
 
@@ -291,7 +293,8 @@ func (r *Rank) deliverEager(m *inMsg) {
 	if req := r.matchPosted(m); req != nil {
 		req.Status = m.status()
 		req.done.Fire()
-		r.w.putMsg(m)
+		*m = inMsg{}
+		r.w.msgs.put(m)
 		return
 	}
 	r.w.stats.Unexpected++
@@ -313,10 +316,11 @@ func (r *Rank) acceptRndv(req *Request, m *inMsg) {
 	req.Status = m.status()
 	r.rndvRecv[m.reqID] = req
 	src := r.w.ranks[m.src]
-	d := r.w.getDelivery()
+	d := r.w.delivs.get()
 	d.src, d.dst, d.reqID, d.kind = r, src, m.reqID, delivCTS
 	r.flowTo(m.src).SendAsyncArg(ControlBytes, runDelivery, d)
-	r.w.putMsg(m)
+	*m = inMsg{}
+	r.w.msgs.put(m)
 }
 
 // fireCTS wakes the sender blocked on the rendezvous handshake.

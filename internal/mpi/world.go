@@ -33,13 +33,12 @@ type World struct {
 	partition *sites
 
 	// Protocol arenas (see arena.go): free lists for the per-message
-	// objects, shared by all ranks of the job. Single flow of control —
-	// no locking.
-	freeReqs  []*Request
-	freeMsgs  []*inMsg
-	freeJobs  []*sendJob
-	freeDeliv []*delivery
-	freeSigs  []*sim.Signal
+	// objects, shared by all ranks of the job.
+	reqs   freeList[Request]
+	msgs   freeList[inMsg]
+	jobs   freeList[sendJob]
+	delivs freeList[delivery]
+	sigs   freeList[sim.Signal]
 }
 
 // NewWorld creates a world with rank i running on hosts[i]. The profile's
@@ -50,6 +49,8 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, tcp tcpsim.Config, prof Profil
 	}
 	tcp.Pacing = prof.Pacing
 	w := &World{K: k, Net: net, TCP: tcp, Prof: prof, hosts: hosts, stats: newStats()}
+	w.reqs.fresh = func() *Request { return &Request{done: k.NewSignal()} }
+	w.sigs.fresh = k.NewSignal
 	w.ranks = make([]*Rank, len(hosts))
 	for i, h := range hosts {
 		w.ranks[i] = &Rank{

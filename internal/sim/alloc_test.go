@@ -57,7 +57,7 @@ func TestScheduleFutureAllocFree(t *testing.T) {
 }
 
 // TestSleepAllocFree locks the process wakeup path: a steady-state Sleep
-// is one typed transfer event plus a coroutine switch each way — no
+// is one transfer event plus a coroutine switch each way — no
 // closures, no per-iteration allocation.
 func TestSleepAllocFree(t *testing.T) {
 	skipIfRace(t)
@@ -152,5 +152,33 @@ func TestParkResumeAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Park/Resume cycle allocates %v/op, want 0", allocs)
+	}
+}
+
+// nopArg is a package-level fn(arg) event.
+func nopArg(any) {}
+
+// TestScheduleArgAllocFree locks the fn(arg) primitive: once the slab,
+// ring and heap are warm, ScheduleArg with a package-level fn and a
+// pointer arg, now and in the future, plus the Steps that run them
+// allocate nothing.
+func TestScheduleArgAllocFree(t *testing.T) {
+	skipIfRace(t)
+	k := New(1)
+	defer k.Close()
+	arg := new(int)
+	for i := 0; i < 64; i++ { // warm the slab, ring and heap
+		k.ScheduleArg(k.Now(), nopArg, arg)
+		k.ScheduleArg(k.Now()+time.Duration(i+1)*time.Microsecond, nopArg, arg)
+	}
+	k.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		k.ScheduleArg(k.Now(), nopArg, arg)
+		k.ScheduleArg(k.Now()+time.Microsecond, nopArg, arg)
+		k.Step()
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("ScheduleArg+Step allocates %v/op, want 0", allocs)
 	}
 }

@@ -26,8 +26,12 @@
 //     to a FIFO ring buffer that Step drains ahead of any later-time heap
 //     event. The (time, seq) execution order is identical to a single
 //     heap (see Step for the invariant), just cheaper.
-//   - Waking a process is a typed event ({at, seq, proc}), not a closure,
-//     so Sleep and the synchronization primitives capture nothing.
+//   - Every event is one of two kinds: a process transfer (hand control to
+//     a *Proc) or a deferred call fn(arg), a package-level function plus
+//     its argument (ScheduleArg). Sleep, the synchronization primitives,
+//     Signal.FireAfter and the TCP flows' round steps capture nothing;
+//     Schedule and After pass their func() as the argument of one
+//     package-level adapter.
 //   - Processes themselves are pooled continuations (see Proc): parking is
 //     a same-thread coroutine switch, not a channel handoff through the Go
 //     scheduler, and a finished process's coroutine is recycled by the next
@@ -45,17 +49,14 @@ import (
 // formatting.
 type Time = time.Duration
 
-// event is a scheduled callback, stored by value in the kernel's slab.
-// Exactly one of fn, proc or sig is set: fn is a generic callback, proc a
-// typed process transfer (wake the process, no closure), sig a typed
-// deferred Signal.Fire.
+// event is a scheduled call, stored by value in the kernel's slab: fn(arg),
+// or, when fn is nil, a process transfer to the *Proc in arg.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	proc *Proc
-	sig  *Signal
-	// gen is the proc generation this wakeup targets; transfer drops the
+	at  Time
+	seq uint64
+	fn  func(any)
+	arg any
+	// gen is the proc generation a transfer targets; transfer drops the
 	// event if the Proc has since finished and been recycled (see Proc.gen).
 	gen uint32
 }
@@ -128,7 +129,7 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // alloc takes a slab slot (recycling freed ones), assigns the next
 // sequence number and fills the event in.
-func (k *Kernel) alloc(at Time, fn func(), p *Proc, s *Signal) int32 {
+func (k *Kernel) alloc(at Time, fn func(any), arg any, gen uint32) int32 {
 	k.seq++
 	var idx int32
 	if n := len(k.free); n > 0 {
@@ -139,16 +140,13 @@ func (k *Kernel) alloc(at Time, fn func(), p *Proc, s *Signal) int32 {
 		idx = int32(len(k.slab) - 1)
 	}
 	ev := &k.slab[idx]
-	ev.at, ev.seq, ev.fn, ev.proc, ev.sig = at, k.seq, fn, p, s
-	if p != nil {
-		ev.gen = p.gen
-	}
+	ev.at, ev.seq, ev.fn, ev.arg, ev.gen = at, k.seq, fn, arg, gen
 	return idx
 }
 
 // schedule routes one event to the ring (same-instant fast path) or the
 // heap (future instants). Times in the past are clamped to the present.
-func (k *Kernel) schedule(at Time, fn func(), p *Proc, s *Signal) {
+func (k *Kernel) schedule(at Time, fn func(any), arg any, gen uint32) {
 	if k.closed {
 		return
 	}
@@ -156,23 +154,30 @@ func (k *Kernel) schedule(at Time, fn func(), p *Proc, s *Signal) {
 		// Same-instant FIFO: runs at Now, after already-queued events for
 		// Now, in insertion order — exactly the (time, seq) heap order,
 		// without the heap churn.
-		k.ringPush(k.alloc(k.now, fn, p, s))
+		k.ringPush(k.alloc(k.now, fn, arg, gen))
 		return
 	}
-	k.heapPush(k.alloc(at, fn, p, s))
+	k.heapPush(k.alloc(at, fn, arg, gen))
 }
 
-// Schedule runs fn at virtual time at. Times in the past are clamped to the
-// present: the event runs at Now, after already-queued events for Now.
-func (k *Kernel) Schedule(at Time, fn func()) { k.schedule(at, fn, nil, nil) }
+// ScheduleArg runs fn(arg) at virtual time at. Times in the past are
+// clamped to the present: the event runs at Now, after already-queued
+// events for Now. A package-level fn with a pointer arg schedules without
+// allocating.
+func (k *Kernel) ScheduleArg(at Time, fn func(any), arg any) { k.schedule(at, fn, arg, 0) }
+
+// Schedule runs fn at virtual time at, like ScheduleArg.
+func (k *Kernel) Schedule(at Time, fn func()) { k.schedule(at, call, fn, 0) }
 
 // After runs fn d from now. Negative delays are clamped to zero.
-func (k *Kernel) After(d time.Duration, fn func()) { k.schedule(k.now+d, fn, nil, nil) }
+func (k *Kernel) After(d time.Duration, fn func()) { k.schedule(k.now+d, call, fn, 0) }
 
-// scheduleProc schedules a typed process-transfer event: at time at, hand
-// control to p. It is the closure-free wakeup used by Sleep, Signal.Fire
-// and Mutex.Unlock.
-func (k *Kernel) scheduleProc(at Time, p *Proc) { k.schedule(at, nil, p, nil) }
+// call is the event of Schedule and After: their func() is its argument.
+func call(fn any) { fn.(func())() }
+
+// scheduleProc schedules a process transfer: at time at, hand control to
+// p. It is the wakeup used by Go, Sleep, Signal.Fire and Mutex.Unlock.
+func (k *Kernel) scheduleProc(at Time, p *Proc) { k.schedule(at, nil, p, p.gen) }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
@@ -207,13 +212,10 @@ func (k *Kernel) Step() bool {
 	if k.tracer != nil {
 		k.tracer(ev.at, ev.seq)
 	}
-	switch {
-	case ev.proc != nil:
-		k.transfer(ev.proc, ev.gen)
-	case ev.fn != nil:
-		ev.fn()
-	default:
-		ev.sig.Fire()
+	if ev.fn == nil {
+		k.transfer(ev.arg.(*Proc), ev.gen)
+	} else {
+		ev.fn(ev.arg)
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -132,5 +133,39 @@ func TestClockNeverGoesBackwards(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScheduleArgKeepsInsertionOrder interleaves every kind of scheduled
+// call — ScheduleArg, a process wakeup, Schedule and Signal.FireAfter —
+// at one instant and at a later one: each runs in the (time, seq) slot
+// its scheduling call took, whichever kind it is.
+func TestScheduleArgKeepsInsertionOrder(t *testing.T) {
+	for _, d := range []time.Duration{0, time.Millisecond} {
+		k := New(1)
+		s := k.NewSignal()
+		var got []string
+		mark := func(name any) { got = append(got, fmt.Sprintf("%v@%v fired=%v", name, k.Now(), s.Fired())) }
+		// Each step schedules its call at instant d from its own event at
+		// time 0, so the calls take their seqs in this order.
+		k.ScheduleArg(0, func(any) { k.ScheduleArg(d, mark, "arg") }, nil)
+		k.Go("sleeper", func(p *Proc) {
+			p.Sleep(d)
+			mark("wakeup")
+		})
+		k.Schedule(0, func() { k.Schedule(d, func() { mark("closure") }) })
+		k.ScheduleArg(0, func(any) { s.FireAfter(d) }, nil)
+		k.ScheduleArg(0, func(any) { k.ScheduleArg(d, mark, "after-fire") }, nil)
+		k.Run()
+		k.Close()
+		want := []string{
+			fmt.Sprintf("arg@%v fired=false", d),
+			fmt.Sprintf("wakeup@%v fired=false", d),
+			fmt.Sprintf("closure@%v fired=false", d),
+			fmt.Sprintf("after-fire@%v fired=true", d),
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("d=%v: ran %q, want %q", d, got, want)
+		}
 	}
 }

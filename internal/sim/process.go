@@ -25,17 +25,16 @@ func (abortError) Error() string { return "sim: process aborted" }
 // no scheduler round-trip through the Go runtime — the whole simulation is
 // one OS-schedulable flow of control. Finished processes are recycled: the
 // coroutine body is a trampoline loop that parks at a reuse point when its
-// current function returns, and Kernel.Go hands the idle coroutine its next
-// body, so steady-state spawning allocates nothing (see Kernel.spawn).
+// current function returns, and Kernel.GoJob hands the idle coroutine its
+// next body, so steady-state spawning allocates nothing (see Kernel.spawn).
 type Proc struct {
 	k      *Kernel
 	name   string
-	fn     func(p *Proc)          // body when spawned via Go
-	fn2    func(p *Proc, arg any) // body when spawned via GoJob …
-	arg    any                    // … with its argument
-	resume func() (unit, bool)    // kernel side: run until next park
-	stop   func()                 // kernel side: unwind (Kernel.Close)
-	yield  func(unit) bool        // process side: park, false = aborting
+	body   func(p *Proc, arg any) // runs as body(p, arg)
+	arg    any
+	resume func() (unit, bool) // kernel side: run until next park
+	stop   func()              // kernel side: unwind (Kernel.Close)
+	yield  func(unit) bool     // process side: park, false = aborting
 	done   bool
 	parked bool
 	// gen distinguishes incarnations of a recycled Proc: wakeup events
@@ -61,13 +60,9 @@ func (p *Proc) main(yield func(unit) bool) {
 	}()
 	p.yield = yield
 	for {
-		if p.fn != nil {
-			p.fn(p)
-		} else {
-			p.fn2(p, p.arg)
-		}
+		p.body(p, p.arg)
 		p.done = true
-		p.fn, p.fn2, p.arg = nil, nil, nil
+		p.body, p.arg = nil, nil
 		if !yield(unit{}) {
 			return // kernel closed while idle in the free pool
 		}
@@ -99,22 +94,20 @@ func (k *Kernel) spawn(name string) *Proc {
 	return p
 }
 
-// Go spawns fn as a new process. fn starts executing at the current virtual
-// time, after already-scheduled events for this instant.
-func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := k.spawn(name)
-	p.fn = fn
-	k.scheduleProc(k.now, p)
-	return p
-}
+// Go spawns fn as a new process, like GoJob. fn starts executing at the
+// current virtual time, after already-scheduled events for this instant.
+func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc { return k.GoJob(name, goBody, fn) }
 
-// GoJob spawns fn(p, arg) as a new process. It is Go for hot paths: a
-// package-level fn plus a recycled arg struct spawns without the closure
-// allocation Go's fn would cost (the mpi layer's per-message protocol
-// processes use it).
+// goBody is the body of Go: its func(*Proc) is the argument.
+func goBody(p *Proc, fn any) { fn.(func(*Proc))(p) }
+
+// GoJob spawns fn(p, arg) as a new process, starting at the current
+// virtual time after already-scheduled events for this instant. A
+// package-level fn plus a recycled arg struct spawns without allocating
+// (the mpi layer's per-message protocol processes use it).
 func (k *Kernel) GoJob(name string, fn func(p *Proc, arg any), arg any) *Proc {
 	p := k.spawn(name)
-	p.fn2, p.arg = fn, arg
+	p.body, p.arg = fn, arg
 	k.scheduleProc(k.now, p)
 	return p
 }
@@ -233,11 +226,12 @@ func (s *Signal) Fire() {
 // fired signal, which by construction has no waiters.
 func (s *Signal) Reset() { s.fired = false }
 
-// FireAfter schedules the signal to fire d from now as a typed event —
-// equivalent to k.After(d, s.Fire) without the method-value allocation.
-func (s *Signal) FireAfter(d time.Duration) {
-	s.k.schedule(s.k.now+d, nil, nil, s)
-}
+// FireAfter schedules the signal to fire d from now — k.After(d, s.Fire)
+// without the method-value allocation.
+func (s *Signal) FireAfter(d time.Duration) { s.k.ScheduleArg(s.k.now+d, fireSignal, s) }
+
+// fireSignal is the event of FireAfter: the signal is its argument.
+func fireSignal(s any) { s.(*Signal).Fire() }
 
 // Wait blocks p until the signal fires. p must be the calling process.
 func (s *Signal) Wait(p *Proc) {

@@ -113,7 +113,7 @@ func TestInjectedLossDegradesDeterministically(t *testing.T) {
 
 // TestInjectedJitterSlowsButStaysDeterministic checks the jitter hook and
 // the delivery-order invariant: jitter stretches rounds (never reorders
-// them — deliverHead's FIFO would silently corrupt offsets) and replays
+// them — deliverRound's FIFO would silently corrupt offsets) and replays
 // bit-for-bit.
 func TestInjectedJitterSlowsButStaysDeterministic(t *testing.T) {
 	const total = 16 << 20

@@ -74,45 +74,39 @@ type Flow struct {
 	stallUntil sim.Time // RTO stall deadline after an incast timeout
 	busy       bool     // a round is in flight
 	pathActive bool     // links acquired
-	downWait   bool     // parked on a dead path until NotifyUp fires onUpFn
+	downWait   bool     // parked on a dead path until NotifyUp fires pathUp
 
 	// Fault-injection state. linkGens holds the per-link registration
 	// generations of the current path hold (reused scratch): releasing with
 	// them makes fault teardown (link went down and evicted us) idempotent
 	// while preserving the double-release panic for real accounting bugs.
-	// onUpFn is the bound wakeup NotifyUp fires for a downWait flow.
 	// lastArriveAt keeps delivery events monotone when injected loss or
 	// jitter stretches one round's arrival, upholding delivQ's FIFO
 	// invariant.
 	linkGens     []uint32
 	stallStart   sim.Time
-	onUpFn       func()
 	lastArriveAt sim.Time
 
 	writeMu *sim.Mutex
 	// writer is the process parked in write until the send buffer has
 	// taken all of its message, and owed the bytes not yet buffered.
 	// writeMu serializes writers, so there is at most one. Refills run as
-	// flow events (refillFn) and buffer what fits; only the refill that
+	// flow events (refill) and buffer what fits; only the refill that
 	// buffers the last byte resumes the writer, so a blocked write costs
 	// one park and one resume however many window rounds it spans.
 	writer *sim.Proc
 	owed   int64
 
 	notifies []notifyEntry
-	due      []notifyEntry // deliver's reusable scratch for due callbacks
+	due      []notifyEntry // deliverRound's reusable scratch for due callbacks
 
-	// Bound callbacks, created once per flow: the transmit loop schedules
-	// kernel events every round, and a fresh method-value or closure per
-	// Schedule call is an allocation the event loop pays millions of
-	// times per sweep. Round parameters travel in ackW/ackRoundTime/
-	// ackRateLimited/ackInjLoss (one round outstanding, guarded by busy)
-	// and delivQ (a FIFO of in-flight round end offsets; arrival times are
-	// monotone, so events pop it in order).
-	pumpFn         func()
-	deliverFn      func()
-	ackFn          func()
-	refillFn       func()
+	// Round state. The transmit loop schedules kernel events every round,
+	// each a package-level function with the flow as its argument
+	// (pumpFlow, deliverRound, ackRound, refill), so no round allocates.
+	// Round parameters travel in ackW/ackRoundTime/ackRateLimited/
+	// ackInjLoss (one round outstanding, guarded by busy) and delivQ (a
+	// FIFO of in-flight round end offsets; arrival times are monotone, so
+	// events pop it in order).
 	delivQ         []int64
 	ackW           int64
 	ackRoundTime   time.Duration
@@ -122,13 +116,11 @@ type Flow struct {
 	Stats FlowStats
 }
 
-// notifyEntry is one registered delivery callback: fn, or fn1(arg) for
-// callers that avoid the closure by passing a package-level function plus
-// a pooled argument (see SendArg).
+// notifyEntry is one registered delivery callback: fn(arg) runs once the
+// stream is delivered up to off.
 type notifyEntry struct {
 	off int64
-	fn  func()
-	fn1 func(any)
+	fn  func(any)
 	arg any
 }
 
@@ -150,11 +142,6 @@ func NewFlow(k *sim.Kernel, path *netsim.Path, cfg Config, policy BufferPolicy) 
 	if f.windowCap < cfg.MSS {
 		f.windowCap = cfg.MSS
 	}
-	f.pumpFn = f.pump
-	f.deliverFn = f.deliverHead
-	f.ackFn = f.roundAckedPending
-	f.refillFn = f.refill
-	f.onUpFn = f.pathUp
 	// A conservative initial ssthresh only matters on long paths: cluster
 	// BDPs are far below it, so local connections effectively slow-start
 	// straight to their operating window. Paced senders do not suffer the
@@ -202,37 +189,33 @@ func (f *Flow) rto() time.Duration {
 	return r
 }
 
-// Send enqueues n bytes from process p, blocking until the send socket
-// buffer has accepted all of them (the paper's eager-mode completion
-// semantics: MPI_Send returns once the data is copied into the TCP buffer).
-// If delivered is non-nil it runs when the destination has received the
-// last of these n bytes. Concurrent senders are serialized FIFO.
+// Send is SendArg with a closure: delivered, if non-nil, runs when the
+// destination has received the last of the n bytes.
 func (f *Flow) Send(p *sim.Proc, n int64, delivered func()) {
-	if n <= 0 {
-		if delivered != nil {
-			f.notifyAt(f.queued, delivered)
-		}
-		return
+	fn := call
+	if delivered == nil {
+		fn = nil
 	}
-	f.write(p, n)
-	if delivered != nil {
-		f.notifyAt(f.queued, delivered)
-	}
-	f.writeMu.Unlock()
+	f.SendArg(p, n, fn, delivered)
 }
 
-// SendArg is Send with an argument-taking delivered callback: fn(arg) runs
-// when the destination has received the last of the n bytes. A
-// package-level fn plus a pooled arg lets per-message protocol layers
-// (mpi's delivery arena) register completion without the closure Send's
-// delivered parameter would allocate.
+// call runs a func() passed as the argument of a delivery callback.
+func call(fn any) { fn.(func())() }
+
+// SendArg enqueues n bytes from process p, blocking until the send socket
+// buffer has accepted all of them (the paper's eager-mode completion
+// semantics: MPI_Send returns once the data is copied into the TCP buffer).
+// If fn is non-nil, fn(arg) runs when the destination has received the
+// last of these n bytes; a package-level fn plus a pooled arg (mpi's
+// delivery arena) registers it without allocating. Concurrent senders are
+// serialized FIFO.
 func (f *Flow) SendArg(p *sim.Proc, n int64, fn func(any), arg any) {
 	if n <= 0 {
-		f.notifyAtArg(f.queued, fn, arg)
+		f.notifyAt(f.queued, fn, arg)
 		return
 	}
 	f.write(p, n)
-	f.notifyAtArg(f.queued, fn, arg)
+	f.notifyAt(f.queued, fn, arg)
 	f.writeMu.Unlock()
 }
 
@@ -266,11 +249,12 @@ func (f *Flow) fill() bool {
 	return f.owed == 0
 }
 
-// refill is the flow event roundAcked schedules for a parked writer. It
-// re-checks the free space when it runs, because a SendAsync (a
+// refill is the flow event ackRound schedules for a parked writer. It
+// re-checks the free space when it runs, because a SendAsyncArg (a
 // rendezvous CTS) may have filled it since the ack, and it resumes the
 // writer inline once the last owed byte is buffered.
-func (f *Flow) refill() {
+func refill(a any) {
+	f := a.(*Flow)
 	if f.fill() {
 		p := f.writer
 		f.writer = nil
@@ -278,29 +262,17 @@ func (f *Flow) refill() {
 	}
 }
 
-// SendAsync enqueues n bytes without blocking for buffer space; it is meant
-// for small control messages (rendezvous RTS/CTS) issued from event
-// context. delivered, if non-nil, runs when the bytes reach the receiver.
-func (f *Flow) SendAsync(n int64, delivered func()) {
-	if n <= 0 {
-		n = 1
-	}
-	f.queued += n
-	f.Stats.BytesQueued += n
-	if delivered != nil {
-		f.notifyAt(f.queued, delivered)
-	}
-	f.pump()
-}
-
-// SendAsyncArg is SendAsync with an argument-taking delivered callback.
+// SendAsyncArg enqueues n bytes without blocking for buffer space; it is
+// meant for small control messages (rendezvous RTS/CTS) issued from event
+// context. If fn is non-nil, fn(arg) runs when the bytes reach the
+// receiver.
 func (f *Flow) SendAsyncArg(n int64, fn func(any), arg any) {
 	if n <= 0 {
 		n = 1
 	}
 	f.queued += n
 	f.Stats.BytesQueued += n
-	f.notifyAtArg(f.queued, fn, arg)
+	f.notifyAt(f.queued, fn, arg)
 	f.pump()
 }
 
@@ -309,10 +281,14 @@ func (f *Flow) sndbufFree() int64 {
 	return int64(f.windowCap) - (f.queued - f.ackedOff)
 }
 
-// notifyAt registers fn to run once deliveredOff ≥ off.
-func (f *Flow) notifyAt(off int64, fn func()) {
+// notifyAt registers fn(arg) to run once deliveredOff ≥ off; a nil fn
+// registers nothing.
+func (f *Flow) notifyAt(off int64, fn func(any), arg any) {
+	if fn == nil {
+		return
+	}
 	if off <= f.deliveredOff {
-		f.k.Schedule(f.k.Now(), fn)
+		f.k.ScheduleArg(f.k.Now(), fn, arg)
 		return
 	}
 	// Insert keeping ascending offset order; appends dominate because
@@ -323,23 +299,11 @@ func (f *Flow) notifyAt(off int64, fn func()) {
 	}
 	f.notifies = append(f.notifies, notifyEntry{})
 	copy(f.notifies[i+1:], f.notifies[i:])
-	f.notifies[i] = notifyEntry{off: off, fn: fn}
+	f.notifies[i] = notifyEntry{off: off, fn: fn, arg: arg}
 }
 
-// notifyAtArg registers fn(arg) to run once deliveredOff ≥ off.
-func (f *Flow) notifyAtArg(off int64, fn func(any), arg any) {
-	if off <= f.deliveredOff {
-		f.k.Schedule(f.k.Now(), func() { fn(arg) })
-		return
-	}
-	i := len(f.notifies)
-	for i > 0 && f.notifies[i-1].off > off {
-		i--
-	}
-	f.notifies = append(f.notifies, notifyEntry{})
-	copy(f.notifies[i+1:], f.notifies[i:])
-	f.notifies[i] = notifyEntry{off: off, fn1: fn, arg: arg}
-}
+// pumpFlow is the pump as a flow event.
+func pumpFlow(a any) { a.(*Flow).pump() }
 
 // pump transmits the next congestion-window round if the flow is idle and
 // has pending data.
@@ -362,7 +326,7 @@ func (f *Flow) pump() {
 	}
 	now := f.k.Now()
 	if now < f.stallUntil {
-		f.k.Schedule(f.stallUntil, f.pumpFn)
+		f.k.ScheduleArg(f.stallUntil, pumpFlow, f)
 		return
 	}
 	if f.cfg.SlowStartAfterIdle && f.lastActive > 0 && now-f.lastActive > f.rto() {
@@ -429,9 +393,9 @@ func (f *Flow) pump() {
 	f.sentOff += w
 	f.Stats.Rounds++
 	f.delivQ = append(f.delivQ, f.sentOff)
-	f.k.Schedule(arriveAt, f.deliverFn)
+	f.k.ScheduleArg(arriveAt, deliverRound, f)
 	f.ackW, f.ackRoundTime, f.ackRateLimited, f.ackInjLoss = w, roundTime, rateLimited, injLoss
-	f.k.After(roundTime, f.ackFn)
+	f.k.ScheduleArg(now+roundTime, ackRound, f)
 }
 
 // stallOnDown parks the flow while its path has a dead link: registrations
@@ -450,7 +414,7 @@ func (f *Flow) stallOnDown() {
 	f.downWait = true
 	f.Stats.LinkStalls++
 	f.stallStart = f.k.Now()
-	f.path.NotifyUp(f.onUpFn)
+	f.path.NotifyUp(f.pathUp) // the method value allocates only on a stall
 }
 
 // pathUp is the NotifyUp callback: account the stall and resume the
@@ -462,23 +426,6 @@ func (f *Flow) pathUp() {
 	f.downWait = false
 	f.Stats.StallTime += f.k.Now() - f.stallStart
 	f.pump()
-}
-
-// deliverHead completes the oldest in-flight round's arrival. Rounds
-// deliver in schedule order (arrival times never decrease: round n+1
-// starts no earlier than round n's serialization ends), so a FIFO of end
-// offsets matches events to rounds without a per-round closure.
-func (f *Flow) deliverHead() {
-	endOff := f.delivQ[0]
-	n := copy(f.delivQ, f.delivQ[1:])
-	f.delivQ = f.delivQ[:n]
-	f.deliver(endOff)
-}
-
-// roundAckedPending runs the pending round-completion with the parameters
-// pump recorded; busy guarantees exactly one round is outstanding.
-func (f *Flow) roundAckedPending() {
-	f.roundAcked(f.ackW, f.ackRoundTime, f.ackRateLimited)
 }
 
 // window is the usable window this round.
@@ -493,8 +440,16 @@ func (f *Flow) window() float64 {
 	return w
 }
 
-// deliver advances the receive offset and fires due callbacks in order.
-func (f *Flow) deliver(endOff int64) {
+// deliverRound is the flow event completing the oldest in-flight round's
+// arrival: it advances the receive offset and fires due callbacks in
+// order. Rounds deliver in schedule order (arrival times never decrease:
+// round n+1 starts no earlier than round n's serialization ends), so a
+// FIFO of end offsets matches events to rounds without a per-round
+// closure.
+func deliverRound(a any) {
+	f := a.(*Flow)
+	endOff := f.delivQ[0]
+	f.delivQ = f.delivQ[:copy(f.delivQ, f.delivQ[1:])]
 	if endOff <= f.deliveredOff {
 		return
 	}
@@ -518,30 +473,28 @@ func (f *Flow) deliver(endOff int64) {
 	clear(f.notifies[m:])
 	f.notifies = f.notifies[:m]
 	for i := range f.due {
-		if e := &f.due[i]; e.fn1 != nil {
-			e.fn1(e.arg)
-		} else {
-			e.fn()
-		}
+		f.due[i].fn(f.due[i].arg)
 	}
 	clear(f.due) // release the callback refs until the next round
 	f.due = f.due[:0]
 }
 
-// roundAcked completes a window round: frees buffer space, grows or shrinks
-// the congestion window, refills a blocked writer's bytes, and continues
-// transmitting.
-func (f *Flow) roundAcked(w int64, roundTime time.Duration, rateLimited bool) {
-	f.ackedOff += w
+// ackRound is the flow event completing the outstanding window round
+// (busy guarantees there is exactly one) with the parameters pump
+// recorded: it frees buffer space, grows or shrinks the congestion window,
+// refills a blocked writer's bytes, and continues transmitting.
+func ackRound(a any) {
+	f := a.(*Flow)
+	f.ackedOff += f.ackW
 	f.lastActive = f.k.Now()
-	f.updateCwnd(w, roundTime, rateLimited)
+	f.updateCwnd(f.ackW, f.ackRoundTime, f.ackRateLimited)
 	f.busy = false
 	if f.writer != nil && f.sndbufFree() > 0 {
 		// Refill first, then pump: the refill event is scheduled before
 		// the pump event, so the next round sends a full window instead
 		// of the leftover tail.
-		f.k.Schedule(f.k.Now(), f.refillFn)
-		f.k.Schedule(f.k.Now(), f.pumpFn)
+		f.k.ScheduleArg(f.k.Now(), refill, f)
+		f.k.ScheduleArg(f.k.Now(), pumpFlow, f)
 		return
 	}
 	f.pump()

@@ -360,7 +360,7 @@ func TestSendAsyncFromEventContext(t *testing.T) {
 	defer k.Close()
 	f := NewFlow(k, gridPath(n), DefaultLinux26(), Autotune)
 	delivered := false
-	k.Schedule(0, func() { f.SendAsync(64, func() { delivered = true }) })
+	k.Schedule(0, func() { f.SendAsyncArg(64, func(any) { delivered = true }, nil) })
 	k.Run()
 	if !delivered {
 		t.Fatal("async control message never delivered")

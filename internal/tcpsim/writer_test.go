@@ -26,7 +26,7 @@ type blockedWrite struct {
 	asyncEnd, asyncLanded, writeLanded int64
 }
 
-// runBlockedWrite runs the write and, if async > 0, a SendAsync of async
+// runBlockedWrite runs the write and, if async > 0, a SendAsyncArg of async
 // bytes at instant asyncAt, right after the ack at that instant. Before
 // every event it checks that the send buffer never holds more than
 // windowCap plus the async bytes, that the writer's bytes never fill it
@@ -80,7 +80,7 @@ func runBlockedWrite(t *testing.T, asyncAt sim.Time, async int64) blockedWrite {
 		k.RunUntil(asyncAt - 1)
 		k.Schedule(asyncAt, func() {
 			r.placed = f.writer != nil && f.sndbufFree() > 0
-			f.SendAsync(async, func() { r.asyncLanded = f.Delivered() })
+			f.SendAsyncArg(async, func(any) { r.asyncLanded = f.Delivered() }, nil)
 			r.asyncEnd, asyncJustQueued = f.queued, true
 		})
 	}
@@ -96,7 +96,7 @@ func runBlockedWrite(t *testing.T, asyncAt sim.Time, async int64) blockedWrite {
 	return r
 }
 
-// TestSendAsyncBetweenAckAndRefill puts SendAsync bytes (a rendezvous CTS
+// TestSendAsyncBetweenAckAndRefill puts SendAsyncArg bytes (a rendezvous CTS
 // is the real case) on a flow after an ack freed send-buffer space but
 // before the refill that ack scheduled has run. The refill must re-check
 // the free space when it runs: the writer's bytes may only fill what the
@@ -113,7 +113,7 @@ func TestSendAsyncBetweenAckAndRefill(t *testing.T) {
 	for _, async := range []int64{64, 96 << 10} {
 		r := runBlockedWrite(t, at, async)
 		if !r.placed {
-			t.Fatalf("async %d: the SendAsync at %v did not run between an ack and its refill", async, at)
+			t.Fatalf("async %d: the SendAsyncArg at %v did not run between an ack and its refill", async, at)
 		}
 		if r.asyncEnd <= 0 || r.asyncLanded < r.asyncEnd || r.asyncLanded > r.writeLanded {
 			t.Fatalf("async %d: async bytes ending at offset %d landed at %d, the write at %d",
