@@ -1,9 +1,8 @@
 package repro
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: each
-// isolates one mechanism of the model (pacing, congestion-control flavour,
-// grid-aware collectives, parallel streams, socket buffers) and reports
-// the performance difference it is responsible for.
+// Ablation benchmarks for the model's design choices: each isolates one
+// mechanism (pacing, grid-aware collectives, parallel streams, socket
+// buffers) and reports the performance difference it is responsible for.
 
 import (
 	"testing"
@@ -33,12 +32,13 @@ func BenchmarkAblationPacing(b *testing.B) {
 	ramp := func(paced bool) time.Duration {
 		prof := mpi.Reference()
 		prof.EagerThreshold = mpi.Infinite
-		prof.Pacing = paced
+		tcp := tcpsim.Tuned4MB()
+		tcp.Pacing = paced
 		k := sim.New(1)
 		defer k.Close()
 		net := rennesNancy(1)
 		hosts := []*netsim.Host{net.Host("rennes-1"), net.Host("nancy-1")}
-		w := mpi.NewWorld(k, net, tcpsim.Tuned4MB(), prof, hosts)
+		w := mpi.NewWorld(k, net, tcp, prof, hosts)
 		trace, err := perf.BandwidthTrace(w, 1<<20, 200)
 		if err != nil {
 			b.Fatal(err)
@@ -51,30 +51,6 @@ func BenchmarkAblationPacing(b *testing.B) {
 	}
 	b.ReportMetric(paced.Seconds(), "paced-ramp-s")
 	b.ReportMetric(unpaced.Seconds(), "unpaced-ramp-s")
-}
-
-// BenchmarkAblationCongestionControl compares BIC and Reno window growth
-// on the tuned WAN (the model's congestion-avoidance flavour).
-func BenchmarkAblationCongestionControl(b *testing.B) {
-	transfer := func(cc string) time.Duration {
-		k, net := sim.New(1), rennesNancy(1)
-		defer k.Close()
-		cfg := tcpsim.Tuned4MB()
-		cfg.Congestion = cc
-		f := tcpsim.NewFlow(k, net.Path(net.Host("rennes-1"), net.Host("nancy-1")), cfg, tcpsim.Autotune)
-		var done sim.Time
-		k.Go("s", func(p *sim.Proc) {
-			f.Send(p, 64<<20, func() { done = k.Now() })
-		})
-		k.Run()
-		return done
-	}
-	var bic, reno time.Duration
-	for i := 0; i < b.N; i++ {
-		bic, reno = transfer("bic"), transfer("reno")
-	}
-	b.ReportMetric(bic.Seconds(), "bic-64M-s")
-	b.ReportMetric(reno.Seconds(), "reno-64M-s")
 }
 
 // BenchmarkAblationGridCollectives isolates GridMPI's grid-aware

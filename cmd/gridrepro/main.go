@@ -200,7 +200,11 @@ func run(args []string, out, errOut io.Writer) error {
 		if *cacheDir == "" {
 			return fmt.Errorf("-cache-verify needs -cache")
 		}
-		rep, err := exp.VerifyDir(*cacheDir, *verifyP, *workers)
+		store, err := exp.NewDiskCache(*cacheDir)
+		if err != nil {
+			return err
+		}
+		rep, err := store.Verify(*verifyP, *workers)
 		if err != nil {
 			return err
 		}
@@ -273,7 +277,11 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintln(errOut, remote.Stats())
 	}
 	if evict != (exp.EvictPolicy{}) {
-		rep, err := exp.EvictDir(*cacheDir, evict)
+		store, err := exp.NewDiskCache(*cacheDir)
+		if err != nil {
+			return fmt.Errorf("cache eviction: %w", err)
+		}
+		rep, err := store.Evict(evict)
 		if err != nil {
 			return fmt.Errorf("cache eviction: %w", err)
 		}

@@ -226,7 +226,6 @@ func run(args []string, out, errOut io.Writer) error {
 	slicesFlag := fs.Int("slices", 0, "with -submit: lease slices to partition the job into (0 = server default)")
 	workerURL := fs.String("worker", "", "run as a pull-based fleet worker against the cmd/sweepd control plane at this URL (matrix flags are ignored; the server decides what runs)")
 	workerID := fs.String("worker-id", "", "worker name in leases and liveness reports (default host:pid)")
-	workerPoll := fs.Duration("worker-poll", 0, "with -worker: wait between empty lease polls (0 = the interval the server advertises)")
 	workerIdleExit := fs.Int("worker-idle-exit", 0, "with -worker: exit after this many consecutive empty polls (0 = poll forever)")
 	retryWindow := fs.Duration("retry", exp.DefaultRetryWindow, "with -worker/-submit: retry budget for transient control-plane failures (connection refused, 5xx, timeouts), so the fleet rides through a sweepd restart; 0 fails on the first error")
 	guidelines := fs.Bool("guidelines", false, "after the sweep, run the Hunold-style self-consistency guideline suite (collective patterns at -size x -iters) for every impl x tuning x topology and flag configurations where a specialized collective loses to a composition of general ones (e.g. Allgather slower than Gather+Bcast)")
@@ -328,7 +327,6 @@ func run(args []string, out, errOut io.Writer) error {
 		rep := client.Work(exp.WorkerConfig{
 			ID:       id,
 			Runner:   runner,
-			Poll:     *workerPoll,
 			IdleExit: *workerIdleExit,
 			Stop:     stopCh,
 			Log:      errOut,
@@ -496,7 +494,11 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintln(errOut, remote.Stats())
 	}
 	if evict != (exp.EvictPolicy{}) {
-		rep, err := exp.EvictDir(*cacheDir, evict)
+		store, err := exp.NewDiskCache(*cacheDir)
+		if err != nil {
+			return fmt.Errorf("cache eviction: %w", err)
+		}
+		rep, err := store.Evict(evict)
 		if err != nil {
 			return fmt.Errorf("cache eviction: %w", err)
 		}

@@ -480,14 +480,15 @@ func TestRunCachePersists(t *testing.T) {
 }
 
 // newSweepdServer starts an in-process sweepd control plane (job queue
-// over a fresh store) for fleet tests.
+// over a fresh store) for fleet tests. It advertises a 10 ms poll, since
+// a test worker idles up to 300 polls before it exits.
 func newSweepdServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	store, err := exp.NewDiskCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := exp.NewJobQueue(store, exp.QueueConfig{TTL: 30 * time.Second, Slices: 4})
+	q := exp.NewJobQueue(store, exp.QueueConfig{TTL: 30 * time.Second, Slices: 4, Poll: 10 * time.Millisecond})
 	srv := httptest.NewServer(exp.NewQueueHandler(q, exp.NewCacheServer(store)))
 	t.Cleanup(srv.Close)
 	return srv
@@ -503,8 +504,7 @@ func TestRunFleetSubmitMatchesLocal(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		var workerOut, workerErr strings.Builder
-		args := []string{"-worker", srv.URL, "-worker-id", "w1",
-			"-worker-poll", "10ms", "-worker-idle-exit", "300"}
+		args := []string{"-worker", srv.URL, "-worker-id", "w1", "-worker-idle-exit", "300"}
 		if err := run(args, &workerOut, &workerErr); err != nil {
 			t.Errorf("worker: %v\n%s", err, workerErr.String())
 		}
@@ -555,7 +555,7 @@ func TestRunFleetDetachAndBadCombos(t *testing.T) {
 		{"-submit", srv.URL, "-guidelines"},
 		{"-submit", "not-a-url"},
 		{"-worker", "not-a-url"},
-		{"-worker", srv.URL, "-workers", "4", "-worker-idle-exit", "1", "-worker-poll", "1ms"},
+		{"-worker", srv.URL, "-workers", "4", "-worker-idle-exit", "1"},
 	} {
 		var out, errOut strings.Builder
 		if err := run(append(append([]string{}, args...), tinyArgs...), &out, &errOut); err == nil {

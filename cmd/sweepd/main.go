@@ -88,7 +88,6 @@ func run(args []string, out, errOut io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:8078", "listen address (host:port; port 0 picks a free one)")
 	ttl := fs.Duration("lease-ttl", exp.DefaultLeaseTTL, "lease deadline: a worker silent this long forfeits its slice")
 	slices := fs.Int("slices", exp.DefaultJobSlices, "lease slices to partition each job into (submissions may override)")
-	stealMin := fs.Int("steal-min", exp.DefaultStealMin, "smallest pending slice an idle worker may split for work stealing")
 	poll := fs.Duration("poll", exp.DefaultWorkerPoll, "idle-poll interval advertised to workers on lease responses")
 	drainGrace := fs.Duration("drain-grace", 10*time.Second, "on SIGTERM, accept in-flight reports this long before exiting")
 	verbose := fs.Bool("v", false, "log every request to stderr")
@@ -111,9 +110,6 @@ func run(args []string, out, errOut io.Writer) error {
 	if *slices < 1 {
 		return fmt.Errorf("-slices must be ≥ 1, got %d", *slices)
 	}
-	if *stealMin < 2 {
-		return fmt.Errorf("-steal-min must be ≥ 2, got %d", *stealMin)
-	}
 	if *poll <= 0 {
 		return fmt.Errorf("-poll must be positive, got %v", *poll)
 	}
@@ -125,7 +121,7 @@ func run(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := exp.QueueConfig{TTL: *ttl, Slices: *slices, StealMin: *stealMin, Poll: *poll}
+	cfg := exp.QueueConfig{TTL: *ttl, Slices: *slices, Poll: *poll}
 	var queue *exp.JobQueue
 	if *journalDir != "" {
 		recovered, report, err := exp.RecoverJobQueue(store, cfg, *journalDir)

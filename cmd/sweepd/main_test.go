@@ -43,7 +43,6 @@ func TestRunBadFlags(t *testing.T) {
 		{"-nope"},                      // unknown flag
 		{"-cache", t.TempDir(), "-lease-ttl", "0s"},
 		{"-cache", t.TempDir(), "-slices", "0"},
-		{"-cache", t.TempDir(), "-steal-min", "1"},
 		{"-cache", t.TempDir(), "-poll", "0s"},
 		{"-cache", t.TempDir(), "-addr", "definitely:not:an:addr"},
 	} {
@@ -61,7 +60,7 @@ func TestRunServesFleetAndShutsDown(t *testing.T) {
 	var out, errOut syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-cache", t.TempDir(), "-addr", "127.0.0.1:0", "-lease-ttl", "5s", "-v"}, &out, &errOut)
+		done <- run([]string{"-cache", t.TempDir(), "-addr", "127.0.0.1:0", "-lease-ttl", "5s", "-poll", "5ms", "-v"}, &out, &errOut)
 	}()
 
 	// The banner carries the bound address.
@@ -105,7 +104,7 @@ func TestRunServesFleetAndShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := client.Work(exp.WorkerConfig{ID: "w", Runner: exp.NewRunnerStore(1, store), Poll: 5 * time.Millisecond, IdleExit: 3})
+	rep := client.Work(exp.WorkerConfig{ID: "w", Runner: exp.NewRunnerStore(1, store), IdleExit: 3})
 	if rep.Cells != 2 || rep.Failed != 0 || rep.Rejected != 0 {
 		t.Fatalf("worker report = %+v", rep)
 	}
@@ -206,7 +205,7 @@ func stopSweepd(t *testing.T, done chan error) {
 // same journal directory, a fresh port — and a worker drains it to done.
 func TestRunRestartRecoversJournaledJobs(t *testing.T) {
 	cache, journal := t.TempDir(), t.TempDir()
-	args := []string{"-cache", cache, "-journal", journal, "-addr", "127.0.0.1:0", "-drain-grace", "1s"}
+	args := []string{"-cache", cache, "-journal", journal, "-addr", "127.0.0.1:0", "-drain-grace", "1s", "-poll", "5ms"}
 
 	base1, _, _, done1 := startSweepd(t, args)
 	cells := exp.Sweep{
@@ -242,7 +241,7 @@ func TestRunRestartRecoversJournaledJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := client2.Work(exp.WorkerConfig{ID: "w", Runner: exp.NewRunnerStore(1, store), Poll: 5 * time.Millisecond, IdleExit: 3})
+	rep := client2.Work(exp.WorkerConfig{ID: "w", Runner: exp.NewRunnerStore(1, store), IdleExit: 3})
 	if rep.Cells != 2 || rep.Errors != 0 || rep.Rejected != 0 {
 		t.Fatalf("worker report = %+v", rep)
 	}

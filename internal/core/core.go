@@ -70,6 +70,19 @@ func DefaultSizes() []int { return exp.PaperSizes() }
 // DefaultReps matches the paper's 200 round trips per size.
 const DefaultReps = 200
 
+// runAll runs one batch of an artifact's experiments on r. The paper's
+// experiments are fixed and valid, so a failed one is a bug: runAll
+// panics, naming the artifact and the experiment.
+func runAll(r *exp.Runner, artifact string, exps []exp.Experiment) []exp.Result {
+	results := r.RunAll(exps)
+	for _, res := range results {
+		if res.Err != "" {
+			panic("core: " + artifact + ": " + res.Exp.Name() + ": " + res.Err)
+		}
+	}
+	return results
+}
+
 func pingpongFigure(r *exp.Runner, name, title string, topo exp.Topology, tcpTuned, mpiTuned bool, sizes []int, reps int) Figure {
 	sweep := exp.Sweep{
 		Impls:      mpiimpl.WithTCP,
@@ -78,10 +91,7 @@ func pingpongFigure(r *exp.Runner, name, title string, topo exp.Topology, tcpTun
 		Workloads:  []exp.Workload{exp.PingPongWorkload(sizes, reps)},
 	}
 	fig := Figure{Name: name, Title: title}
-	for _, res := range r.RunSweep(sweep) {
-		if res.Err != "" {
-			panic("core: " + name + "/" + res.Exp.Impl + ": " + res.Err)
-		}
+	for _, res := range runAll(r, name, sweep.Experiments()) {
 		fig.Series = append(fig.Series, Series{Label: res.Exp.Impl, Points: res.Points})
 	}
 	return fig
@@ -139,14 +149,8 @@ func Table4(r *exp.Runner, reps int) []LatencyRow {
 		Topologies: []exp.Topology{clusterPair, gridPair},
 		Workloads:  []exp.Workload{exp.PingPongWorkload([]int{1}, reps)},
 	}
-	results := r.RunSweep(sweep)
-	oneWay := func(i int) time.Duration {
-		res := results[i]
-		if res.Err != "" {
-			panic("core: table4: " + res.Err)
-		}
-		return res.Points[0].OneWay()
-	}
+	results := runAll(r, "table4", sweep.Experiments())
+	oneWay := func(i int) time.Duration { return results[i].Points[0].OneWay() }
 	var rows []LatencyRow
 	var tcpCluster, tcpGrid time.Duration
 	for i, impl := range mpiimpl.WithTCP {
@@ -183,10 +187,7 @@ func Figure9(r *exp.Runner, count int) []Trace {
 		Workloads:  []exp.Workload{exp.TraceWorkload(1<<20, count)},
 	}
 	var traces []Trace
-	for _, res := range r.RunSweep(sweep) {
-		if res.Err != "" {
-			panic("core: figure9/" + res.Exp.Impl + ": " + res.Err)
-		}
+	for _, res := range runAll(r, "figure9", sweep.Experiments()) {
 		traces = append(traces, Trace{Label: res.Exp.Impl, Points: res.Trace})
 	}
 	return traces
@@ -233,7 +234,7 @@ func Table5(runner *exp.Runner, reps int) []ThresholdRow {
 			}
 		}
 	}
-	results := runner.RunAll(exps)
+	results := runAll(runner, "table5", exps)
 
 	// Pick the best threshold per (impl, placement): minimum total
 	// pingpong time, ties to the larger threshold — rendezvous never beats
@@ -246,9 +247,6 @@ func Table5(runner *exp.Runner, reps int) []ThresholdRow {
 	bestThr := make(map[cell]int)
 	bestTime := make(map[cell]time.Duration)
 	for _, res := range results {
-		if res.Err != "" {
-			panic("core: table5: " + res.Err)
-		}
 		var total time.Duration
 		for _, p := range res.Points {
 			total += p.MinRTT

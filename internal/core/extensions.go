@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/mpiimpl"
-	"repro/internal/perf"
 	"repro/internal/tables"
 )
 
@@ -28,19 +27,11 @@ type StreamsPoint struct {
 // streams" (§2.1.5) matters on unconfigured grids.
 func ExtensionMPICHG2(r *exp.Runner, reps int) []StreamsPoint {
 	sizes := []int{1 << 20, 4 << 20, 16 << 20, 64 << 20}
-	measure := func(impl string) []perf.Point {
-		res := r.Run(exp.Experiment{
-			Impl:     impl,
-			Topology: gridPair,
-			Workload: exp.PingPongWorkload(sizes, reps),
-		})
-		if res.Err != "" {
-			panic("core: extension-g2: " + res.Err)
-		}
-		return res.Points
-	}
-	mp := measure(mpiimpl.MPICH2)
-	g2 := measure(mpiimpl.MPICHG2)
+	results := runAll(r, "extension-g2", []exp.Experiment{
+		{Impl: mpiimpl.MPICH2, Topology: gridPair, Workload: exp.PingPongWorkload(sizes, reps)},
+		{Impl: mpiimpl.MPICHG2, Topology: gridPair, Workload: exp.PingPongWorkload(sizes, reps)},
+	})
+	mp, g2 := results[0].Points, results[1].Points
 	out := make([]StreamsPoint, len(sizes))
 	for i := range sizes {
 		out[i] = StreamsPoint{Size: sizes[i], MPICH2Mbps: mp[i].Mbps, MPICHG2Mbps: g2[i].Mbps}
@@ -86,10 +77,7 @@ func BufferSweep(r *exp.Runner, reps int) []BufferPoint {
 		}
 	}
 	out := make([]BufferPoint, 0, len(bufs))
-	for i, res := range r.RunAll(exps) {
-		if res.Err != "" {
-			panic("core: buffer sweep: " + res.Err)
-		}
+	for i, res := range runAll(r, "buffer sweep", exps) {
 		out = append(out, BufferPoint{BufferBytes: bufs[i], Mbps: res.Points[0].Mbps})
 	}
 	return out

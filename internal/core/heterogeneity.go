@@ -68,13 +68,9 @@ func ExtensionHeterogeneity(r *exp.Runner, reps int) []HeterogeneityPoint {
 			exps = append(exps, fabricExp(fabric, gw))
 		}
 	}
-	results := r.RunAll(exps)
+	results := runAll(r, "heterogeneity", exps)
 	measure := func(i int) (time.Duration, float64) {
-		res := results[i]
-		if res.Err != "" {
-			panic("core: heterogeneity: " + res.Err)
-		}
-		return res.Points[0].OneWay(), res.Points[1].Mbps
+		return results[i].Points[0].OneWay(), results[i].Points[1].Mbps
 	}
 
 	baseLat, baseBW := measure(0)

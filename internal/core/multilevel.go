@@ -52,17 +52,10 @@ func MultilevelTable(r *exp.Runner, size, iters int) []MultilevelCell {
 			cells = append(cells, MultilevelCell{Topo: topo, Pattern: p})
 		}
 	}
-	results := r.RunAll(exps)
+	results := runAll(r, "multilevel table", exps)
 	for i := range cells {
-		flat, ml := results[2*i], results[2*i+1]
-		if flat.Err != "" {
-			panic("core: multilevel table: " + flat.Err)
-		}
-		if ml.Err != "" {
-			panic("core: multilevel table: " + ml.Err)
-		}
-		cells[i].Flat = flat.Elapsed
-		cells[i].ML = ml.Elapsed
+		cells[i].Flat = results[2*i].Elapsed
+		cells[i].ML = results[2*i+1].Elapsed
 	}
 	return cells
 }

@@ -83,10 +83,7 @@ func implComparison(r *exp.Runner, name, title string, topo exp.Topology, scale 
 		refExps[i] = npbExperiment(bench, mpiimpl.MPICH2, topo, scale, 0)
 	}
 	refs := make(map[string]exp.Result, len(npb.Names))
-	for i, res := range r.RunAll(refExps) {
-		if res.Err != "" {
-			panic("core: " + name + ": " + res.Err)
-		}
+	for i, res := range runAll(r, name, refExps) {
 		refs[npb.Names[i]] = res
 		fig.set(npb.Names[i], mpiimpl.MPICH2, 1.0, res.DNF)
 	}
@@ -101,10 +98,7 @@ func implComparison(r *exp.Runner, name, title string, topo exp.Topology, scale 
 				refs[bench].Elapsed*DNFBudgetFactor))
 		}
 	}
-	for _, res := range r.RunAll(exps) {
-		if res.Err != "" {
-			panic("core: " + name + ": " + res.Err)
-		}
+	for _, res := range runAll(r, name, exps) {
 		bench := res.Exp.Workload.Bench
 		ref := refs[bench]
 		fig.set(bench, res.Exp.Impl, ref.Elapsed.Seconds()/res.Elapsed.Seconds(), res.DNF)
@@ -145,18 +139,12 @@ func gridVsCluster(r *exp.Runner, name, title string, npCluster int, scale float
 	}
 	clusters := make(map[cell]exp.Result, len(cells))
 	grExps := make([]exp.Experiment, len(cells))
-	for i, res := range r.RunAll(clExps) {
-		if res.Err != "" {
-			panic("core: " + name + ": " + res.Err)
-		}
+	for i, res := range runAll(r, name, clExps) {
 		clusters[cells[i]] = res
 		budget := time.Duration(float64(res.Elapsed) * 4 * DNFBudgetFactor)
 		grExps[i] = npbExperiment(cells[i].bench, cells[i].impl, exp.Grid(8), scale, budget)
 	}
-	for i, res := range r.RunAll(grExps) {
-		if res.Err != "" {
-			panic("core: " + name + ": " + res.Err)
-		}
+	for i, res := range runAll(r, name, grExps) {
 		cl := clusters[cells[i]]
 		fig.set(cells[i].bench, cells[i].impl,
 			cl.Elapsed.Seconds()/res.Elapsed.Seconds(), cl.DNF || res.DNF)
@@ -199,10 +187,7 @@ func Table2(r *exp.Runner, scale float64) []CensusRow {
 		exps[i] = npbExperiment(bench, mpiimpl.MPICH2, exp.Cluster(16), scale, 0)
 	}
 	rows := make([]CensusRow, 0, len(npb.Names))
-	for i, res := range r.RunAll(exps) {
-		if res.Err != "" {
-			panic("core: table2: " + res.Err)
-		}
+	for i, res := range runAll(r, "table2", exps) {
 		c := res.Census
 		row := CensusRow{
 			Bench:      npb.Names[i],

@@ -40,10 +40,7 @@ func rayResults(r *exp.Runner, scale float64) map[string]exp.Result {
 		}
 	}
 	out := make(map[string]exp.Result, len(exps))
-	for i, res := range r.RunAll(exps) {
-		if res.Err != "" {
-			panic("core: ray2mesh@" + ray2mesh.Sites[i] + ": " + res.Err)
-		}
+	for i, res := range runAll(r, "ray2mesh", exps) {
 		out[ray2mesh.Sites[i]] = res
 	}
 	return out

@@ -41,14 +41,12 @@ func ReliabilityMatrix(r *exp.Runner, reps int, plan *exp.FaultPlan) []Reliabili
 		e.Faults = plan
 		faulted[i] = e
 	}
-	hres := r.RunAll(healthy)
+	// A faulted cell may fail: it reports the failure instead.
+	hres := runAll(r, "reliability baseline", healthy)
 	fres := r.RunAll(faulted)
 	cells := make([]ReliabilityCell, len(healthy))
 	for i := range healthy {
 		h, f := hres[i], fres[i]
-		if h.Err != "" {
-			panic("core: reliability baseline: " + h.Err)
-		}
 		cells[i] = ReliabilityCell{
 			Impl:        h.Exp.Impl,
 			Tuning:      h.Exp.Tuning,

@@ -180,16 +180,6 @@ func ParseEvictPolicy(s string) (EvictPolicy, error) {
 	return p, nil
 }
 
-// EvictDir is the CLI wiring of a -cache-evict flag: open the cache
-// directory and run one eviction pass.
-func EvictDir(dir string, p EvictPolicy) (EvictReport, error) {
-	store, err := NewDiskCache(dir)
-	if err != nil {
-		return EvictReport{}, err
-	}
-	return store.Evict(p)
-}
-
 // EvictReport summarises one eviction pass.
 type EvictReport struct {
 	Scanned        int

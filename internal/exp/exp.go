@@ -535,7 +535,14 @@ func (e Experiment) check() error {
 			return fmt.Errorf("exp: %s needs at least 2 nodes in the topology", wl.Kind)
 		}
 	case KindPattern:
-		return CheckPattern(wl.Pattern)
+		if err := CheckPattern(wl.Pattern); err != nil {
+			return err
+		}
+		// On one rank the pingpong would send to itself, and a
+		// rendezvous would wait for a receive it has not yet posted.
+		if wl.Pattern == "pingpong" && e.Topology.NP() < 2 {
+			return fmt.Errorf("exp: the pingpong pattern needs at least 2 nodes in the topology")
+		}
 	case KindNPB:
 		if err := CheckBench(wl.Bench); err != nil {
 			return fmt.Errorf("exp: %w", err)
@@ -570,9 +577,10 @@ func (e Experiment) check() error {
 		return fmt.Errorf("exp: unknown workload kind %q", wl.Kind)
 	}
 	// A pingpong without round trips has no RTT, so its bandwidth would
-	// be infinite and its result unserializable.
-	if (wl.Kind == KindPingPong || wl.Kind == KindFabric) && wl.Reps < 1 {
-		return fmt.Errorf("exp: %s needs at least one round trip per size, got reps = %d", wl.Kind, wl.Reps)
+	// be infinite and its result unserializable; a trace without
+	// messages has no points.
+	if (wl.Kind == KindPingPong || wl.Kind == KindFabric || wl.Kind == KindTrace) && wl.Reps < 1 {
+		return fmt.Errorf("exp: %s needs at least one message, got reps = %d", wl.Kind, wl.Reps)
 	}
 	return nil
 }
@@ -586,9 +594,12 @@ func (e Experiment) stack() (mpi.Profile, tcpsim.Config) {
 	if e.Workload.Kind == KindFabric {
 		// The implementation's stock profile (check keeps the Tuning
 		// zero) over a 4 MB-tuned stack with the fabric's host overhead,
-		// plus the gateway's overhead on every message.
+		// still paced if the implementation paces, plus the gateway's
+		// overhead on every message.
+		paced := tcp.Pacing
 		tcp = tcpsim.Tuned4MB()
 		tcp.HostOverhead = e.Workload.FabricStack
+		tcp.Pacing = paced
 		prof.OverheadLocal += e.Workload.Gateway
 	}
 	if e.EagerThreshold > 0 {

@@ -225,6 +225,13 @@ func TestBadExperimentsReportErr(t *testing.T) {
 		// A pingpong without round trips has no RTT: its bandwidth would
 		// be +Inf, which no result encoding can carry.
 		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload(tinySizes, 0)},
+		// A trace needs at least one message: a negative count would
+		// make a slice with a negative capacity, and zero an empty
+		// trace that a store would cache.
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: TraceWorkload(1<<20, -1)},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: TraceWorkload(1<<20, 0)},
+		// The pingpong pattern on one rank would send to itself.
+		{Impl: mpiimpl.MPICH2, Topology: Cluster(1), Workload: PatternWorkload("pingpong", 1<<20, 2)},
 		// ray2mesh needs its master site in the layout, and two slaves
 		// for the merge phase.
 		{Impl: mpiimpl.MPICH2, Topology: Asym(Site(grid5000.Nancy, 2), Site(grid5000.Sophia, 2)), Workload: Ray2MeshWorkload(grid5000.Rennes, 0.05)},
@@ -245,8 +252,10 @@ func TestBadExperimentsReportErr(t *testing.T) {
 		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 250e6, time.Microsecond, 0, []int{-1}, 1)},
 	}
 	for _, e := range bad {
-		if res := Run(e); res.Err == "" {
-			t.Errorf("%s accepted, want Err", e.Name())
+		// check must refuse each one: a panic caught by Run's recover
+		// means the experiment got past it.
+		if res := Run(e); res.Err == "" || strings.Contains(res.Err, "panic") {
+			t.Errorf("%s: Err = %q, want a refusal from check", e.Name(), res.Err)
 		}
 	}
 }
@@ -362,5 +371,23 @@ func TestFabricWorkload(t *testing.T) {
 	if smallRes.Points[1].Mbps >= res.Points[1].Mbps {
 		t.Errorf("1 KiB socket buffers did not slow the 64 KiB fabric pingpong (%.1f vs %.1f Mbps)",
 			smallRes.Points[1].Mbps, res.Points[1].Mbps)
+	}
+}
+
+// TestStackPacing: pacing is part of the TCP stack that stack()
+// configures, on for GridMPI alone at every tuning level, and a GridMPI
+// fabric run, whose stack is replaced by the 4 MB-tuned one, stays paced.
+func TestStackPacing(t *testing.T) {
+	for _, impl := range mpiimpl.Known {
+		for _, tun := range append([]Tuning{MultilevelTuning}, TuningLevels...) {
+			e := Experiment{Impl: impl, Tuning: tun, Topology: Grid(1), Workload: PingPongWorkload(tinySizes, 1)}
+			if _, tcp := e.stack(); tcp.Pacing != (impl == mpiimpl.GridMPI) {
+				t.Errorf("%s at %s: pacing = %v", impl, tun, tcp.Pacing)
+			}
+		}
+	}
+	fabric := Experiment{Impl: mpiimpl.GridMPI, Workload: FabricWorkload(3*time.Microsecond, 250e6, time.Microsecond, 0, tinySizes, 1)}
+	if _, tcp := fabric.stack(); !tcp.Pacing {
+		t.Error("the GridMPI fabric stack is not paced")
 	}
 }

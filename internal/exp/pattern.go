@@ -3,107 +3,78 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/mpi"
 )
 
-// Patterns lists the SPMD pattern names PatternBody accepts.
-var Patterns = []string{
-	"pingpong", "ring", "alltoall", "bcast", "allreduce", "barrier",
-	"gather", "scatter", "allgather", "reduce",
+// patternSteps is each SPMD pattern's iteration i on rank r.
+var patternSteps = []struct {
+	name string
+	step func(r *mpi.Rank, i, size int)
+}{
+	{"pingpong", func(r *mpi.Rank, i, size int) {
+		peer := r.Size() - 1
+		switch r.Rank() {
+		case 0:
+			r.Send(peer, i, size)
+			r.Recv(peer, i)
+		case peer:
+			r.Recv(0, i)
+			r.Send(0, i, size)
+		}
+	}},
+	{"ring", func(r *mpi.Rank, i, size int) {
+		right := (r.Rank() + 1) % r.Size()
+		left := (r.Rank() - 1 + r.Size()) % r.Size()
+		req := r.Isend(right, i, size)
+		r.Recv(left, i)
+		r.Wait(req)
+	}},
+	{"alltoall", func(r *mpi.Rank, _, size int) { r.Alltoall(size) }},
+	{"bcast", func(r *mpi.Rank, _, size int) { r.Bcast(0, size) }},
+	{"allreduce", func(r *mpi.Rank, _, size int) { r.Allreduce(size) }},
+	{"barrier", func(r *mpi.Rank, _, _ int) { r.Barrier() }},
+	{"gather", func(r *mpi.Rank, _, size int) { r.Gather(0, size) }},
+	{"scatter", func(r *mpi.Rank, _, size int) { r.Scatter(0, size) }},
+	{"allgather", func(r *mpi.Rank, _, size int) { r.Allgather(size) }},
+	{"reduce", func(r *mpi.Rank, _, size int) { r.Reduce(0, size) }},
 }
+
+// Patterns lists the SPMD pattern names PatternBody accepts.
+var Patterns = func() []string {
+	names := make([]string, len(patternSteps))
+	for i, p := range patternSteps {
+		names[i] = p.name
+	}
+	return names
+}()
 
 // CheckPattern validates a pattern name (CLI front-ends use it to reject
 // typos at parse time instead of emitting all-ERR result sets).
 func CheckPattern(name string) error {
-	for _, p := range Patterns {
-		if p == name {
-			return nil
-		}
+	if slices.Contains(Patterns, name) {
+		return nil
 	}
 	return fmt.Errorf("unknown pattern %q (have %s)", name, strings.Join(Patterns, ", "))
 }
 
 // PatternBody builds the SPMD body for a named communication pattern
-// (shared by cmd/gridsim, cmd/sweep and the pattern workload).
+// (shared by cmd/gridsim, cmd/sweep and the pattern workload): iters
+// iterations of the pattern's step.
 func PatternBody(pattern string, size, iters int) (func(*mpi.Rank), error) {
-	switch pattern {
-	case "pingpong":
-		return func(r *mpi.Rank) {
-			peer := r.Size() - 1
-			for i := 0; i < iters; i++ {
-				switch r.Rank() {
-				case 0:
-					r.Send(peer, i, size)
-					r.Recv(peer, i)
-				case peer:
-					r.Recv(0, i)
-					r.Send(0, i, size)
-				}
-			}
-		}, nil
-	case "ring":
-		return func(r *mpi.Rank) {
-			right := (r.Rank() + 1) % r.Size()
-			left := (r.Rank() - 1 + r.Size()) % r.Size()
-			for i := 0; i < iters; i++ {
-				req := r.Isend(right, i, size)
-				r.Recv(left, i)
-				r.Wait(req)
-			}
-		}, nil
-	case "alltoall":
-		return func(r *mpi.Rank) {
-			for i := 0; i < iters; i++ {
-				r.Alltoall(size)
-			}
-		}, nil
-	case "bcast":
-		return func(r *mpi.Rank) {
-			for i := 0; i < iters; i++ {
-				r.Bcast(0, size)
-			}
-		}, nil
-	case "allreduce":
-		return func(r *mpi.Rank) {
-			for i := 0; i < iters; i++ {
-				r.Allreduce(size)
-			}
-		}, nil
-	case "barrier":
-		return func(r *mpi.Rank) {
-			for i := 0; i < iters; i++ {
-				r.Barrier()
-			}
-		}, nil
-	case "gather":
-		return func(r *mpi.Rank) {
-			for i := 0; i < iters; i++ {
-				r.Gather(0, size)
-			}
-		}, nil
-	case "scatter":
-		return func(r *mpi.Rank) {
-			for i := 0; i < iters; i++ {
-				r.Scatter(0, size)
-			}
-		}, nil
-	case "allgather":
-		return func(r *mpi.Rank) {
-			for i := 0; i < iters; i++ {
-				r.Allgather(size)
-			}
-		}, nil
-	case "reduce":
-		return func(r *mpi.Rank) {
-			for i := 0; i < iters; i++ {
-				r.Reduce(0, size)
-			}
-		}, nil
+	k := slices.Index(Patterns, pattern)
+	if k < 0 {
+		return nil, CheckPattern(pattern)
 	}
-	return nil, CheckPattern(pattern)
+	step := patternSteps[k].step
+	return func(r *mpi.Rank) {
+		for i := 0; i < iters; i++ {
+			step(r, i, size)
+		}
+	}, nil
 }
 
 // ParseSize parses a byte count with optional k/M/G suffixes (powers of

@@ -59,12 +59,14 @@ type JobQueue struct {
 const (
 	DefaultLeaseTTL  = 60 * time.Second
 	DefaultJobSlices = 8
-	// DefaultStealMin is the smallest pending count a leased slice must
-	// hold before an idle worker may steal its back half.
-	DefaultStealMin = 2
 	// DefaultWorkerPoll is the idle-poll interval sweepd advertises to
-	// workers that did not pin one with -worker-poll.
+	// workers, and the one a worker waits before a lease response has
+	// carried the server's.
 	DefaultWorkerPoll = 250 * time.Millisecond
+	// stealMin is the smallest pending count a leased slice must hold
+	// before an idle worker may steal its back half: the smallest slice
+	// whose back half is non-empty (apply refuses an empty steal).
+	stealMin = 2
 	// maxJobCells bounds one submission, keeping a confused client from
 	// growing server memory without limit.
 	maxJobCells = 1 << 20
@@ -78,9 +80,6 @@ type QueueConfig struct {
 	// Slices is the default partition width for submissions that do not
 	// choose their own.
 	Slices int
-	// StealMin is the minimum pending cells a leased slice needs before
-	// it can be split for work stealing.
-	StealMin int
 	// Poll is the idle-poll interval advertised to workers.
 	Poll time.Duration
 }
@@ -92,9 +91,6 @@ func (c QueueConfig) withDefaults() QueueConfig {
 	if c.Slices <= 0 {
 		c.Slices = DefaultJobSlices
 	}
-	if c.StealMin < 2 {
-		c.StealMin = DefaultStealMin
-	}
 	if c.Poll <= 0 {
 		c.Poll = DefaultWorkerPoll
 	}
@@ -105,7 +101,6 @@ func (c QueueConfig) withDefaults() QueueConfig {
 type QueueConfigStatus struct {
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
 	Slices     int   `json:"slices"`
-	StealMin   int   `json:"steal_min"`
 	PollMS     int64 `json:"poll_ms"`
 	Draining   bool  `json:"draining,omitempty"`
 }
@@ -214,7 +209,6 @@ func (q *JobQueue) Config() QueueConfigStatus {
 	return QueueConfigStatus{
 		LeaseTTLMS: q.cfg.TTL.Milliseconds(),
 		Slices:     q.cfg.Slices,
-		StealMin:   q.cfg.StealMin,
 		PollMS:     q.cfg.Poll.Milliseconds(),
 		Draining:   q.draining,
 	}
@@ -605,7 +599,7 @@ func (q *JobQueue) findActiveLocked(fps []string) *queueJob {
 // Lease grants the named worker one slice of pending work, scanning
 // jobs in submission order. When every slice of every running job is
 // already leased and alive, the largest in-flight slice with at least
-// StealMin pending cells is split and its back half re-leased to the
+// stealMin pending cells is split and its back half re-leased to the
 // caller (work stealing for stragglers; the donor learns of the theft
 // as a drop list on its next report). ok == false means there is
 // nothing to hand out right now — the worker should poll again. A
@@ -629,7 +623,7 @@ func (q *JobQueue) Lease(worker string) (LeaseGrant, bool) {
 	for _, j := range q.state.Jobs {
 		donor := -1
 		for i, sl := range j.Slices {
-			if sl.Lease == nil || sl.Lease.Worker == worker || len(sl.Pending) < q.cfg.StealMin {
+			if sl.Lease == nil || sl.Lease.Worker == worker || len(sl.Pending) < stealMin {
 				continue
 			}
 			if donor < 0 || len(sl.Pending) > len(j.Slices[donor].Pending) {

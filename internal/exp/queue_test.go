@@ -295,7 +295,7 @@ func TestQueueFleetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewJobQueue(store, QueueConfig{TTL: 30 * time.Second, Slices: 3})
+	q := NewJobQueue(store, QueueConfig{TTL: 30 * time.Second, Slices: 3, Poll: 20 * time.Millisecond})
 	srv := httptest.NewServer(NewQueueHandler(q, NewCacheServer(store)))
 	defer srv.Close()
 
@@ -325,7 +325,6 @@ func TestQueueFleetEndToEnd(t *testing.T) {
 			reports[i] = client.Work(WorkerConfig{
 				ID:       []string{"w1", "w2", "w3"}[i],
 				Runner:   NewRunnerStore(1, rs),
-				Poll:     20 * time.Millisecond,
 				IdleExit: 25,
 			})
 		}(i)

@@ -199,11 +199,6 @@ type WorkerConfig struct {
 	// worker reports the cell done — that publish is what Report's
 	// server-side verification checks.
 	Runner *Runner
-	// Poll is the idle wait between empty lease responses. Zero or
-	// negative defers to the server's advertised hint (the sweepd
-	// -poll flag), falling back to DefaultWorkerPoll before the first
-	// response arrives.
-	Poll time.Duration
 	// IdleExit, when positive, ends the loop after this many
 	// consecutive empty polls (a server that stays unreachable counts
 	// too); zero polls forever.
@@ -277,10 +272,9 @@ func (c *QueueClient) Work(cfg WorkerConfig) WorkerReport {
 			return false
 		}
 	}
+	// The idle wait between empty lease responses is the server's
+	// (sweepd -poll), or DefaultWorkerPoll until a response carries it.
 	poll := func() time.Duration {
-		if cfg.Poll > 0 {
-			return cfg.Poll
-		}
 		if hint := c.PollHint(); hint > 0 {
 			return hint
 		}

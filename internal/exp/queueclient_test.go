@@ -228,7 +228,7 @@ func TestWorkerStopFinishesCurrentCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log strings.Builder
-	rep := client.Work(WorkerConfig{ID: "w1", Runner: NewRunnerStore(1, rs), Poll: time.Millisecond, Stop: stopCh, Log: &log})
+	rep := client.Work(WorkerConfig{ID: "w1", Runner: NewRunnerStore(1, rs), Stop: stopCh, Log: &log})
 	if rep.Leases != 1 || rep.Cells != 1 || rep.Errors != 0 || rep.Rejected != 0 {
 		t.Fatalf("report = %+v, want exactly the in-flight cell finished\nlog: %s", rep, log.String())
 	}
@@ -244,9 +244,16 @@ func TestWorkerStopFinishesCurrentCell(t *testing.T) {
 // TestWorkerOutageIsNotAnError: with no retry window a dead server
 // surfaces immediately, but the worker still treats it as an outage to
 // poll through — Outages counts it, Errors stays zero, and IdleExit
-// eventually ends the loop.
+// eventually ends the loop. The server answers its first lease with
+// nothing to do and a 1 ms poll, then dies.
 func TestWorkerOutageIsNotAnError(t *testing.T) {
+	var leases atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if leases.Add(1) == 1 {
+			w.Header().Set(pollHeader, "1")
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
@@ -255,7 +262,7 @@ func TestWorkerOutageIsNotAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log strings.Builder
-	rep := client.Work(WorkerConfig{ID: "w1", Runner: NewRunner(1), Poll: time.Millisecond, IdleExit: 3, Log: &log})
+	rep := client.Work(WorkerConfig{ID: "w1", Runner: NewRunner(1), IdleExit: 3, Log: &log})
 	if rep.Outages != 1 || rep.Errors != 0 {
 		t.Fatalf("report = %+v, want one outage and zero errors\nlog: %s", rep, log.String())
 	}

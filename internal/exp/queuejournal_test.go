@@ -508,7 +508,7 @@ func TestQueueFleetSurvivesSweepdRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	jdir := t.TempDir()
-	cfg := QueueConfig{TTL: 30 * time.Second, Slices: 1}
+	cfg := QueueConfig{TTL: 30 * time.Second, Slices: 1, Poll: 5 * time.Millisecond}
 	cells := tinyMatrix()
 	direct := NewRunner(2).RunAll(cells)
 
@@ -567,7 +567,7 @@ func TestQueueFleetSurvivesSweepdRestart(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rep = client.Work(WorkerConfig{ID: "w1", Runner: runner, Poll: 5 * time.Millisecond, Stop: stopW})
+		rep = client.Work(WorkerConfig{ID: "w1", Runner: runner, Stop: stopW})
 	}()
 
 	<-died

@@ -145,13 +145,3 @@ func diffResults(stored, fresh Result) string {
 	}
 	return fmt.Sprintf("results diverge at byte %d: stored …%s… vs fresh …%s…", i, a[lo:hiA], b[lo:hiB])
 }
-
-// VerifyDir is the CLI wiring of a -cache-verify flag: open the
-// directory and run one verification pass.
-func VerifyDir(dir string, p float64, workers int) (VerifyReport, error) {
-	store, err := NewDiskCache(dir)
-	if err != nil {
-		return VerifyReport{}, err
-	}
-	return store.Verify(p, workers)
-}

@@ -34,17 +34,16 @@ type Site struct {
 	// CPUSpeed is the relative node speed (Rennes Opteron 248 = 1.0),
 	// calibrated from Table 3 clock rates and the Table 6 per-cluster ray
 	// throughput ("Nancy < Rennes, Toulouse < Sophia").
-	CPUSpeed  float64
-	Processor string
+	CPUSpeed float64
 }
 
 // Sites lists the four clusters of the ray2mesh experiment in a fixed
 // order (deterministic topology construction).
 var Sites = []Site{
-	{Rennes, 1.00, "AMD Opteron 248, 2.2 GHz"},
-	{Nancy, 0.97, "AMD Opteron 246, 2.0 GHz"},
-	{Sophia, 1.22, "AMD Opteron, 2.4 GHz class"},
-	{Toulouse, 0.99, "AMD Opteron, 2.0 GHz class"},
+	{Rennes, 1.00},   // AMD Opteron 248, 2.2 GHz
+	{Nancy, 0.97},    // AMD Opteron 246, 2.0 GHz
+	{Sophia, 1.22},   // AMD Opteron, 2.4 GHz class
+	{Toulouse, 0.99}, // AMD Opteron, 2.0 GHz class
 }
 
 // rttMillis is the published round-trip matrix (Figure 8, plus the text's

@@ -64,7 +64,7 @@ func (r *Rank) startColl(op string, recorder int, bytes int64) int {
 
 // combineCost models the arithmetic of a reduction over n bytes.
 func (r *Rank) combineCost(n int64) {
-	r.Compute(time.Duration(float64(n) / r.w.Prof.CopyRate * float64(time.Second)))
+	r.Compute(time.Duration(float64(n) / copyRate * float64(time.Second)))
 }
 
 // sites is the site partition of a world's ranks. Groups are ordered by

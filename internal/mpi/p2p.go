@@ -246,7 +246,7 @@ func (r *Rank) irecv(src, tag, ctx int) *Request {
 			// The message arrived before the receive was posted: it sat in
 			// an MPI buffer and must now be copied out (Figure 4, arrow 2).
 			req.Status = m.status()
-			copyCost := time.Duration(float64(m.size) / r.w.Prof.CopyRate * float64(time.Second))
+			copyCost := time.Duration(float64(m.size) / copyRate * float64(time.Second))
 			req.done.FireAfter(copyCost)
 			*m = inMsg{}
 			r.w.msgs.put(m)

@@ -166,7 +166,8 @@ func TestUnexpectedMessageCopyCost(t *testing.T) {
 	if postedFirst == 0 {
 		t.Fatal("first receive never completed")
 	}
-	copyCost := time.Duration(float64(n) / prof.CopyRate * float64(time.Second))
+	size := n // a variable, as in irecv: a constant size folds to a fractional, unconvertible Duration
+	copyCost := time.Duration(float64(size) / copyRate * float64(time.Second))
 	if unexpected < copyCost {
 		t.Fatalf("unexpected-message receive took %v, want ≥ copy cost %v", unexpected, copyCost)
 	}

@@ -5,9 +5,11 @@
 //
 // The behavioural differences between the four MPI implementations the
 // paper compares are captured by a Profile: software latency overheads,
-// the eager/rendezvous threshold, the socket-buffer policy, TCP pacing,
-// grid-aware collective algorithms, and two implementation quirks
-// (OpenMPI's fragment pipeline, MPICH-Madeleine's serialized rendezvous).
+// the eager/rendezvous threshold, the socket-buffer policy, grid-aware
+// collective algorithms, and two implementation quirks (OpenMPI's
+// fragment pipeline, MPICH-Madeleine's serialized rendezvous). GridMPI's
+// TCP pacing is a property of the TCP stack (tcpsim.Config.Pacing), set
+// with the rest of the stack by mpiimpl.Configure.
 package mpi
 
 import (
@@ -25,12 +27,16 @@ const ControlBytes = 64
 // Infinite disables the rendezvous protocol when used as EagerThreshold.
 const Infinite = int(^uint(0) >> 1)
 
+// copyRate is the memory-copy bandwidth (bytes/s) of the Opteron nodes,
+// used to price the extra copy of unexpected eager messages and the
+// arithmetic of reductions.
+const copyRate float64 = 2.5e9
+
 // Profile parameterises the MPI engine to behave like one concrete MPI
 // implementation. The zero value is not useful; start from one of the
-// mpiimpl constructors or from Reference.
+// mpiimpl constructors or from Reference. TCP behaviour, GridMPI's
+// pacing included, is the World's tcpsim.Config, not the profile's.
 type Profile struct {
-	Name string
-
 	// OverheadLocal and OverheadWAN are the per-message software latency
 	// the implementation adds over raw TCP on intra-cluster and WAN paths
 	// respectively (the paper's Table 4 deltas).
@@ -45,9 +51,6 @@ type Profile struct {
 	// Buffers is the socket-buffer policy for the implementation's TCP
 	// connections (§4.2.1).
 	Buffers tcpsim.BufferPolicy
-
-	// Pacing enables the GridMPI TCP pacing modification on all flows.
-	Pacing bool
 
 	// GridCollectives selects GridMPI's grid-aware collectives (Matsuda
 	// et al., Cluster'06): between exactly two sites, the van de Geijn
@@ -90,20 +93,14 @@ type Profile struct {
 	ParallelStreams int
 	// StreamMinSize is the smallest payload worth striping.
 	StreamMinSize int
-
-	// CopyRate is the memory-copy bandwidth (bytes/s) used to price the
-	// extra copy of unexpected eager messages.
-	CopyRate float64
 }
 
 // Reference is a minimal well-behaved profile used by unit tests: no
 // overheads beyond TCP, a 128 kB eager threshold, autotuned buffers.
 func Reference() Profile {
 	return Profile{
-		Name:           "reference",
 		EagerThreshold: 128 << 10,
 		Buffers:        tcpsim.Autotune,
-		CopyRate:       2.5e9,
 	}
 }
 
@@ -125,7 +122,6 @@ func (pr Profile) UsesRendezvous(n int) bool {
 // WithEagerThreshold returns a copy with the eager/rendezvous threshold
 // replaced (the paper's §4.2.2 tuning).
 func (pr Profile) WithEagerThreshold(n int) Profile {
-	pr.Name = pr.Name + "+rndv"
 	pr.EagerThreshold = n
 	return pr
 }

@@ -41,13 +41,12 @@ type World struct {
 	sigs   freeList[sim.Signal]
 }
 
-// NewWorld creates a world with rank i running on hosts[i]. The profile's
-// pacing flag is applied to the TCP stack of every connection.
+// NewWorld creates a world with rank i running on hosts[i]. Every
+// connection it opens uses the TCP stack tcp.
 func NewWorld(k *sim.Kernel, net *netsim.Network, tcp tcpsim.Config, prof Profile, hosts []*netsim.Host) *World {
 	if len(hosts) == 0 {
 		panic("mpi: world needs at least one host")
 	}
-	tcp.Pacing = prof.Pacing
 	w := &World{K: k, Net: net, TCP: tcp, Prof: prof, hosts: hosts, stats: newStats()}
 	w.reqs.fresh = func() *Request { return &Request{done: k.NewSignal()} }
 	w.sigs.fresh = k.NewSignal

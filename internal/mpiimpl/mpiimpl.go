@@ -50,34 +50,26 @@ var WithTCP = []string{RawTCP, MPICH2, GridMPI, Madeleine, OpenMPI}
 // order (for CLI validation; Profile panics on anything else).
 var Known = []string{RawTCP, MPICH2, GridMPI, Madeleine, OpenMPI, MPICHG2}
 
-const copyRate = 2.5e9 // bytes/s memcpy rate of the Opteron nodes
-
 // Profile returns the default-configuration profile of one implementation.
 func Profile(name string) mpi.Profile {
 	switch name {
 	case MPICH2:
 		return mpi.Profile{
-			Name:           MPICH2,
 			OverheadLocal:  5 * time.Microsecond,
 			OverheadWAN:    6 * time.Microsecond,
 			EagerThreshold: 256 << 10,
 			Buffers:        tcpsim.Autotune,
-			CopyRate:       copyRate,
 		}
 	case GridMPI:
 		return mpi.Profile{
-			Name:            GridMPI,
 			OverheadLocal:   5 * time.Microsecond,
 			OverheadWAN:     7 * time.Microsecond,
 			EagerThreshold:  mpi.Infinite, // no rendezvous for MPI_Send by default
 			Buffers:         tcpsim.BufferPolicy{KernelDefault: true},
-			Pacing:          true,
 			GridCollectives: true,
-			CopyRate:        copyRate,
 		}
 	case Madeleine:
 		return mpi.Profile{
-			Name:              Madeleine,
 			OverheadLocal:     21 * time.Microsecond,
 			OverheadWAN:       14 * time.Microsecond,
 			EagerThreshold:    128 << 10,
@@ -85,33 +77,27 @@ func Profile(name string) mpi.Profile {
 			SerialRendezvous:  true,
 			SlowPathThreshold: 148 << 10,
 			SlowPathStall:     40 * time.Millisecond,
-			CopyRate:          copyRate,
 		}
 	case OpenMPI:
 		return mpi.Profile{
-			Name:             OpenMPI,
 			OverheadLocal:    5 * time.Microsecond,
 			OverheadWAN:      8 * time.Microsecond,
 			EagerThreshold:   64 << 10,
 			Buffers:          tcpsim.BufferPolicy{Explicit: 128 << 10},
 			FragmentSize:     128 << 10,
 			FragmentOverhead: 40 * time.Microsecond,
-			CopyRate:         copyRate,
 		}
 	case RawTCP:
 		// The reference pingpong written directly on TCP sockets: no MPI
 		// software overhead, no protocol switch, autotuned buffers.
 		return mpi.Profile{
-			Name:           RawTCP,
 			EagerThreshold: mpi.Infinite,
 			Buffers:        tcpsim.Autotune,
-			CopyRate:       copyRate,
 		}
 	case MPICHG2:
 		// Latency overheads are estimates (the Globus layer is heavier
 		// than a plain ch3 device); the paper does not measure MPICH-G2.
 		return mpi.Profile{
-			Name:            MPICHG2,
 			OverheadLocal:   9 * time.Microsecond,
 			OverheadWAN:     12 * time.Microsecond,
 			EagerThreshold:  64 << 10,
@@ -119,7 +105,6 @@ func Profile(name string) mpi.Profile {
 			GridCollectives: true, // "topology-aware" collectives
 			ParallelStreams: 4,    // GridFTP-style large-message striping
 			StreamMinSize:   1 << 20,
-			CopyRate:        copyRate,
 		}
 	}
 	panic(fmt.Sprintf("mpiimpl: unknown implementation %q", name))
@@ -165,6 +150,9 @@ func Configure(name string, tcpTuned, mpiTuned bool) (mpi.Profile, tcpsim.Config
 			prof = prof.WithBuffers(tcpsim.BufferPolicy{Explicit: 4 << 20})
 		}
 	}
+	// GridMPI's TCP modification paces every flow at every tuning level
+	// (§2.1.4).
+	cfg.Pacing = name == GridMPI
 	if mpiTuned {
 		if thr, ok := TunedThreshold(name); ok {
 			prof = prof.WithEagerThreshold(thr)

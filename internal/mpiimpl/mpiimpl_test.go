@@ -38,13 +38,13 @@ func TestDefaultThresholdsMatchTable5(t *testing.T) {
 }
 
 func TestGridMPIHasTheGridFeatures(t *testing.T) {
-	p := Profile(GridMPI)
-	if !p.Pacing || !p.GridCollectives {
-		t.Fatalf("GridMPI profile misses its §2.1.4 features: %+v", p)
+	p, tcp := Configure(GridMPI, false, false)
+	if !tcp.Pacing || !p.GridCollectives {
+		t.Fatalf("GridMPI misses its §2.1.4 features: %+v, pacing %v", p, tcp.Pacing)
 	}
 	for _, other := range []string{MPICH2, Madeleine, OpenMPI} {
-		q := Profile(other)
-		if q.Pacing || q.GridCollectives {
+		q, tcp := Configure(other, false, false)
+		if tcp.Pacing || q.GridCollectives {
 			t.Errorf("%s should not have grid optimizations", other)
 		}
 	}

@@ -2,14 +2,15 @@
 // flow level: one simulation event per congestion-window round instead of
 // one per segment. Each round transmits min(cwnd, socket window, pending)
 // bytes, lasts max(RTT, serialization), and updates the congestion window
-// with slow-start / BIC / Reno rules, burst losses on unpaced slow-start
+// with slow-start / BIC rules, burst losses on unpaced slow-start
 // overshoot (the phenomenon behind the paper's Figure 9), and contention
 // losses on oversubscribed links.
 //
 // The socket-buffer model reproduces the Linux 2.6.18 semantics the paper
 // tunes in §4.2.1: explicit setsockopt sizes are capped by rmem_max /
 // wmem_max, while connections that do not call setsockopt are governed by
-// the tcp_rmem / tcp_wmem autotuning bounds.
+// the tcp_rmem / tcp_wmem autotuning bounds. A Config holds only what a
+// run varies; the model's calibration is the constants below.
 package tcpsim
 
 import "time"
@@ -20,8 +21,59 @@ const (
 	TenGigabitEthernet = 1.25e9 // 10 Gbit/s
 )
 
-// Config models the host TCP stack: the Linux sysctls the paper tunes plus
-// the congestion-control behaviour knobs.
+// The model's calibration: every run uses these values.
+const (
+	// mss is the TCP payload per segment; frameOverhead is the per-segment
+	// wire overhead (IP+TCP+Ethernet framing), giving a goodput efficiency
+	// of mss/(mss+frameOverhead) — 94.1% on GbE, the paper's 940 Mbps.
+	mss           int = 1448
+	frameOverhead int = 90
+
+	// efficiency is the goodput fraction of raw link rate.
+	efficiency = float64(mss) / float64(mss+frameOverhead)
+
+	// initCwndSegs is the initial congestion window in segments.
+	initCwndSegs int = 3
+
+	// initialSsthresh (bytes) models the conservative slow-start threshold
+	// a fresh Linux connection starts from (route-cache metrics / early
+	// ack-train losses). It is what makes the first seconds of a
+	// long-distance transfer slow (Figure 9): above it, the window grows
+	// only at congestion-avoidance speed.
+	initialSsthresh int = 512 << 10
+
+	// burstQueue is the bottleneck queue capacity (bytes) of a
+	// long-distance path: an unpaced slow-start burst whose window exceeds
+	// the path BDP plus this queue overflows it and loses segments. Paced
+	// senders (GridMPI's kernel modification) smooth their bursts and
+	// tolerate pacingBurstFactor times more.
+	burstQueue        int     = 256 << 10
+	pacingBurstFactor float64 = 4
+
+	// pacingGrowthFactor scales congestion-avoidance growth for paced
+	// flows: a smooth ack clock lets BIC take its full increments, so a
+	// paced connection recovers window multiple times faster — the
+	// behaviour behind GridMPI's fast ramp in Figure 9(c).
+	pacingGrowthFactor float64 = 8
+
+	// contentionLossCoef scales the per-round loss probability of a flow
+	// whose path links are oversubscribed; paced flows multiply it by
+	// pacingLossFactor (<1).
+	contentionLossCoef float64 = 0.12
+	pacingLossFactor   float64 = 0.10
+
+	// minRTO is the lower bound on the retransmission timeout used for the
+	// idle-restart rule.
+	minRTO time.Duration = 200 * time.Millisecond
+
+	// wanThreshold classifies a path as long-distance when its RTT is at
+	// least this value; burst losses only occur on long-distance paths
+	// (cluster switches have ample queues relative to the tiny BDP).
+	wanThreshold time.Duration = time.Millisecond
+)
+
+// Config models the host TCP stack: the Linux sysctls the paper tunes,
+// the endpoint software overhead, and GridMPI's pacing.
 type Config struct {
 	// RmemMax / WmemMax cap explicit setsockopt(SO_RCVBUF/SO_SNDBUF)
 	// requests (/proc/sys/net/core/rmem_max, wmem_max).
@@ -33,53 +85,9 @@ type Config struct {
 	// autotuning; index 2 bounds autotuned growth.
 	TCPRmem, TCPWmem [3]int
 
-	// MSS is the TCP payload per segment; FrameOverhead is the per-segment
-	// wire overhead (IP+TCP+Ethernet framing), giving a goodput efficiency
-	// of MSS/(MSS+FrameOverhead) — 94.1% on GbE, the paper's 940 Mbps.
-	MSS           int
-	FrameOverhead int
-
-	// InitCwndSegs is the initial congestion window in segments.
-	InitCwndSegs int
-
-	// InitialSsthresh (bytes) models the conservative slow-start threshold
-	// a fresh Linux connection starts from (route-cache metrics / early
-	// ack-train losses). It is what makes the first seconds of a
-	// long-distance transfer slow (Figure 9): above it, the window grows
-	// only at congestion-avoidance speed.
-	InitialSsthresh int
-
-	// Congestion selects the avoidance algorithm: "bic" (the paper's
-	// kernel default) or "reno".
-	Congestion string
-
 	// SlowStartAfterIdle mirrors tcp_slow_start_after_idle: connections
 	// idle for longer than the RTO restart from the initial window.
 	SlowStartAfterIdle bool
-
-	// BurstQueue is the bottleneck queue capacity (bytes) of a
-	// long-distance path: an unpaced slow-start burst whose window exceeds
-	// the path BDP plus this queue overflows it and loses segments. Paced
-	// senders (GridMPI's kernel modification) smooth their bursts and
-	// tolerate PacingBurstFactor times more.
-	BurstQueue        int
-	PacingBurstFactor float64
-
-	// PacingGrowthFactor scales congestion-avoidance growth for paced
-	// flows: a smooth ack clock lets BIC take its full increments, so a
-	// paced connection recovers window multiple times faster — the
-	// behaviour behind GridMPI's fast ramp in Figure 9(c).
-	PacingGrowthFactor float64
-
-	// ContentionLossCoef scales the per-round loss probability of a flow
-	// whose path links are oversubscribed; paced flows multiply it by
-	// PacingLossFactor (<1).
-	ContentionLossCoef float64
-	PacingLossFactor   float64
-
-	// MinRTO is the lower bound on the retransmission timeout used for the
-	// idle-restart rule.
-	MinRTO time.Duration
 
 	// HostOverhead is the per-endpoint software latency added to every
 	// one-way traversal (interrupt + stack + copy). Two endpoints
@@ -89,11 +97,6 @@ type Config struct {
 	// Pacing enables software pacing on flows opened under this config
 	// (GridMPI's TCP modification, Takano et al. PFLDnet'05).
 	Pacing bool
-
-	// WANThreshold classifies a path as long-distance when its RTT is at
-	// least this value; burst losses only occur on long-distance paths
-	// (cluster switches have ample queues relative to the tiny BDP).
-	WANThreshold time.Duration
 }
 
 // DefaultLinux26 returns the Linux 2.6.18 stack the paper's nodes boot
@@ -105,20 +108,8 @@ func DefaultLinux26() Config {
 		WmemMax:            131072,
 		TCPRmem:            [3]int{4096, 87380, 174760},
 		TCPWmem:            [3]int{4096, 16384, 262144},
-		MSS:                1448,
-		FrameOverhead:      90,
-		InitCwndSegs:       3,
-		InitialSsthresh:    512 << 10,
-		Congestion:         "bic",
 		SlowStartAfterIdle: true,
-		BurstQueue:         256 << 10,
-		PacingBurstFactor:  4,
-		PacingGrowthFactor: 8,
-		ContentionLossCoef: 0.12,
-		PacingLossFactor:   0.10,
-		MinRTO:             200 * time.Millisecond,
 		HostOverhead:       6 * time.Microsecond,
-		WANThreshold:       time.Millisecond,
 	}
 }
 
@@ -143,11 +134,6 @@ func Tuned4MB() Config {
 	// networks and necessary to reproduce Figures 6 and 7).
 	c.SlowStartAfterIdle = false
 	return c
-}
-
-// Efficiency returns the goodput fraction of raw link rate.
-func (c Config) Efficiency() float64 {
-	return float64(c.MSS) / float64(c.MSS+c.FrameOverhead)
 }
 
 // BufferPolicy says how a connection sizes its socket buffers, mirroring

@@ -57,8 +57,7 @@ type Flow struct {
 	path   *netsim.Path
 	policy BufferPolicy
 
-	windowCap int     // min(send buffer, receive buffer) ceiling
-	eff       float64 // goodput fraction of raw link rate
+	windowCap int // min(send buffer, receive buffer) ceiling
 
 	cwnd      float64
 	ssthresh  float64
@@ -133,29 +132,28 @@ func NewFlow(k *sim.Kernel, path *netsim.Path, cfg Config, policy BufferPolicy) 
 		path:      path,
 		policy:    policy,
 		windowCap: cfg.WindowCap(policy),
-		eff:       cfg.Efficiency(),
-		cwnd:      float64(cfg.InitCwndSegs * cfg.MSS),
+		cwnd:      float64(initCwndSegs * mss),
 		ssthresh:  math.MaxFloat64 / 4,
 		slowStart: true,
 		writeMu:   k.NewMutex(),
 	}
-	if f.windowCap < cfg.MSS {
-		f.windowCap = cfg.MSS
+	if f.windowCap < mss {
+		f.windowCap = mss
 	}
 	// A conservative initial ssthresh only matters on long paths: cluster
 	// BDPs are far below it, so local connections effectively slow-start
 	// straight to their operating window. Paced senders do not suffer the
 	// early ack-train losses the low initial threshold models, so they
 	// keep slow-starting to the pipe capacity — GridMPI's fast ramp.
-	if cfg.InitialSsthresh > 0 && f.isWAN() && !cfg.Pacing {
-		f.ssthresh = float64(cfg.InitialSsthresh)
+	if f.isWAN() && !cfg.Pacing {
+		f.ssthresh = float64(initialSsthresh)
 	}
 	return f
 }
 
 // bdp returns the path's bandwidth-delay product in bytes.
 func (f *Flow) bdp() float64 {
-	return f.path.Bottleneck() * f.eff * f.rtt().Seconds()
+	return f.path.Bottleneck() * efficiency * f.rtt().Seconds()
 }
 
 // Path returns the network path the flow runs over.
@@ -175,7 +173,7 @@ func (f *Flow) Delivered() int64 { return f.deliveredOff }
 
 // isWAN reports whether this path counts as long-distance for the burst
 // loss model.
-func (f *Flow) isWAN() bool { return f.path.RTT() >= f.cfg.WANThreshold }
+func (f *Flow) isWAN() bool { return f.path.RTT() >= wanThreshold }
 
 // rtt is the effective round-trip time including endpoint software costs.
 func (f *Flow) rtt() time.Duration { return f.path.RTT() + 2*f.cfg.HostOverhead }
@@ -183,8 +181,8 @@ func (f *Flow) rtt() time.Duration { return f.path.RTT() + 2*f.cfg.HostOverhead 
 // rto is the idle-restart threshold.
 func (f *Flow) rto() time.Duration {
 	r := 2 * f.rtt()
-	if r < f.cfg.MinRTO {
-		r = f.cfg.MinRTO
+	if r < minRTO {
+		r = minRTO
 	}
 	return r
 }
@@ -340,10 +338,10 @@ func (f *Flow) pump() {
 	if w > pending {
 		w = pending
 	}
-	if w < int64(f.cfg.MSS) && pending >= int64(f.cfg.MSS) {
-		w = int64(f.cfg.MSS)
+	if w < int64(mss) && pending >= int64(mss) {
+		w = int64(mss)
 	}
-	rate := f.path.ShareRate() * f.eff
+	rate := f.path.ShareRate() * efficiency
 	serial := time.Duration(float64(w) / rate * float64(time.Second))
 	rtt := f.rtt()
 	// The ack clock only gates the sender in proportion to how much of
@@ -434,7 +432,7 @@ func (f *Flow) window() float64 {
 	if c := float64(f.windowCap); w > c {
 		w = c
 	}
-	if m := float64(f.cfg.MSS); w < m {
+	if m := float64(mss); w < m {
 		w = m
 	}
 	return w
@@ -503,7 +501,6 @@ func ackRound(a any) {
 // updateCwnd applies slow start / congestion avoidance plus the two loss
 // models (slow-start burst overshoot; contention on shared links).
 func (f *Flow) updateCwnd(w int64, roundTime time.Duration, rateLimited bool) {
-	mss := float64(f.cfg.MSS)
 	cap64 := float64(f.windowCap)
 	if f.ackInjLoss {
 		// The round lost a segment to injected path loss and recovered by
@@ -513,16 +510,16 @@ func (f *Flow) updateCwnd(w int64, roundTime time.Duration, rateLimited bool) {
 		f.cwnd *= 0.5
 		f.ssthresh = f.cwnd
 		f.slowStart = false
-		if f.cwnd < mss {
-			f.cwnd = mss
+		if f.cwnd < float64(mss) {
+			f.cwnd = float64(mss)
 		}
 		return
 	}
 	if f.slowStart {
 		f.cwnd += float64(w)
-		queue := float64(f.cfg.BurstQueue)
+		queue := float64(burstQueue)
 		if f.cfg.Pacing {
-			queue *= f.cfg.PacingBurstFactor
+			queue *= pacingBurstFactor
 		}
 		burst := f.bdp() + queue
 		switch {
@@ -542,14 +539,9 @@ func (f *Flow) updateCwnd(w int64, roundTime time.Duration, rateLimited bool) {
 		if frac > 1 {
 			frac = 1
 		}
-		var inc float64
-		if f.cfg.Congestion == "reno" {
-			inc = mss
-		} else {
-			inc = f.bicIncrement(mss)
-		}
-		if f.cfg.Pacing && f.cfg.PacingGrowthFactor > 1 {
-			inc *= f.cfg.PacingGrowthFactor
+		inc := f.bicIncrement()
+		if f.cfg.Pacing {
+			inc *= pacingGrowthFactor
 		}
 		f.cwnd += inc * frac
 		if rateLimited {
@@ -560,8 +552,8 @@ func (f *Flow) updateCwnd(w int64, roundTime time.Duration, rateLimited bool) {
 		f.cwnd = cap64
 		f.slowStart = false
 	}
-	if f.cwnd < mss {
-		f.cwnd = mss
+	if f.cwnd < float64(mss) {
+		f.cwnd = float64(mss)
 	}
 	if f.cwnd > f.Stats.PeakCwnd {
 		f.Stats.PeakCwnd = f.cwnd
@@ -573,17 +565,17 @@ func (f *Flow) updateCwnd(w int64, roundTime time.Duration, rateLimited bool) {
 // deliberately small: on a clean long path BIC's effective growth is a few
 // segments per RTT, which is what stretches the paper's Figure 9 ramp over
 // seconds.
-func (f *Flow) bicIncrement(mss float64) float64 {
+func (f *Flow) bicIncrement() float64 {
 	const (
 		binaryCapSegs = 4 // effective Smax during binary search
 		probeCapSegs  = 3 // gentle growth while probing past wmax
 	)
 	if f.wmax > 0 && f.cwnd < f.wmax {
 		inc := (f.wmax - f.cwnd) / 2
-		return clamp(inc, mss, binaryCapSegs*mss)
+		return clamp(inc, float64(mss), binaryCapSegs*float64(mss))
 	}
 	inc := f.cwnd - f.wmax // doubles each RTT while probing
-	return clamp(inc, mss, probeCapSegs*mss)
+	return clamp(inc, float64(mss), probeCapSegs*float64(mss))
 }
 
 // burstLoss models an unpaced slow-start burst overflowing the bottleneck
@@ -619,9 +611,9 @@ func (f *Flow) maybeContentionLoss(roundTime time.Duration) {
 	if draws < 1 {
 		draws = 1
 	}
-	p := f.cfg.ContentionLossCoef * over * draws
+	p := contentionLossCoef * over * draws
 	if f.cfg.Pacing {
-		p *= f.cfg.PacingLossFactor
+		p *= pacingLossFactor
 	}
 	if p > 0.75 {
 		p = 0.75
@@ -632,9 +624,9 @@ func (f *Flow) maybeContentionLoss(roundTime time.Duration) {
 	const rtoShare = 0.3 // fraction of contention losses that become RTOs
 	if f.isWAN() && f.k.Rand().Float64() < rtoShare {
 		f.Stats.Timeouts++
-		f.stallUntil = f.k.Now() + f.cfg.MinRTO
-		f.ssthresh = math.Max(f.cwnd/2, 2*float64(f.cfg.MSS))
-		f.cwnd = float64(f.cfg.InitCwndSegs * f.cfg.MSS)
+		f.stallUntil = f.k.Now() + minRTO
+		f.ssthresh = math.Max(f.cwnd/2, 2*float64(mss))
+		f.cwnd = float64(initCwndSegs * mss)
 		f.slowStart = true
 		return
 	}
@@ -650,7 +642,7 @@ func (f *Flow) maybeContentionLoss(roundTime time.Duration) {
 func (f *Flow) idleRestart() {
 	f.Stats.IdleRestarts++
 	f.ssthresh = math.Max(f.ssthresh, f.cwnd)
-	f.cwnd = float64(f.cfg.InitCwndSegs * f.cfg.MSS)
+	f.cwnd = float64(initCwndSegs * mss)
 	f.slowStart = true
 }
 

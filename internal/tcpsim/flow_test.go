@@ -287,7 +287,7 @@ func TestThroughputUpperBounds(t *testing.T) {
 			f := NewFlow(k, gridPath(n), cfg, pol)
 			d := transferTime(t, k, f, sz, sz)
 			rate := float64(sz) / d.Seconds() // bytes/s
-			lineLimit := GigabitEthernet * cfg.Efficiency()
+			lineLimit := GigabitEthernet * efficiency
 			windowLimit := float64(f.WindowCap()) / f.rtt().Seconds()
 			limit := lineLimit
 			if windowLimit < limit {
@@ -348,7 +348,7 @@ func TestWindowCapPolicies(t *testing.T) {
 }
 
 func TestEfficiencyMatchesGigabitGoodput(t *testing.T) {
-	eff := DefaultLinux26().Efficiency()
+	eff := efficiency
 	goodput := 1000 * eff // Mbps on GbE
 	if goodput < 935 || goodput > 945 {
 		t.Fatalf("modelled GbE goodput = %.1f Mbps, want ≈940", goodput)

@@ -102,7 +102,7 @@ func TestPropertyCwndBounds(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 10; i++ {
 				f.Send(p, int64(rng.Intn(4<<20)+1), nil)
-				if f.Cwnd() > float64(f.WindowCap())+1 || f.Cwnd() < float64(cfg.MSS)-1 {
+				if f.Cwnd() > float64(f.WindowCap())+1 || f.Cwnd() < float64(mss)-1 {
 					ok = false
 				}
 			}

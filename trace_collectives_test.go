@@ -14,22 +14,25 @@ import (
 	"repro/internal/tcpsim"
 )
 
+// collectiveTraceProfile is one collective strategy, labelled for the
+// golden's case names.
+type collectiveTraceProfile struct {
+	name string
+	prof mpi.Profile
+}
+
 // collectiveTraceProfiles are mpi.Reference() under every collective
 // strategy: flat, GridMPI's grid algorithms, multilevel, and both.
-func collectiveTraceProfiles() []mpi.Profile {
+func collectiveTraceProfiles() []collectiveTraceProfile {
 	ref := mpi.Reference()
 	// GridMPI's profile reset to the reference in every field but its
 	// collective selection, so this file names no selector field.
 	grid := mpiimpl.Profile(mpiimpl.GridMPI)
-	grid.Name = "grid"
 	grid.OverheadLocal, grid.OverheadWAN = ref.OverheadLocal, ref.OverheadWAN
-	grid.EagerThreshold, grid.Buffers, grid.Pacing, grid.CopyRate = ref.EagerThreshold, ref.Buffers, ref.Pacing, ref.CopyRate
-	flat := ref
-	flat.Name = "flat"
-	ml, gridML := flat, grid
-	ml.Name, ml.Multilevel = "multilevel", true
-	gridML.Name, gridML.Multilevel = "grid+multilevel", true
-	return []mpi.Profile{flat, grid, ml, gridML}
+	grid.EagerThreshold, grid.Buffers = ref.EagerThreshold, ref.Buffers
+	ml, gridML := ref, grid
+	ml.Multilevel, gridML.Multilevel = true, true
+	return []collectiveTraceProfile{{"flat", ref}, {"grid", grid}, {"multilevel", ml}, {"grid+multilevel", gridML}}
 }
 
 // collectiveTraceLayouts are 1–4 sites with node counts misaligned with
@@ -89,7 +92,7 @@ var collectiveTraceOps = []struct {
 // internal/mpi covers it.
 func TestCollectiveEventOrderTrace(t *testing.T) {
 	var out strings.Builder
-	for _, prof := range collectiveTraceProfiles() {
+	for _, tp := range collectiveTraceProfiles() {
 		for _, lt := range collectiveTraceLayouts {
 			net := netsim.New(lt.layout, grid5000.OneWay)
 			var hosts []*netsim.Host
@@ -104,16 +107,16 @@ func TestCollectiveEventOrderTrace(t *testing.T) {
 				}
 				for _, n := range []int{2 << 10, 64 << 10, 1 << 20} {
 					for _, root := range roots {
-						if prof.Name == "grid" && lt.name == "2site" && op.name == "allreduce" && n >= 32<<10 {
+						if tp.name == "grid" && lt.name == "2site" && op.name == "allreduce" && n >= 32<<10 {
 							continue
 						}
-						name := fmt.Sprintf("%s/%s/%s/%d/root%d", prof.Name, lt.name, op.name, n, root)
+						name := fmt.Sprintf("%s/%s/%s/%d/root%d", tp.name, lt.name, op.name, n, root)
 						h := sha256.New()
 						var elapsed int64
 						traceEvents(h, func() {
 							k := sim.New(1)
 							defer k.Close()
-							w := mpi.NewWorld(k, net, tcpsim.Tuned4MB(), prof, hosts)
+							w := mpi.NewWorld(k, net, tcpsim.Tuned4MB(), tp.prof, hosts)
 							d, err := w.Run(func(r *mpi.Rank) { op.call(r, root, n) })
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
