@@ -108,19 +108,20 @@ func BenchmarkAblationBufferSweep(b *testing.B) {
 
 // BenchmarkAblationEagerThreshold isolates the §4.2.2 tuning on MPICH2:
 // 512 kB WAN message latency with the default 256 kB threshold
-// (rendezvous) vs the tuned 65 MB threshold (eager), as a two-point
-// threshold axis on the experiment engine.
+// (rendezvous) vs the tuned 65 MB threshold (eager), as two experiments
+// that differ only in their eager threshold.
 func BenchmarkAblationEagerThreshold(b *testing.B) {
-	sweep := exp.Sweep{
-		Impls:           []string{mpiimpl.MPICH2},
-		Tunings:         []exp.Tuning{{TCP: true}},
-		Topologies:      []exp.Topology{exp.Grid(1)},
-		Workloads:       []exp.Workload{exp.PingPongWorkload([]int{512 << 10}, 20)},
-		EagerThresholds: []int{256 << 10, 65 << 20},
+	rndvExp := exp.Experiment{
+		Impl:     mpiimpl.MPICH2,
+		Tuning:   exp.Tuning{TCP: true},
+		Topology: exp.Grid(1),
+		Workload: exp.PingPongWorkload([]int{512 << 10}, 20),
 	}
+	eagerExp := rndvExp
+	rndvExp.EagerThreshold, eagerExp.EagerThreshold = 256<<10, 65<<20
 	var rndv, eager time.Duration
 	for i := 0; i < b.N; i++ {
-		results := exp.NewRunner(0).RunSweep(sweep)
+		results := exp.NewRunner(0).RunAll([]exp.Experiment{rndvExp, eagerExp})
 		for _, r := range results {
 			if r.Err != "" {
 				b.Fatal(r.Err)

@@ -13,6 +13,9 @@
 //	sweep -faults "seed=7; 0s loss 0.02; 100ms jitter 2ms site=nancy"
 //	sweep -guidelines -size 64k -iters 5
 //
+// The axis flags, -impls through -max-size, are exp.Axes: the grammar
+// cmd/gridsim shares, so the same flags name the same cells in both.
+//
 // -guidelines appends a Hunold-style self-consistency pass: the
 // collective patterns run per impl × tuning × topology through the same
 // cached runner, and any configuration where a specialized collective is
@@ -46,16 +49,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/mpiimpl"
-	"repro/internal/npb"
-	"repro/internal/perf"
 	"repro/internal/profiling"
-	"repro/internal/ray2mesh"
 )
 
 func main() {
@@ -75,145 +73,12 @@ var errFlagParse = errors.New("flag parsing failed")
 // into it directly.
 var workerStop = make(chan os.Signal, 1)
 
-func parseImpls(s string) ([]string, error) {
-	switch s {
-	case "all":
-		return mpiimpl.WithTCP, nil
-	case "mpi":
-		return mpiimpl.All, nil
-	}
-	var impls []string
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if err := exp.CheckImpl(name); err != nil {
-			return nil, err
-		}
-		impls = append(impls, name)
-	}
-	if len(impls) == 0 {
-		return nil, fmt.Errorf("empty -impls")
-	}
-	return impls, nil
-}
-
-func parseTunings(s string) ([]exp.Tuning, error) {
-	var tunings []exp.Tuning
-	for _, tok := range strings.Split(s, ",") {
-		switch strings.TrimSpace(tok) {
-		case "default":
-			tunings = append(tunings, exp.Tuning{})
-		case "tcp":
-			tunings = append(tunings, exp.Tuning{TCP: true})
-		case "full":
-			tunings = append(tunings, exp.Tuning{TCP: true, MPI: true})
-		case "multilevel":
-			tunings = append(tunings, exp.MultilevelTuning)
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown tuning %q (want default, tcp, full, multilevel)", tok)
-		}
-	}
-	if len(tunings) == 0 {
-		return nil, fmt.Errorf("empty -tunings")
-	}
-	return tunings, nil
-}
-
-func parseTopos(s string, nodes int, placement exp.Placement) ([]exp.Topology, error) {
-	var topos []exp.Topology
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		var topo exp.Topology
-		switch tok {
-		case "grid":
-			topo = exp.Grid(nodes)
-		case "cluster":
-			topo = exp.Cluster(2 * nodes)
-		case "":
-			continue
-		default:
-			// An explicit per-site layout, e.g. "rennes:8+nancy:4+sophia:4".
-			var err error
-			if topo, err = exp.ParseLayout(tok); err != nil {
-				return nil, fmt.Errorf("unknown topology %q (want grid, cluster, or a site:nodes layout): %w", tok, err)
-			}
-		}
-		topo.Placement = placement
-		if err := topo.Validate(); err != nil {
-			return nil, err
-		}
-		topos = append(topos, topo)
-	}
-	if len(topos) == 0 {
-		return nil, fmt.Errorf("empty -topo")
-	}
-	return topos, nil
-}
-
-func parseWorkloads(s string, sizes []int, reps, size, iters int, scale float64) ([]exp.Workload, error) {
-	kind, arg, _ := strings.Cut(s, ":")
-	switch kind {
-	case "pingpong":
-		return []exp.Workload{exp.PingPongWorkload(sizes, reps)}, nil
-	case "trace":
-		return []exp.Workload{exp.TraceWorkload(size, reps)}, nil
-	case "npb":
-		benches := npb.Names
-		if arg != "" && arg != "all" {
-			benches = strings.Split(arg, ",")
-		}
-		var wls []exp.Workload
-		for _, b := range benches {
-			b = strings.TrimSpace(b)
-			if err := exp.CheckBench(b); err != nil {
-				return nil, err
-			}
-			wls = append(wls, exp.NPBWorkload(b, scale))
-		}
-		return wls, nil
-	case "pattern":
-		if arg == "" {
-			return nil, fmt.Errorf("-workload pattern needs a name, e.g. pattern:alltoall")
-		}
-		if err := exp.CheckPattern(arg); err != nil {
-			return nil, err
-		}
-		return []exp.Workload{exp.PatternWorkload(arg, size, iters)}, nil
-	case "ray2mesh":
-		masters := ray2mesh.Sites
-		if arg != "" && arg != "all" {
-			masters = strings.Split(arg, ",")
-		}
-		var wls []exp.Workload
-		for _, m := range masters {
-			m = strings.TrimSpace(m)
-			if err := exp.CheckSite(m); err != nil {
-				return nil, err
-			}
-			wls = append(wls, exp.Ray2MeshWorkload(m, scale))
-		}
-		return wls, nil
-	}
-	return nil, fmt.Errorf("unknown -workload %q", s)
-}
-
 func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	implsStr := fs.String("impls", "all", `implementations: "all" (TCP + the four MPI), "mpi" (the four), or a comma list`)
-	tuningsStr := fs.String("tunings", "default,tcp,full", "tuning levels to cross (default, tcp, full, multilevel)")
-	topoStr := fs.String("topo", "grid", `topologies to cross: grid, cluster, or per-site layouts like "rennes:8+nancy:4"`)
-	placementStr := fs.String("placement", "", "rank placement for every topology: block, round-robin, strided:<k>, master:<site> (default block)")
-	nodes := fs.Int("nodes", 1, "nodes per site (grid) / half the cluster size")
-	workloadStr := fs.String("workload", "pingpong", "workload: pingpong, trace, npb[:BENCH|:all], pattern:NAME, ray2mesh[:SITE|:all]")
-	reps := fs.Int("reps", 50, "pingpong round trips per size / trace message count")
-	sizeStr := fs.String("size", "1M", "message size for pattern/trace workloads (k/M/G suffixes)")
-	iters := fs.Int("iters", 10, "pattern repetitions")
-	scale := fs.Float64("scale", 0.1, "NPB / ray2mesh workload scale (1.0 = the paper's full size)")
-	maxSizeStr := fs.String("max-size", "64M", "largest pingpong message size")
+	axes := exp.Axes{Impls: "all", Tunings: "default,tcp,full", Nodes: 1, Workload: "pingpong",
+		Reps: 50, Size: "1M", Iters: 10, Scale: 0.1, MaxSize: "64M"}
+	axes.Register(fs)
 	workers := fs.Int("workers", 0, "worker pool size (0 = one per CPU)")
 	cacheDir := fs.String("cache", "", "persistent result-cache directory (empty = in-memory only)")
 	remoteURL := fs.String("cache-remote", "", "result-store server URL (a cmd/sweepd instance); with -cache, the directory becomes its local read-through/write-behind tier")
@@ -346,16 +211,9 @@ func run(args []string, out, errOut io.Writer) error {
 			fmt.Fprintln(errOut, err)
 		}
 	}()
-	if *nodes < 1 {
-		return fmt.Errorf("-nodes must be ≥ 1, got %d", *nodes)
-	}
-	size, err := exp.ParseSize(*sizeStr)
+	sweep, err := axes.Sweep()
 	if err != nil {
-		return fmt.Errorf("bad -size: %w", err)
-	}
-	maxSize, err := exp.ParseSize(*maxSizeStr)
-	if err != nil {
-		return fmt.Errorf("bad -max-size: %w", err)
+		return err
 	}
 	shard := exp.Shard{}
 	if *shardStr != "" {
@@ -372,36 +230,6 @@ func run(args []string, out, errOut io.Writer) error {
 			return err
 		}
 	}
-	impls, err := parseImpls(*implsStr)
-	if err != nil {
-		return err
-	}
-	tunings, err := parseTunings(*tuningsStr)
-	if err != nil {
-		return err
-	}
-	// ray2mesh defaults to its four-site Figure 8 testbed. An explicitly
-	// chosen -topo is honored; only the untouched default collapses to
-	// the canonical testbed (under the -placement), so matrix labels and
-	// cache fingerprints always reflect the run that actually happens.
-	topoSet := false
-	fs.Visit(func(f *flag.Flag) { topoSet = topoSet || f.Name == "topo" })
-	var topos []exp.Topology
-	if strings.HasPrefix(*workloadStr, "ray2mesh") && !topoSet {
-		topo := exp.Ray2MeshTopology()
-		topo.Placement = exp.Placement(*placementStr)
-		topos, err = []exp.Topology{topo}, topo.Validate()
-	} else {
-		topos, err = parseTopos(*topoStr, *nodes, exp.Placement(*placementStr))
-	}
-	if err != nil {
-		return err
-	}
-	sizes := perf.PowersOfTwoSizes(1<<10, maxSize)
-	workloads, err := parseWorkloads(*workloadStr, sizes, *reps, size, *iters, *scale)
-	if err != nil {
-		return err
-	}
 	faults, err := exp.ParseFaultPlan(*faultsStr)
 	if err != nil {
 		return err
@@ -412,7 +240,6 @@ func run(args []string, out, errOut io.Writer) error {
 		// faults, not the collective algorithm.
 		return fmt.Errorf("-guidelines assumes a healthy network; drop -faults")
 	}
-	sweep := exp.Sweep{Impls: impls, Tunings: tunings, Topologies: topos, Workloads: workloads}
 	all := sweep.Experiments()
 	// Faults apply before sharding: the partition keys on the faulted
 	// fingerprints, so every shard of a faulted matrix agrees on ownership.
@@ -432,7 +259,7 @@ func run(args []string, out, errOut io.Writer) error {
 		if *guidelines {
 			return fmt.Errorf("-guidelines is a local post-processor; drop -submit")
 		}
-		return submit(out, errOut, *submitURL, all, *slicesFlag, *detach, *format, *workloadStr, *retryWindow)
+		return submit(out, errOut, *submitURL, all, *slicesFlag, *detach, *format, axes.Workload, *retryWindow)
 	}
 	exps := shard.Select(all)
 	runner, remote, err := exp.NewRunnerCache(*workers, *cacheDir, *remoteURL)
@@ -453,10 +280,10 @@ func run(args []string, out, errOut io.Writer) error {
 			return err
 		}
 	default:
-		title := fmt.Sprintf("Sweep: %d experiments (%s workload)", len(results), *workloadStr)
+		title := fmt.Sprintf("Sweep: %d experiments (%s workload)", len(results), axes.Workload)
 		if !shard.IsAll() {
 			title = fmt.Sprintf("Sweep shard %s: %d of %d experiments (%s workload)",
-				shard, len(results), sweep.Size(), *workloadStr)
+				shard, len(results), sweep.Size(), axes.Workload)
 		}
 		fmt.Fprintln(out, exp.MatrixTable(title, results))
 		fmt.Fprintf(out, "%d experiments, %d workers, wall time %v\n",
@@ -468,7 +295,8 @@ func run(args []string, out, errOut io.Writer) error {
 	// on one machine.
 	guidelineViolations := 0
 	if *guidelines {
-		suite := exp.GuidelineSuite(impls, tunings, topos, exp.DefaultGuidelines, size, *iters)
+		size, _ := exp.ParseSize(axes.Size) // Sweep has checked it
+		suite := exp.GuidelineSuite(sweep.Impls, sweep.Tunings, sweep.Topologies, exp.DefaultGuidelines, size, axes.Iters)
 		gres := runner.RunAll(suite)
 		results = append(results, gres...)
 		// JSON and CSV keep stdout machine-readable: the report goes to

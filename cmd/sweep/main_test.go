@@ -123,6 +123,17 @@ func TestRunBadFlags(t *testing.T) {
 		{"-faults", "1s frobnicate site=rennes"},
 		{"-format", "xml", "-impls", "TCP", "-tunings", "default", "-reps", "1", "-max-size", "1k"},
 		{"-guidelines", "-faults", "0s loss 0.02"}, // guidelines need a healthy network
+		// A scale or a loss that no run can take: NaN cannot be
+		// fingerprinted, and NPB would clamp a negative scale.
+		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "2", "-workload", "npb:CG", "-scale", "NaN"},
+		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "2", "-workload", "npb:CG", "-scale", "-1"},
+		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-faults", "0s loss NaN"},
+		// A size grid with no sizes measures nothing.
+		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "512"},
+		// Specs naming something other than what would run.
+		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-workload", "pingpong:bogus"},
+		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-size", "1k", "-workload", "trace:bogus"},
+		{"-impls", "GridMPI,GridMPI", "-tunings", "full,full", "-reps", "2", "-max-size", "1k"},
 	} {
 		if err := run(args, &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)

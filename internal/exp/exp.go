@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -108,8 +109,7 @@ type Workload struct {
 	Sizes []int `json:"sizes,omitempty"`
 	// Reps is round trips per size (pingpong), message count (trace).
 	Reps int `json:"reps,omitempty"`
-	// Pattern names the SPMD pattern: pingpong, ring, alltoall, bcast,
-	// allreduce, barrier.
+	// Pattern names the SPMD pattern, one of Patterns.
 	Pattern string `json:"pattern,omitempty"`
 	// Size is the message size for pattern and trace workloads.
 	Size int `json:"size,omitempty"`
@@ -121,9 +121,9 @@ type Workload struct {
 	// paper's full class B / one million rays; 0 = 1.0).
 	Scale float64 `json:"scale,omitempty"`
 	// Timeout is the virtual-time budget for NPB, pattern and ray2mesh
-	// runs; past it the result reports DNF (0 = one simulated hour, but
-	// no limit for ray2mesh; negative = no limit, the run continues
-	// until it finishes or deadlocks).
+	// runs; past it the result reports DNF (0 = the workload's own
+	// budget, see Budget; negative = no limit, the run continues until
+	// it finishes or deadlocks).
 	Timeout time.Duration `json:"timeout,omitempty"`
 	// Master is the ray2mesh master site: rank 0 runs on its first node.
 	Master string `json:"master,omitempty"`
@@ -230,11 +230,19 @@ func (w Workload) scale() float64 {
 	return w.Scale
 }
 
-func (w Workload) timeout() time.Duration {
-	if w.Timeout == 0 {
-		return time.Hour
+// Budget is the virtual-time budget a pattern, NPB or ray2mesh run
+// gets: Timeout, or when it is zero one simulated hour, but none for
+// ray2mesh. A negative budget is none.
+func (w Workload) Budget() time.Duration {
+	switch {
+	case w.Timeout != 0:
+		return w.Timeout
+	case w.Kind == KindRay2Mesh:
+		// The application's fingerprint carries no time budget: by
+		// default it runs until it finishes or deadlocks.
+		return -1
 	}
-	return w.Timeout
+	return time.Hour
 }
 
 // Experiment is one fully specified run. Its JSON encoding is frozen —
@@ -272,9 +280,7 @@ func (e Experiment) normalized() Experiment {
 	}
 	switch e.Workload.Kind {
 	case KindNPB, KindPattern:
-		if e.Workload.Timeout == 0 {
-			e.Workload.Timeout = e.Workload.timeout()
-		}
+		e.Workload.Timeout = e.Workload.Budget()
 	}
 	// A zero fault plan is the healthy grid: drop it so {} and nil share
 	// one fingerprint — the pre-fault one.
@@ -499,11 +505,6 @@ func Run(e Experiment) (res Result) {
 		res.fill(w, err)
 	case KindRay2Mesh:
 		app := ray2mesh.New(ray2mesh.Default().Scaled(wl.scale()), w.Size())
-		if wl.Timeout == 0 {
-			// The application's fingerprint carries no time budget: by
-			// default it runs until it finishes or deadlocks.
-			wl.Timeout = -1
-		}
 		elapsed, err := runBody(w, app.Body, wl)
 		res.Elapsed = elapsed
 		res.fill(w, err)
@@ -528,6 +529,11 @@ func (e Experiment) check() error {
 	// a negative bandwidth.
 	if wl.Size < 0 || slices.ContainsFunc(wl.Sizes, func(n int) bool { return n < 0 }) {
 		return fmt.Errorf("exp: %s has a negative message size", wl)
+	}
+	// A scale that is negative, NaN or infinite names no run: NPB would
+	// clamp it to one iteration, and NaN cannot be fingerprinted.
+	if (wl.Kind == KindNPB || wl.Kind == KindRay2Mesh) && (!(wl.Scale >= 0) || math.IsInf(wl.Scale, 1)) {
+		return fmt.Errorf("exp: %s scale %g is not a finite number ≥ 0", wl.Kind, wl.Scale)
 	}
 	switch wl.Kind {
 	case KindPingPong, KindTrace:
@@ -567,8 +573,8 @@ func (e Experiment) check() error {
 		if e.Tuning != (Tuning{}) {
 			return fmt.Errorf("exp: fabric workloads always run the 4 MB-tuned stack with the stock profile; leave Tuning zero")
 		}
-		if len(wl.Sizes) == 0 || !(wl.FabricRate >= 1) {
-			return fmt.Errorf("exp: fabric workload %s needs message sizes and a rate of at least 1 B/s", wl)
+		if !(wl.FabricRate >= 1) {
+			return fmt.Errorf("exp: fabric workload %s needs a rate of at least 1 B/s", wl)
 		}
 		if wl.FabricOneWay < 0 || wl.FabricStack < 0 || wl.Gateway < 0 {
 			return fmt.Errorf("exp: fabric workload %s has a negative delay", wl)
@@ -576,9 +582,12 @@ func (e Experiment) check() error {
 	default:
 		return fmt.Errorf("exp: unknown workload kind %q", wl.Kind)
 	}
-	// A pingpong without round trips has no RTT, so its bandwidth would
-	// be infinite and its result unserializable; a trace without
-	// messages has no points.
+	// A pingpong without sizes measures nothing; one without round
+	// trips has no RTT, so its bandwidth would be infinite and its
+	// result unserializable; a trace without messages has no points.
+	if (wl.Kind == KindPingPong || wl.Kind == KindFabric) && len(wl.Sizes) == 0 {
+		return fmt.Errorf("exp: %s needs at least one message size", wl.Kind)
+	}
 	if (wl.Kind == KindPingPong || wl.Kind == KindFabric || wl.Kind == KindTrace) && wl.Reps < 1 {
 		return fmt.Errorf("exp: %s needs at least one message, got reps = %d", wl.Kind, wl.Reps)
 	}
@@ -658,13 +667,13 @@ func (e Experiment) testbed() (*netsim.Network, []*netsim.Host, error) {
 	return net, topo.RankHosts(net), nil
 }
 
-// runBody executes an SPMD body under the workload's time budget
-// (negative = unlimited).
+// runBody executes an SPMD body under the workload's time budget.
 func runBody(w *mpi.World, body func(*mpi.Rank), wl Workload) (time.Duration, error) {
-	if wl.Timeout < 0 {
+	b := wl.Budget()
+	if b < 0 {
 		return w.Run(body)
 	}
-	return w.RunTimeout(body, wl.timeout())
+	return w.RunTimeout(body, b)
 }
 
 // addMetric merges one scalar into the result's metrics map.

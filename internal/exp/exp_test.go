@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"maps"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -42,11 +43,6 @@ func TestSweepExpansion(t *testing.T) {
 	}
 	if exps[0].Tuning != TuningLevels[0] || exps[2].Tuning != TuningLevels[1] {
 		t.Errorf("tuning order broken: %s, %s", exps[0].Name(), exps[2].Name())
-	}
-	// Threshold axis defaults to a single no-override pass.
-	s.EagerThresholds = []int{1 << 20, 32 << 20}
-	if got := len(s.Experiments()); got != 24 {
-		t.Fatalf("threshold axis expansion = %d, want 24", got)
 	}
 }
 
@@ -250,6 +246,13 @@ func TestBadExperimentsReportErr(t *testing.T) {
 		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: TraceWorkload(-1<<20, 3)},
 		{Impl: mpiimpl.MPICH2, Topology: Grid(2), Workload: PatternWorkload("bcast", -4096, 1)},
 		{Impl: mpiimpl.MPICH2, Workload: FabricWorkload(3*time.Microsecond, 250e6, time.Microsecond, 0, []int{-1}, 1)},
+		// A scale that names no run: NPB would clamp -1 to one
+		// iteration, and NaN cannot be fingerprinted.
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: NPBWorkload("CG", -1)},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: NPBWorkload("CG", math.NaN())},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: NPBWorkload("CG", math.Inf(1))},
+		// A pingpong without sizes measures nothing.
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload(nil, 3)},
 	}
 	for _, e := range bad {
 		// check must refuse each one: a panic caught by Run's recover

@@ -115,7 +115,7 @@ func (p *FaultPlan) Validate() error {
 				return fmt.Errorf("%s: loss/jitter parameters belong on loss/jitter events", prefix)
 			}
 		case FaultLoss:
-			if ev.Loss < 0 || ev.Loss >= 1 {
+			if !(ev.Loss >= 0 && ev.Loss < 1) {
 				return fmt.Errorf("%s: loss probability %v outside [0,1)", prefix, ev.Loss)
 			}
 			if ev.Jitter != 0 {

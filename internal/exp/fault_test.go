@@ -343,6 +343,7 @@ func TestParseFaultPlan(t *testing.T) {
 		"1s down",                       // missing target
 		"1s loss",                       // missing probability
 		"1s loss nope",                  // bad probability
+		"0s loss NaN",                   // not a probability
 		"1s jitter",                     // missing duration
 		"1s frobnicate site=x",          // unknown kind
 		"seed=x",                        // bad seed

@@ -113,9 +113,6 @@ type CacheStats struct {
 	StoreErrors int64
 }
 
-// Served is the total number of results handed out.
-func (s CacheStats) Served() int64 { return s.Computed + s.Memory + s.Disk }
-
 // CacheStats snapshots the hit/miss/load counters.
 func (r *Runner) CacheStats() CacheStats {
 	return CacheStats{

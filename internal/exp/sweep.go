@@ -18,47 +18,29 @@ func Ray2MeshTopology() Topology {
 	return Topology{Layout: layout}
 }
 
-// Sweep is a cross-product of experiment axes. Empty EagerThresholds means
-// "no override" (a single pass with each profile's own threshold).
+// Sweep is a cross-product of experiment axes.
 type Sweep struct {
-	Impls           []string
-	Tunings         []Tuning
-	Topologies      []Topology
-	Workloads       []Workload
-	EagerThresholds []int
+	Impls      []string
+	Tunings    []Tuning
+	Topologies []Topology
+	Workloads  []Workload
 }
 
 // Size is the number of experiments the sweep expands to.
 func (s Sweep) Size() int {
-	thr := len(s.EagerThresholds)
-	if thr == 0 {
-		thr = 1
-	}
-	return len(s.Impls) * len(s.Tunings) * len(s.Topologies) * len(s.Workloads) * thr
+	return len(s.Impls) * len(s.Tunings) * len(s.Topologies) * len(s.Workloads)
 }
 
 // Experiments expands the cross-product in a fixed order (implementation
-// outermost, threshold innermost), so sweep expansion is deterministic and
+// outermost, workload innermost), so sweep expansion is deterministic and
 // result slices line up with nested iteration over the axes.
 func (s Sweep) Experiments() []Experiment {
-	thrs := s.EagerThresholds
-	if len(thrs) == 0 {
-		thrs = []int{0}
-	}
 	exps := make([]Experiment, 0, s.Size())
 	for _, impl := range s.Impls {
 		for _, tun := range s.Tunings {
 			for _, topo := range s.Topologies {
 				for _, wl := range s.Workloads {
-					for _, thr := range thrs {
-						exps = append(exps, Experiment{
-							Impl:           impl,
-							Tuning:         tun,
-							Topology:       topo,
-							Workload:       wl,
-							EagerThreshold: thr,
-						})
-					}
+					exps = append(exps, Experiment{Impl: impl, Tuning: tun, Topology: topo, Workload: wl})
 				}
 			}
 		}

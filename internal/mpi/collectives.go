@@ -172,7 +172,7 @@ func (r *Rank) Bcast(root int, n int) {
 		// n mod P remainder is not sent.
 		chunk := max(int64(n)/int64(r.Size()), 1)
 		r.fanOut(tag, s.all, root, root, chunk, nil)
-		r.ring(tag+1, s.all, chunk, false)
+		r.ring(tag+1, s.all, chunk)
 	default:
 		// The classic log2(P) tree: across a WAN its edges pay the full
 		// latency and the root's NIC carries the payload to each site.
@@ -306,7 +306,7 @@ func (r *Rank) Allgather(n int) {
 		r.exchange(tag+1, s.gateways, 0, len(s.gateways), int64(len(g))*int64(n), nil)
 		r.bcastTree(tag+2, g, 0, int64(r.Size())*int64(n))
 	default:
-		r.ring(tag, s.all, int64(n), false)
+		r.ring(tag, s.all, int64(n))
 	}
 }
 
@@ -339,6 +339,20 @@ func (r *Rank) Alltoall(n int) {
 	default:
 		r.shift(tag, s.all, int64(n), nil)
 	}
+}
+
+// Alltoallv is Alltoall with per-destination sizes; sizes[i] is what this
+// rank sends to rank i (sizes must agree pairwise across ranks, as in MPI).
+// Every strategy runs it as the flat shifted exchange: the paper singles
+// out the v-collectives as the operations even MPICH-G2 leaves
+// topology-unaware (§2.1.5).
+func (r *Rank) Alltoallv(sizes []int) {
+	var total int64
+	for _, n := range sizes {
+		total += int64(n)
+	}
+	tag := r.startColl("alltoallv", 0, total)
+	r.shift(tag, r.w.sites().all, 1, sizes)
 }
 
 // Gather collects n bytes from every rank at root.

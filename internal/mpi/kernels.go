@@ -95,9 +95,8 @@ func (r *Rank) dissemination(tag int, g []int) {
 }
 
 // ring runs len(g)-1 steps, each passing n bytes to the right neighbour
-// and receiving from the left one, combining the received block when
-// combine is set.
-func (r *Rank) ring(tag int, g []int, n int64, combine bool) {
+// and receiving from the left one.
+func (r *Rank) ring(tag int, g []int, n int64) {
 	me, P := indexOf(g, r.id), len(g)
 	if me < 0 {
 		return
@@ -105,9 +104,6 @@ func (r *Rank) ring(tag int, g []int, n int64, combine bool) {
 	right, left := g[(me+1)%P], g[(me-1+P)%P]
 	for step := 0; step < P-1; step++ {
 		r.csendrecv(right, tag+step, n, left, tag+step)
-		if combine {
-			r.combineCost(n)
-		}
 	}
 }
 

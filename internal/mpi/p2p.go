@@ -277,15 +277,6 @@ func (r *Rank) WaitAll(reqs ...*Request) {
 	}
 }
 
-// Sendrecv performs a blocking exchange: it sends to dst and receives from
-// src concurrently, the fundamental step of most collective algorithms.
-func (r *Rank) Sendrecv(dst, sendTag, sendSize, src, recvTag int) Status {
-	sreq := r.Isend(dst, sendTag, sendSize)
-	st := r.Recv(src, recvTag)
-	r.Wait(sreq)
-	return st
-}
-
 // --- receiver-side engine (runs in kernel event context) ---
 
 // deliverEager handles a fully-arrived eager message.

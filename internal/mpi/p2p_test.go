@@ -214,7 +214,11 @@ func TestIsendWaitAndSendrecv(t *testing.T) {
 	_, err := w.Run(func(r *Rank) {
 		partner := r.Rank() ^ 1
 		if r.Rank() < 2 {
-			st := r.Sendrecv(partner, 5, 1000, partner, 5)
+			// Ranks 0,1 exchange as a sendrecv: the send runs while the
+			// receive waits.
+			req := r.Isend(partner, 5, 1000)
+			st := r.Recv(partner, 5)
+			r.Wait(req)
 			if st.Source != partner || st.Size != 1000 {
 				t.Errorf("rank %d sendrecv status = %+v", r.Rank(), st)
 			}

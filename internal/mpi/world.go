@@ -169,9 +169,6 @@ func (r *Rank) Rank() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return len(r.w.ranks) }
 
-// Host returns the host the rank runs on.
-func (r *Rank) Host() *netsim.Host { return r.host }
-
 // Now returns the current virtual time.
 func (r *Rank) Now() sim.Time { return r.proc.Now() }
 

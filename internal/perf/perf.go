@@ -98,10 +98,15 @@ func BandwidthTrace(w *mpi.World, size, count int) ([]TracePoint, error) {
 
 // PowersOfTwoSizes returns the pingpong size grid of the paper's figures:
 // 1 kB, 2 kB, ... up to max (inclusive when max is itself a power of two).
+// It stops doubling before a size would pass max, so a max near
+// math.MaxInt cannot overflow the grid.
 func PowersOfTwoSizes(from, max int) []int {
 	var sizes []int
 	for s := from; s <= max; s *= 2 {
 		sizes = append(sizes, s)
+		if s > max/2 {
+			break
+		}
 	}
 	return sizes
 }

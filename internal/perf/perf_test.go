@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -86,5 +87,9 @@ func TestPowersOfTwoSizes(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("sizes = %v", got)
 		}
+	}
+	// Doubling stops before it would pass max, so the grid cannot wrap.
+	if got := PowersOfTwoSizes(1<<10, math.MaxInt); len(got) != 53 || got[52] != 1<<62 {
+		t.Fatalf("sizes up to MaxInt: %d ending at %d, want 53 ending at 2^62", len(got), got[len(got)-1])
 	}
 }

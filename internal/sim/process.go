@@ -157,9 +157,6 @@ func (k *Kernel) Resume(p *Proc) {
 	k.transfer(p, p.gen)
 }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
 

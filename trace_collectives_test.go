@@ -47,8 +47,8 @@ var collectiveTraceLayouts = []struct {
 	{"4site", []netsim.Site{grid5000.Cluster(grid5000.Rennes, 3), grid5000.Cluster(grid5000.Nancy, 2), grid5000.Cluster(grid5000.Sophia, 2), grid5000.Cluster(grid5000.Toulouse, 1)}},
 }
 
-// vsizes is a per-rank size vector for the v-collectives: some ranks
-// contribute nothing, the rest one or two halves of n.
+// vsizes is a per-rank size vector for Alltoallv: some ranks get
+// nothing, the rest one or two halves of n.
 func vsizes(P, shift, n int) []int {
 	sizes := make([]int, P)
 	for i := range sizes {
@@ -67,14 +67,10 @@ var collectiveTraceOps = []struct {
 	{"reduce", true, func(r *mpi.Rank, root, n int) { r.Reduce(root, n) }},
 	{"gather", true, func(r *mpi.Rank, root, n int) { r.Gather(root, n) }},
 	{"scatter", true, func(r *mpi.Rank, root, n int) { r.Scatter(root, n) }},
-	{"gatherv", true, func(r *mpi.Rank, root, n int) { r.Gatherv(root, vsizes(r.Size(), 0, n)) }},
-	{"scatterv", true, func(r *mpi.Rank, root, n int) { r.Scatterv(root, vsizes(r.Size(), 1, n)) }},
 	{"allreduce", false, func(r *mpi.Rank, _, n int) { r.Allreduce(n) }},
 	{"allgather", false, func(r *mpi.Rank, _, n int) { r.Allgather(n) }},
 	{"alltoall", false, func(r *mpi.Rank, _, n int) { r.Alltoall(n) }},
 	{"alltoallv", false, func(r *mpi.Rank, _, n int) { r.Alltoallv(vsizes(r.Size(), r.Rank(), n)) }},
-	{"reducescatter", false, func(r *mpi.Rank, _, n int) { r.ReduceScatter(n) }},
-	{"scan", false, func(r *mpi.Rank, _, n int) { r.Scan(n) }},
 	{"barrier", false, func(r *mpi.Rank, _, _ int) { r.Barrier() }},
 }
 
