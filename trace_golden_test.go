@@ -11,9 +11,10 @@ import (
 // canonicalTraceExperiments is the mixed workload of the event-order
 // determinism lock: a pingpong, a collective pattern and the ray2mesh
 // application, all on a 3-site asymmetric layout. Together they exercise
-// every scheduling path of the kernel: timer events, same-instant
-// wakeups (Signal, Queue, Mutex, proc transfers), rendezvous handshakes,
-// striped/fragmented sends and the self-scheduler's AnySource matching.
+// timer events, same-instant wakeups (Signal, proc transfers),
+// rendezvous handshakes, fragmented sends and the self-scheduler's
+// AnySource matching. Striped sends and waits on a Mutex are locked by
+// internal/mpi's TestSendEventOrder instead.
 func canonicalTraceExperiments() []exp.Experiment {
 	asym := exp.Asym(
 		exp.Site(grid5000.Rennes, 2),
@@ -33,8 +34,9 @@ func canonicalTraceExperiments() []exp.Experiment {
 			Workload: exp.PatternWorkload("alltoall", 256<<10, 2),
 		},
 		{
-			// MPICH-G2 stripes large WAN messages over parallel flows,
-			// covering the multi-flow scheduling paths.
+			// MPICH-G2's grid-aware 2 MiB bcast on three sites runs
+			// scatter+ring in 512 KiB chunks: below StreamMinSize
+			// (1 MiB), so it stripes nothing.
 			Impl:     mpiimpl.MPICHG2,
 			Tuning:   exp.Tuning{TCP: true, MPI: true},
 			Topology: asym,
