@@ -21,8 +21,8 @@ func skipIfRace(t *testing.T) {
 // steady-state eager ping-pong (Isend + Recv + Wait per rank per round)
 // must run at zero allocations once the pools are warm — Requests, inMsg
 // envelopes, send jobs and delivery records all recycle through the
-// World's free lists, and the protocol processes recycle through the
-// kernel's coroutine pool.
+// World's free lists, and each Isend's protocol runs as kernel events
+// with the send job as their argument, no process of its own.
 func TestMpiHotPathAllocFree(t *testing.T) {
 	skipIfRace(t)
 	k, w := newWorld(t, Reference(), tcpsim.DefaultLinux26(), 1, false)
@@ -91,6 +91,111 @@ func TestMpiLargeMessageAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady-state 4 MiB Send/Recv allocates %v per s of traffic, want 0", allocs)
+	}
+}
+
+// steadyAllocs runs k in steps of step until every pool, flow and the
+// kernel's slab are warm, then returns the allocations per further step
+// and fails if progress() did not move while it measured.
+func steadyAllocs(t *testing.T, k *sim.Kernel, step time.Duration, progress func() int) float64 {
+	t.Helper()
+	for i := 0; i < 32; i++ {
+		k.RunUntil(k.Now() + step)
+	}
+	before := progress()
+	allocs := testing.AllocsPerRun(20, func() { k.RunUntil(k.Now() + step) })
+	if progress() == before {
+		t.Fatal("no message completed while measuring")
+	}
+	return allocs
+}
+
+// TestMpiIsendRendezvousAllocFree locks the nonblocking rendezvous
+// driver: a steady-state exchange of 64 KiB Isends over the rendezvous
+// protocol — RTS write, CTS wait, payload write, each a kernel event on
+// the pooled send job — allocates nothing.
+func TestMpiIsendRendezvousAllocFree(t *testing.T) {
+	skipIfRace(t)
+	prof := Reference()
+	prof.EagerThreshold = 16 << 10
+	k, w := newWorld(t, prof, tcpsim.Tuned4MB(), 1, true)
+	defer k.Close()
+	rounds := 0
+	for i, r := range w.ranks {
+		r.proc = k.Go("rank", func(p *sim.Proc) {
+			for {
+				req := r.Isend(1-i, 1, 64<<10)
+				r.Recv(1-i, 1)
+				r.Wait(req)
+				rounds++
+			}
+		})
+	}
+	if allocs := steadyAllocs(t, k, 100*time.Millisecond, func() int { return rounds }); allocs != 0 {
+		t.Fatalf("steady-state rendezvous Isend/Recv/Wait allocates %v per 100 ms, want 0", allocs)
+	}
+}
+
+// TestMpiSerialRendezvousAllocFree locks a contended serial rendezvous
+// (MPICH-Madeleine): four rendezvous Isends per round to one peer queue
+// on the pair's lock as callback waiters, and the handoffs allocate
+// nothing once the lock's queue has grown.
+func TestMpiSerialRendezvousAllocFree(t *testing.T) {
+	skipIfRace(t)
+	k, w := newWorld(t, madeleine(), tcpsim.Tuned4MB(), 1, true)
+	defer k.Close()
+	const burst = 4
+	rounds := 0
+	sends, recvs := make([]*Request, burst), make([]*Request, burst)
+	r0, r1 := w.ranks[0], w.ranks[1]
+	r0.proc = k.Go("rank0", func(p *sim.Proc) {
+		for {
+			for i := range sends {
+				sends[i] = r0.Isend(1, 1, 140<<10)
+			}
+			r0.WaitAll(sends...)
+			r0.Recv(1, 2)
+			rounds++
+		}
+	})
+	r1.proc = k.Go("rank1", func(p *sim.Proc) {
+		for {
+			for i := range recvs {
+				recvs[i] = r1.Irecv(0, 1)
+			}
+			r1.WaitAll(recvs...)
+			r1.Send(0, 2, 8)
+		}
+	})
+	if allocs := steadyAllocs(t, k, time.Second, func() int { return rounds }); allocs != 0 {
+		t.Fatalf("steady-state serial rendezvous Isends allocate %v per s, want 0", allocs)
+	}
+}
+
+// TestMpiStripedIsendAllocFree locks MPICH-G2's striping: a steady-state
+// 2 MiB Isend over the WAN splits into four lane writes on a pooled
+// countdown record, with no process, closure or Signal per message.
+func TestMpiStripedIsendAllocFree(t *testing.T) {
+	skipIfRace(t)
+	k, w := newWorld(t, mpichG2().WithEagerThreshold(Infinite), tcpsim.DefaultLinux26(), 1, true)
+	defer k.Close()
+	rounds := 0
+	r0, r1 := w.ranks[0], w.ranks[1]
+	r0.proc = k.Go("rank0", func(p *sim.Proc) {
+		for {
+			r0.Wait(r0.Isend(1, 1, 2<<20))
+			r0.Recv(1, 2)
+			rounds++
+		}
+	})
+	r1.proc = k.Go("rank1", func(p *sim.Proc) {
+		for {
+			r1.Recv(0, 1)
+			r1.Send(0, 2, 8)
+		}
+	})
+	if allocs := steadyAllocs(t, k, time.Second, func() int { return rounds }); allocs != 0 {
+		t.Fatalf("steady-state striped 2 MiB Isends allocate %v per s, want 0", allocs)
 	}
 }
 

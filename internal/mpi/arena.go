@@ -2,38 +2,16 @@ package mpi
 
 // Protocol arenas: one free-list type recycles the per-message objects a
 // sweep would otherwise heap-allocate once per message — Requests,
-// arrived-but-unmatched inMsg envelopes, Isend protocol bodies (sendJob),
-// delivery records (delivery) and the rendezvous CTS signals. Each kind
-// keeps its reset where it is used: a Request's done signal is rearmed on
-// get, a CTS signal is Reset on get, and records are zeroed before put. A
-// World runs on a single kernel, which is one flow of control (see
-// sim.Proc), so the lists need no locking. Together with the kernel's
-// event slab and pooled process coroutines, steady-state message traffic
-// allocates nothing (pinned by TestMpiHotPathAllocFree).
-
-import "repro/internal/sim"
-
-// sendJob carries one Isend's protocol parameters into its pooled process
-// body (runSendJob), replacing the per-Isend closure.
-type sendJob struct {
-	r    *Rank
-	dst  int
-	tag  int
-	ctx  int
-	size int64
-	data any
-	req  *Request
-}
-
-// runSendJob is the pooled Isend body, spawned via sim.Kernel.GoJob.
-func runSendJob(p *sim.Proc, a any) {
-	j := a.(*sendJob)
-	j.r.sendProto(p, j.dst, j.tag, j.size, j.ctx, false, j.data)
-	j.req.done.Fire()
-	w := j.r.w
-	*j = sendJob{}
-	w.jobs.put(j)
-}
+// arrived-but-unmatched inMsg envelopes, nonblocking sends in flight
+// (sendJob), delivery records (delivery), the rendezvous CTS signals and
+// MPICH-G2's striped payloads (stripedSend). Each kind keeps its reset
+// where it is used: a Request's done signal is rearmed on get, a CTS
+// signal and a stripe's buffered signal are Reset on get, and records
+// are zeroed before put. A World runs on a single kernel, which is one
+// flow of control (see sim.Proc), so the lists need no locking. Together
+// with the kernel's event slab, steady-state message traffic allocates
+// nothing (pinned by TestMpiHotPathAllocFree and the other AllocFree
+// tests).
 
 // Delivery kinds: what runDelivery does when the bytes land.
 const (
@@ -46,7 +24,7 @@ const (
 // delivery is a pooled what-happens-when-the-bytes-land record, handed to
 // tcpsim.Flow.SendArg/SendAsyncArg with runDelivery. src is the rank that
 // wrote the bytes, dst the rank receiving them; big marks a payload that
-// holds the fast-buffer collision slot until it lands (see sendProto).
+// holds the fast-buffer collision slot until it lands (see slowPath).
 type delivery struct {
 	src   *Rank
 	dst   *Rank

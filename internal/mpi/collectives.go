@@ -29,15 +29,11 @@ const (
 // internal point-to-point helpers running in the collective context.
 
 func (r *Rank) csend(dst, tag int, size int64) {
-	r.sendProto(r.proc, dst, tag, size, ctxColl, false, nil)
+	r.sendProto(r.proc, dst, tag, size, ctxColl, nil)
 }
 
 func (r *Rank) cisend(dst, tag int, size int64) *Request {
-	req := r.w.getReq(r)
-	j := r.w.jobs.get()
-	j.r, j.dst, j.tag, j.ctx, j.size, j.req = r, dst, tag, ctxColl, size, req
-	r.w.K.GoJob("coll-isend", runSendJob, j)
-	return req
+	return r.isend(dst, tag, size, ctxColl, nil)
 }
 
 func (r *Rank) crecv(src, tag int) Status { return r.Wait(r.irecv(src, tag, ctxColl)) }

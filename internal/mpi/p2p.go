@@ -64,151 +64,230 @@ func (m *inMsg) status() Status {
 // by TCP; rendezvous sends return once the receiver has accepted the
 // transfer and the data is on the wire.
 func (r *Rank) Send(dst, tag int, size int) {
-	r.sendProto(r.proc, dst, tag, int64(size), ctxUser, true, nil)
+	r.sendProto(r.proc, dst, tag, int64(size), ctxUser, nil)
 }
 
 // SendPayload is Send with an application value attached; the receiver
 // finds it in Status.Data. Size still governs all timing.
 func (r *Rank) SendPayload(dst, tag, size int, data any) {
-	r.sendProto(r.proc, dst, tag, int64(size), ctxUser, true, data)
+	r.sendProto(r.proc, dst, tag, int64(size), ctxUser, data)
 }
 
 // Isend starts a nonblocking send and returns its request. The transfer
-// protocol runs in a background process; Wait returns once the send is
-// locally complete.
+// protocol runs as a chain of kernel events, no process of its own (see
+// isend.go); Wait returns once the send is locally complete.
 func (r *Rank) Isend(dst, tag int, size int) *Request {
 	return r.IsendPayload(dst, tag, size, nil)
 }
 
 // IsendPayload is Isend with an application value attached.
 func (r *Rank) IsendPayload(dst, tag, size int, data any) *Request {
-	req := r.w.getReq(r)
-	r.recordUserSend(dst, int64(size))
-	j := r.w.jobs.get()
-	j.r, j.dst, j.tag, j.ctx, j.size, j.data, j.req = r, dst, tag, ctxUser, int64(size), data, req
-	r.w.K.GoJob("isend", runSendJob, j)
-	return req
+	return r.isend(dst, tag, int64(size), ctxUser, data)
 }
 
-func (r *Rank) recordUserSend(dst int, size int64) {
-	wan := !netsim.SameSite(r.host, r.w.ranks[dst].host)
-	r.w.stats.recordP2P(size, wan)
-}
-
-// sendProto runs the wire protocol for one message from process p.
-func (r *Rank) sendProto(p *sim.Proc, dst, tag int, size int64, ctx int, record bool, data any) {
-	if record {
-		r.recordUserSend(dst, size)
-	}
-	dstRank := r.w.ranks[dst]
-	wan := !netsim.SameSite(r.host, dstRank.host)
-	if ctx == ctxColl {
-		r.w.stats.recordCollMsg(r.id, dst, size, wan)
-	}
-	prof := r.w.Prof
-	p.Sleep(prof.Overhead(wan))
+// sendProto runs the wire protocol for one message on process p, which
+// blocks at each of its waits. The nonblocking driver (isend.go) runs
+// the same protocol, step by step, through the same helpers.
+func (r *Rank) sendProto(p *sim.Proc, dst, tag int, size int64, ctx int, data any) {
+	wan := r.sendBegin(dst, size, ctx)
+	p.Sleep(r.w.Prof.Overhead(wan))
 	flow := r.flowTo(dst)
-
-	// MPICH-Madeleine's fast-buffer collision: its pinned channel buffer
-	// is shared between the two directions of a pair, and a message
-	// larger than SlowPathThreshold monopolizes it. When both directions
-	// move such messages at once over a long-RTT link (BT/SP's
-	// simultaneous face exchanges), the loser falls back to a polled slow
-	// path and stalls. One-directional traffic (pingpong) and messages
-	// that fit (CG's 147 kB) are unaffected.
-	big := wan && prof.SlowPathThreshold > 0 && size > int64(prof.SlowPathThreshold)
+	big, stall := r.slowPath(dst, size, wan)
+	if stall {
+		p.Sleep(r.w.Prof.SlowPathStall)
+	}
 	if big {
-		if dstRank.bigOut[r.id] > 0 {
-			p.Sleep(prof.SlowPathStall)
-		}
 		r.bigOut[dst]++ // released when the payload's delivery lands
 	}
-
-	if !prof.UsesRendezvous(int(size)) {
-		m := r.w.msgs.get()
-		m.ctx, m.src, m.tag, m.size, m.eager, m.data = ctx, r.id, tag, size, true, data
-		d := r.w.delivs.get()
-		d.src, d.dst, d.m, d.big, d.kind = r, dstRank, m, big, delivEager
-		r.sendPayload(p, flow, dst, wan, EnvelopeBytes+size, d)
+	if !r.w.Prof.UsesRendezvous(int(size)) {
+		r.sendPayload(p, flow, dst, wan, size, r.eagerDelivery(dst, tag, size, ctx, data, big))
 		return
 	}
 
 	// Rendezvous: RTS → (receiver matches) → CTS → payload.
-	r.w.stats.Rendezvous++
-	var lock *sim.Mutex
-	if prof.SerialRendezvous {
-		lock = r.rndvLock(dst)
+	lock := r.rndvLock(dst)
+	if lock != nil {
 		lock.Lock(p)
 	}
-	reqID := r.newReqID()
-	cts := r.w.sigs.get()
-	cts.Reset()
-	r.pendingCTS[reqID] = cts
-	m := r.w.msgs.get()
-	m.ctx, m.src, m.tag, m.size, m.reqID, m.data = ctx, r.id, tag, size, reqID, data
-	rts := r.w.delivs.get()
-	rts.src, rts.dst, rts.m, rts.kind = r, dstRank, m, delivRTS
+	reqID, cts, rts := r.startRndv(dst, tag, size, ctx, data)
 	flow.SendArg(p, ControlBytes, runDelivery, rts)
 	cts.Wait(p)
-	delete(r.pendingCTS, reqID)
-	r.w.sigs.put(cts) // fired, so Reset may rearm it
-	d := r.w.delivs.get()
-	d.src, d.dst, d.reqID, d.big, d.kind = r, dstRank, reqID, big, delivRndvData
-	r.sendPayload(p, flow, dst, wan, EnvelopeBytes+size, d)
+	r.sendPayload(p, flow, dst, wan, size, r.rndvData(dst, reqID, cts, big))
 	if lock != nil {
 		lock.Unlock()
 	}
 }
 
-// sendPayload writes wireBytes to the flow, firing the pooled delivery d
-// when the last byte lands. When the profile models a fragment pipeline
-// (OpenMPI's BTL), each fragment costs CPU time at the sender; the cost is
-// applied as one aggregate delay so the TCP stream itself stays
-// contiguous. When the profile stripes large WAN messages over parallel
-// streams (MPICH-G2), the payload is split across extra flows and
-// delivered when the last stripe lands.
-func (r *Rank) sendPayload(p *sim.Proc, flow *tcpsim.Flow, dst int, wan bool, wireBytes int64, d *delivery) {
-	if fs := int64(r.w.Prof.FragmentSize); fs > 0 && wireBytes > fs {
-		frags := (wireBytes + fs - 1) / fs
-		p.Sleep(time.Duration(frags) * r.w.Prof.FragmentOverhead)
+// sendPayload writes the payload of size bytes and its envelope to the
+// flow, blocking p until they are buffered; d runs when the last byte
+// lands.
+func (r *Rank) sendPayload(p *sim.Proc, flow *tcpsim.Flow, dst int, wan bool, size int64, d *delivery) {
+	n := EnvelopeBytes + size
+	if delay, ok := r.fragmentDelay(n); ok {
+		p.Sleep(delay)
 	}
-	streams := r.w.Prof.ParallelStreams
-	if streams > 1 && wan && wireBytes >= int64(r.w.Prof.StreamMinSize) {
-		r.sendStriped(p, dst, streams, wireBytes, d)
+	if r.striped(wan, n) {
+		r.sendStriped(dst, n, d).Wait(p)
 		return
 	}
-	flow.SendArg(p, wireBytes, runDelivery, d)
+	flow.SendArg(p, n, runDelivery, d)
 }
 
-// sendStriped splits the payload across parallel TCP streams to dst. The
-// call keeps eager semantics: it returns once every stripe is buffered,
-// and d fires when the slowest stripe has fully arrived.
-func (r *Rank) sendStriped(p *sim.Proc, dst, streams int, wireBytes int64, d *delivery) {
-	stripe := wireBytes / int64(streams)
-	remaining := streams
-	lastLanded := func() {
-		remaining--
-		if remaining == 0 {
-			runDelivery(d)
-		}
+// --- the protocol's rules, shared by the blocking and nonblocking drivers ---
+
+// sendBegin books one message in the census and reports whether it
+// crosses sites.
+func (r *Rank) sendBegin(dst int, size int64, ctx int) (wan bool) {
+	wan = !netsim.SameSite(r.host, r.w.ranks[dst].host)
+	if ctx == ctxColl {
+		r.w.stats.recordCollMsg(r.id, dst, size, wan)
+	} else {
+		r.w.stats.recordP2P(size, wan)
 	}
-	buffered := r.w.K.NewSignal()
-	pendingWrites := streams
-	for lane := 0; lane < streams; lane++ {
-		n := stripe
+	return wan
+}
+
+// slowPath is MPICH-Madeleine's fast-buffer collision: its pinned
+// channel buffer is shared between the two directions of a pair, and a
+// message larger than SlowPathThreshold monopolizes it (big: the message
+// holds the slot until it lands). When both directions move such
+// messages at once over a long-RTT link (BT/SP's simultaneous face
+// exchanges), the loser falls back to a polled slow path and stalls
+// SlowPathStall first. One-directional traffic (pingpong) and messages
+// that fit (CG's 147 kB) are unaffected.
+func (r *Rank) slowPath(dst int, size int64, wan bool) (big, stall bool) {
+	prof := r.w.Prof
+	big = wan && prof.SlowPathThreshold > 0 && size > int64(prof.SlowPathThreshold)
+	return big, big && r.w.ranks[dst].bigOut[r.id] > 0
+}
+
+// eagerDelivery builds the delivery of an eager message: the payload
+// carries its envelope.
+func (r *Rank) eagerDelivery(dst, tag int, size int64, ctx int, data any, big bool) *delivery {
+	m := r.w.msgs.get()
+	m.ctx, m.src, m.tag, m.size, m.eager, m.data = ctx, r.id, tag, size, true, data
+	d := r.w.delivs.get()
+	d.src, d.dst, d.m, d.big, d.kind = r, r.w.ranks[dst], m, big, delivEager
+	return d
+}
+
+// startRndv opens a rendezvous handshake: it registers the CTS signal the
+// sender waits on and returns it with the RTS delivery to write.
+func (r *Rank) startRndv(dst, tag int, size int64, ctx int, data any) (reqID int64, cts *sim.Signal, rts *delivery) {
+	r.w.stats.Rendezvous++
+	reqID = r.newReqID()
+	cts = r.w.sigs.get()
+	cts.Reset()
+	r.pendingCTS[reqID] = cts
+	m := r.w.msgs.get()
+	m.ctx, m.src, m.tag, m.size, m.reqID, m.data = ctx, r.id, tag, size, reqID, data
+	rts = r.w.delivs.get()
+	rts.src, rts.dst, rts.m, rts.kind = r, r.w.ranks[dst], m, delivRTS
+	return reqID, cts, rts
+}
+
+// rndvData closes a handshake whose CTS has fired and returns the
+// payload's delivery.
+func (r *Rank) rndvData(dst int, reqID int64, cts *sim.Signal, big bool) *delivery {
+	delete(r.pendingCTS, reqID)
+	r.w.sigs.put(cts) // fired, so Reset may rearm it
+	d := r.w.delivs.get()
+	d.src, d.dst, d.reqID, d.big, d.kind = r, r.w.ranks[dst], reqID, big, delivRndvData
+	return d
+}
+
+// fragmentDelay is the sender CPU time of a fragment pipeline (OpenMPI's
+// BTL): each fragment of n wire bytes costs FragmentOverhead, applied as
+// one aggregate delay so the TCP stream itself stays contiguous. ok is
+// false when the profile has no pipeline or n fits in one fragment.
+func (r *Rank) fragmentDelay(n int64) (d time.Duration, ok bool) {
+	fs := int64(r.w.Prof.FragmentSize)
+	if fs <= 0 || n <= fs {
+		return 0, false
+	}
+	return time.Duration((n+fs-1)/fs) * r.w.Prof.FragmentOverhead, true
+}
+
+// striped reports whether a payload of n wire bytes is split over
+// parallel streams (MPICH-G2's large WAN messages).
+func (r *Rank) striped(wan bool, n int64) bool {
+	return r.w.Prof.ParallelStreams > 1 && wan && n >= int64(r.w.Prof.StreamMinSize)
+}
+
+// stripedSend is one payload split across parallel TCP streams, a pooled
+// countdown record: each lane is a callback write, buffered fires once
+// every lane's bytes are buffered, and d runs when the slowest lane has
+// fully arrived.
+type stripedSend struct {
+	d        *delivery
+	buffered *sim.Signal
+	writing  int // lanes not yet buffered
+	landing  int // lanes not yet arrived
+	lanes    []stripeLane
+}
+
+// stripeLane is one lane's write on its flow.
+type stripeLane struct {
+	flow *tcpsim.Flow
+	wr   tcpsim.Write
+}
+
+// sendStriped splits the payload across the profile's parallel streams
+// to dst, each lane's write starting in an event of its own, in lane
+// order. It returns the signal that fires once every stripe is
+// buffered: the sender keeps eager semantics by waiting on it.
+func (r *Rank) sendStriped(dst int, n int64, d *delivery) *sim.Signal {
+	streams := r.w.Prof.ParallelStreams
+	s := r.w.stripes.get()
+	if s.buffered == nil {
+		s.buffered, s.lanes = r.w.K.NewSignal(), make([]stripeLane, streams)
+	}
+	s.buffered.Reset()
+	s.d, s.writing, s.landing = d, streams, streams
+	stripe := n / int64(streams)
+	for lane := range s.lanes {
+		l := &s.lanes[lane]
+		l.flow = r.laneFlow(dst, lane)
+		l.wr = tcpsim.Write{N: stripe, Fn: laneLanded, Arg: s, Then: laneBuffered, ThenArg: s}
 		if lane == streams-1 {
-			n = wireBytes - stripe*int64(streams-1)
+			l.wr.N = n - stripe*int64(streams-1)
 		}
-		laneFlow := r.laneFlow(dst, lane)
-		r.w.K.Go("stripe", func(cp *sim.Proc) {
-			laneFlow.Send(cp, n, lastLanded)
-			pendingWrites--
-			if pendingWrites == 0 {
-				buffered.Fire()
-			}
-		})
+		r.w.K.ScheduleArg(r.w.K.Now(), writeLane, l)
 	}
-	buffered.Wait(p)
+	return s.buffered
+}
+
+// writeLane is the event that starts one lane's write.
+func writeLane(a any) {
+	l := a.(*stripeLane)
+	if l.flow.Write(&l.wr) {
+		laneBuffered(l.wr.ThenArg)
+	}
+}
+
+// laneBuffered counts one lane whose bytes are buffered; the last fires
+// the record's buffered signal.
+func laneBuffered(a any) {
+	s := a.(*stripedSend)
+	s.writing--
+	if s.writing == 0 {
+		s.buffered.Fire()
+	}
+}
+
+// laneLanded counts one lane whose bytes arrived; the last runs the
+// payload's delivery and recycles the record. Every lane is buffered by
+// then, and the sender's wakeup ran: it was scheduled when the last lane
+// was buffered, before that lane's bytes could land.
+func laneLanded(a any) {
+	s := a.(*stripedSend)
+	s.landing--
+	if s.landing == 0 {
+		w := s.d.src.w
+		runDelivery(s.d)
+		s.d = nil
+		w.stripes.put(s)
+	}
 }
 
 // laneFlow returns the lane-th parallel flow to dst (lane 0 is the main

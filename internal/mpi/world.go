@@ -26,7 +26,6 @@ type World struct {
 	Net   *netsim.Network
 	TCP   tcpsim.Config
 	Prof  Profile
-	hosts []*netsim.Host
 	ranks []*Rank
 	stats *Stats
 	// partition is the site partition, built on first use (sites).
@@ -34,11 +33,12 @@ type World struct {
 
 	// Protocol arenas (see arena.go): free lists for the per-message
 	// objects, shared by all ranks of the job.
-	reqs   freeList[Request]
-	msgs   freeList[inMsg]
-	jobs   freeList[sendJob]
-	delivs freeList[delivery]
-	sigs   freeList[sim.Signal]
+	reqs    freeList[Request]
+	msgs    freeList[inMsg]
+	jobs    freeList[sendJob]
+	delivs  freeList[delivery]
+	sigs    freeList[sim.Signal]
+	stripes freeList[stripedSend]
 }
 
 // NewWorld creates a world with rank i running on hosts[i]. Every
@@ -47,7 +47,7 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, tcp tcpsim.Config, prof Profil
 	if len(hosts) == 0 {
 		panic("mpi: world needs at least one host")
 	}
-	w := &World{K: k, Net: net, TCP: tcp, Prof: prof, hosts: hosts, stats: newStats()}
+	w := &World{K: k, Net: net, TCP: tcp, Prof: prof, stats: newStats()}
 	w.reqs.fresh = func() *Request { return &Request{done: k.NewSignal()} }
 	w.sigs.fresh = k.NewSignal
 	w.ranks = make([]*Rank, len(hosts))
@@ -157,7 +157,7 @@ type Rank struct {
 	pendingCTS map[int64]*sim.Signal
 	rndvRecv   map[int64]*Request
 	// bigOut counts in-flight oversized messages per destination, for the
-	// fast-buffer collision model (see sendProto).
+	// fast-buffer collision model (see slowPath).
 	bigOut  map[int]int
 	reqSeq  int64
 	collSeq int
@@ -195,9 +195,12 @@ func (r *Rank) flowTo(dst int) *tcpsim.Flow {
 	return f
 }
 
-// rndvLock returns the per-destination serialization lock used when the
-// profile sets SerialRendezvous.
+// rndvLock returns the per-destination serialization lock when the
+// profile sets SerialRendezvous, and nil otherwise.
 func (r *Rank) rndvLock(dst int) *sim.Mutex {
+	if !r.w.Prof.SerialRendezvous {
+		return nil
+	}
 	if m, ok := r.rndvLocks[dst]; ok {
 		return m
 	}

@@ -178,19 +178,41 @@ func (p *Proc) Sleep(d time.Duration) {
 
 func (p *Proc) String() string { return fmt.Sprintf("sim.Proc(%s)", p.name) }
 
-// Signal is a one-shot broadcast condition: processes Wait on it and are all
-// released (in Wait order) once Fire is called. Waiting on an already-fired
-// signal returns immediately. The zero value is not usable; create signals
-// with NewSignal.
+// Signal is a one-shot broadcast condition: waiters are all released (in
+// Wait order) once Fire is called. Waiting on an already-fired signal
+// returns immediately. The zero value is not usable; create signals with
+// NewSignal.
 //
-// The overwhelmingly common case — a completion signal with exactly one
-// waiter (MPI request done, rendezvous CTS) — is held in an inline slot,
-// so Wait allocates nothing; additional waiters overflow into a slice.
+// A waiter is a process (Wait) or a callback (WaitArg); both kinds share
+// one FIFO. The overwhelmingly common case — a completion signal with
+// exactly one waiter (MPI request done, rendezvous CTS) — is held in an
+// inline slot, so waiting allocates nothing; additional waiters overflow
+// into a slice behind a pointer, which keeps the Signal itself as small
+// as the single-waiter case needs.
 type Signal struct {
 	k     *Kernel
 	fired bool
-	w0    *Proc   // first waiter, inline
-	more  []*Proc // further waiters, in Wait order
+	w0    waiter    // first waiter, inline
+	more  *[]waiter // further waiters, in Wait order
+}
+
+// waiter is one queued wakeup: a process (fn nil, arg the *Proc) or a
+// callback fn(arg).
+type waiter struct {
+	fn  func(any)
+	arg any
+}
+
+func (w waiter) empty() bool { return w.fn == nil && w.arg == nil }
+
+// wake schedules w at the current instant: a process's transfer, or a
+// callback in the same (time, seq) slot that transfer would take.
+func (k *Kernel) wake(w waiter) {
+	if w.fn == nil {
+		k.scheduleProc(k.now, w.arg.(*Proc))
+		return
+	}
+	k.schedule(k.now, w.fn, w.arg, 0)
 }
 
 // NewSignal creates an unfired Signal on this kernel.
@@ -207,14 +229,16 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	if s.w0 != nil {
-		s.k.scheduleProc(s.k.now, s.w0)
-		s.w0 = nil
+	if !s.w0.empty() {
+		s.k.wake(s.w0)
+		s.w0 = waiter{}
 	}
-	for _, w := range s.more {
-		s.k.scheduleProc(s.k.now, w)
+	if s.more != nil {
+		for _, w := range *s.more {
+			s.k.wake(w)
+		}
+		s.more = nil
 	}
-	s.more = nil
 }
 
 // Reset rearms a fired signal so it can gate the next occurrence of a
@@ -235,14 +259,33 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	if s.w0 == nil {
+	s.add(waiter{arg: p})
+	p.Park()
+}
+
+// WaitArg is Wait for code running in event context: it reports true
+// when the signal has already fired. Otherwise it queues fn(arg), which
+// Fire schedules in the (time, seq) slot a waiting process's wakeup
+// would take, and returns false.
+func (s *Signal) WaitArg(fn func(any), arg any) bool {
+	if s.fired {
+		return true
+	}
+	s.add(waiter{fn, arg})
+	return false
+}
+
+func (s *Signal) add(w waiter) {
+	switch {
+	case s.w0.empty():
 		// w0 empty implies no waiters at all: Fire and Reset clear both
 		// slots, and overflow only ever follows an occupied w0.
-		s.w0 = p
-	} else {
-		s.more = append(s.more, p)
+		s.w0 = w
+	case s.more == nil:
+		s.more = &[]waiter{w}
+	default:
+		*s.more = append(*s.more, w)
 	}
-	p.Park()
 }
 
 // popFront removes element 0 by compacting in place, keeping the slice's

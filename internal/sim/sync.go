@@ -1,11 +1,12 @@
 package sim
 
-// Mutex is a mutual-exclusion lock for simulation processes. Waiters are
-// queued and woken in FIFO order, keeping lock handoff deterministic.
+// Mutex is a mutual-exclusion lock for simulation processes (Lock) and
+// event-context callbacks (LockArg). Both kinds of waiter share one FIFO
+// and are woken in order, keeping lock handoff deterministic.
 type Mutex struct {
 	k       *Kernel
 	locked  bool
-	waiters []*Proc
+	waiters []waiter
 }
 
 // NewMutex creates an unlocked mutex on this kernel.
@@ -14,10 +15,25 @@ func (k *Kernel) NewMutex() *Mutex { return &Mutex{k: k} }
 // Lock blocks p until the mutex is acquired. p must be the calling process.
 func (m *Mutex) Lock(p *Proc) {
 	for m.locked {
-		m.waiters = append(m.waiters, p)
+		m.waiters = append(m.waiters, waiter{arg: p})
 		p.Park()
 	}
 	m.locked = true
+}
+
+// LockArg is Lock for code running in event context: it reports true
+// when it acquired the mutex. Otherwise it queues fn(arg) at the tail
+// and returns false; Unlock schedules fn(arg) in the (time, seq) slot a
+// waiting process's wakeup would take, and fn must call LockArg again,
+// since another locker may have taken the mutex first — exactly as
+// Lock's loop does.
+func (m *Mutex) LockArg(fn func(any), arg any) bool {
+	if m.locked {
+		m.waiters = append(m.waiters, waiter{fn, arg})
+		return false
+	}
+	m.locked = true
+	return true
 }
 
 // Unlock releases the mutex and wakes the oldest waiter, if any. It may be
@@ -30,7 +46,7 @@ func (m *Mutex) Unlock() {
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
 		popFront(&m.waiters)
-		m.k.scheduleProc(m.k.now, w)
+		m.k.wake(w)
 	}
 }
 

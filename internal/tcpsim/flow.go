@@ -87,14 +87,17 @@ type Flow struct {
 	lastArriveAt sim.Time
 
 	writeMu *sim.Mutex
-	// writer is the process parked in write until the send buffer has
-	// taken all of its message, and owed the bytes not yet buffered.
-	// writeMu serializes writers, so there is at most one. Refills run as
-	// flow events (refill) and buffer what fits; only the refill that
-	// buffers the last byte resumes the writer, so a blocked write costs
-	// one park and one resume however many window rounds it spans.
-	writer *sim.Proc
-	owed   int64
+	// A write blocked until the send buffer has taken all of its message
+	// is either a process parked in write (writer) or a callback write
+	// (pending); owed is the bytes not yet buffered. writeMu serializes
+	// writers, so there is at most one. Refills run as flow events
+	// (refill) and buffer what fits; only the refill that buffers the
+	// last byte resumes the writer or continues the callback write, so a
+	// blocked write costs one park and one resume, or no switch at all,
+	// however many window rounds it spans.
+	writer  *sim.Proc
+	pending *Write
+	owed    int64
 
 	notifies []notifyEntry
 	due      []notifyEntry // deliverRound's reusable scratch for due callbacks
@@ -247,17 +250,85 @@ func (f *Flow) fill() bool {
 	return f.owed == 0
 }
 
-// refill is the flow event ackRound schedules for a parked writer. It
+// refill is the flow event ackRound schedules for a blocked write. It
 // re-checks the free space when it runs, because a SendAsyncArg (a
-// rendezvous CTS) may have filled it since the ack, and it resumes the
-// writer inline once the last owed byte is buffered.
+// rendezvous CTS) may have filled it since the ack, and once the last
+// owed byte is buffered it resumes the parked writer inline, or finishes
+// the callback write and runs its continuation.
 func refill(a any) {
 	f := a.(*Flow)
-	if f.fill() {
-		p := f.writer
+	if !f.fill() {
+		return
+	}
+	if p := f.writer; p != nil {
 		f.writer = nil
 		f.k.Resume(p)
+		return
 	}
+	w := f.pending
+	f.pending = nil
+	f.finish(w)
+	w.Then(w.ThenArg)
+}
+
+// Write is a caller-owned write of N bytes for code running in event
+// context (see Flow.Write): Fn(Arg), if Fn is non-nil, runs when the
+// destination has received the last of the bytes, and Then(ThenArg)
+// continues the writer when the write could not complete at once.
+type Write struct {
+	N       int64
+	Fn      func(any)
+	Arg     any
+	Then    func(any)
+	ThenArg any
+
+	f *Flow
+}
+
+// Write is SendArg without a process. It reports whether w completed at
+// once: the bytes are buffered, the delivery registered and the write
+// lock released before it returns. Otherwise the write continues from
+// event context — after the lock's handoff, in the slot a parked
+// writer's wakeup would take, and from the refill that buffers its last
+// byte, where a parked writer would be resumed — and once it completes
+// the flow calls w.Then(w.ThenArg) there. w must stay untouched until
+// then; a pooled w makes the write allocation-free.
+func (f *Flow) Write(w *Write) bool {
+	if w.N <= 0 {
+		f.notifyAt(f.queued, w.Fn, w.Arg)
+		return true
+	}
+	w.f = f
+	return f.writeMu.LockArg(lockWrite, w) && f.start(w)
+}
+
+// lockWrite is a callback write's lock waiter: woken by Unlock, it takes
+// the lock (or queues again behind a writer that barged in) and starts
+// the write.
+func lockWrite(a any) {
+	w := a.(*Write)
+	if w.f.writeMu.LockArg(lockWrite, w) && w.f.start(w) {
+		w.Then(w.ThenArg)
+	}
+}
+
+// start buffers a callback write that holds the lock and reports
+// whether it completed; if not, refill finishes it.
+func (f *Flow) start(w *Write) bool {
+	f.owed = w.N
+	if !f.fill() {
+		f.pending = w
+		return false
+	}
+	f.finish(w)
+	return true
+}
+
+// finish registers a fully buffered write's delivery and releases the
+// write lock, as SendArg does after write returns.
+func (f *Flow) finish(w *Write) {
+	f.notifyAt(f.queued, w.Fn, w.Arg)
+	f.writeMu.Unlock()
 }
 
 // SendAsyncArg enqueues n bytes without blocking for buffer space; it is
@@ -487,7 +558,7 @@ func ackRound(a any) {
 	f.lastActive = f.k.Now()
 	f.updateCwnd(f.ackW, f.ackRoundTime, f.ackRateLimited)
 	f.busy = false
-	if f.writer != nil && f.sndbufFree() > 0 {
+	if (f.writer != nil || f.pending != nil) && f.sndbufFree() > 0 {
 		// Refill first, then pump: the refill event is scheduled before
 		// the pump event, so the next round sends a full window instead
 		// of the leftover tail.
