@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -114,6 +115,17 @@ func run(args []string, out, errOut io.Writer) error {
 			return nil
 		}
 		return errFlagParse // already reported by the FlagSet
+	}
+
+	// A scale that names no run is a usage error: NaN and infinity
+	// cannot be fingerprinted, and NPB's largest class is scale 1.
+	if !(*nasFlag >= 0 && *nasFlag <= 1) {
+		fmt.Fprintf(errOut, "-nas-scale must be in [0, 1] (0 = per-mode default), got %g\n", *nasFlag)
+		return errFlagParse
+	}
+	if !(*rayFlag >= 0) || math.IsInf(*rayFlag, 1) {
+		fmt.Fprintf(errOut, "-ray-scale must be a finite number ≥ 0 (0 = per-mode default), got %g\n", *rayFlag)
+		return errFlagParse
 	}
 
 	reps, nasScale, rayScale, traceN := core.DefaultReps, 0.25, 1.0, 200

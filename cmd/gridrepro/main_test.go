@@ -165,6 +165,22 @@ func TestBadInvocations(t *testing.T) {
 			t.Errorf("%v: stderr does not list the sections: %s", args, errOut.String())
 		}
 	}
+	// A scale no run can take is a usage error before any side effect:
+	// the cache directory is not created. NaN and infinity cannot be
+	// fingerprinted, and NPB's largest class is scale 1.
+	for _, args := range [][]string{
+		{"-nas-scale", "Inf"}, {"-nas-scale", "NaN"}, {"-nas-scale", "-1"}, {"-nas-scale", "3"},
+		{"-ray-scale", "Inf"}, {"-ray-scale", "NaN"}, {"-ray-scale", "-1"},
+	} {
+		cache := filepath.Join(t.TempDir(), "cache")
+		args = append([]string{"-quick", "-cache", cache}, append(args, "table2", "table6")...)
+		if err := run(args, &out, &errOut); !errors.Is(err, errFlagParse) {
+			t.Errorf("%v: err = %v, want a usage error", args, err)
+		}
+		if _, err := os.Stat(cache); !os.IsNotExist(err) {
+			t.Errorf("%v: the refused run created its cache directory", args)
+		}
+	}
 	if err := run([]string{"-cache", "\x00impossible/dir"}, &out, &errOut); err == nil {
 		t.Error("uncreatable cache dir accepted")
 	}

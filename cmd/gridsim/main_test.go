@@ -78,6 +78,10 @@ func TestRunBadFlags(t *testing.T) {
 		{"-pattern", "ring"},
 		{"-tcp-tuned=false"},
 		{"-mpi-tuned=false"},
+		// A pattern without an iteration, and an NPB scale past class B.
+		{"-nodes", "1", "-size", "1k", "-iters", "0"},
+		{"-nodes", "1", "-size", "1k", "-iters", "-1"},
+		{"-workload", "npb:EP", "-scale", "3"},
 	} {
 		var out, errOut strings.Builder
 		if err := run(args, &out, &errOut); err == nil || errors.Is(err, errRunFailed) {

@@ -134,6 +134,10 @@ func TestRunBadFlags(t *testing.T) {
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-workload", "pingpong:bogus"},
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-size", "1k", "-workload", "trace:bogus"},
 		{"-impls", "GridMPI,GridMPI", "-tunings", "full,full", "-reps", "2", "-max-size", "1k"},
+		// A pattern without an iteration, and an NPB scale past class B.
+		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "1", "-workload", "pattern:alltoall", "-size", "1k", "-iters", "0"},
+		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "1", "-workload", "pattern:alltoall", "-size", "1k", "-iters", "-1"},
+		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "1", "-workload", "npb:EP", "-scale", "3"},
 	} {
 		if err := run(args, &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)

@@ -51,8 +51,9 @@ func (a *Axes) Register(fs *flag.FlagSet) {
 
 // Sweep turns the flags into the sweep they name. It refuses what would
 // not run as spelled: unknown names, a value listed twice on one axis,
-// an argument on a workload kind that takes none, and a scale that is
-// not a finite number ≥ 0.
+// an argument on a workload kind that takes none, a scale that is not a
+// finite number ≥ 0 (or, for npb, above 1), and a pattern with fewer
+// than one iteration.
 func (a Axes) Sweep() (Sweep, error) {
 	if a.Nodes < 1 {
 		return Sweep{}, fmt.Errorf("-nodes must be ≥ 1, got %d", a.Nodes)
@@ -154,8 +155,14 @@ func (a Axes) workloads(size, maxSize int) ([]Workload, error) {
 		if err := CheckPattern(arg); err != nil {
 			return nil, err
 		}
+		if a.Iters < 1 {
+			return nil, fmt.Errorf("-iters must be ≥ 1 for a pattern workload, got %d", a.Iters)
+		}
 		return []Workload{PatternWorkload(arg, size, a.Iters)}, nil
 	case KindNPB:
+		if a.Scale > 1 {
+			return nil, fmt.Errorf("-scale must be ≤ 1 for npb (1 is the full class B), got %g", a.Scale)
+		}
 		return list("workload", every(arg, npb.Names), func(bench string) (Workload, error) {
 			return NPBWorkload(bench, a.Scale), CheckBench(bench)
 		})

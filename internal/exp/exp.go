@@ -298,12 +298,22 @@ func (e Experiment) normalized() Experiment {
 // share a key. Stable across processes, machines and releases — a
 // cache directory written by an old build keeps serving the new one.
 func (e Experiment) Fingerprint() string {
+	fp, err := e.fingerprint()
+	if err != nil {
+		panic(err)
+	}
+	return fp
+}
+
+// fingerprint is Fingerprint reporting an experiment JSON cannot encode
+// (a NaN or infinite scale or fault loss) as an error.
+func (e Experiment) fingerprint() (string, error) {
 	blob, err := json.Marshal(e.normalized())
 	if err != nil {
-		panic("exp: unfingerprintable experiment: " + err.Error())
+		return "", fmt.Errorf("exp: unfingerprintable experiment: %w", err)
 	}
 	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:8])
+	return hex.EncodeToString(sum[:8]), nil
 }
 
 // Name is a human-readable one-line identity.
@@ -544,6 +554,11 @@ func (e Experiment) check() error {
 		if err := CheckPattern(wl.Pattern); err != nil {
 			return err
 		}
+		// Without an iteration a pattern measures nothing, and its
+		// elapsed 0 would be cached as a result.
+		if wl.Iters < 1 {
+			return fmt.Errorf("exp: pattern %s needs at least one iteration, got iters = %d", wl.Pattern, wl.Iters)
+		}
 		// On one rank the pingpong would send to itself, and a
 		// rendezvous would wait for a receive it has not yet posted.
 		if wl.Pattern == "pingpong" && e.Topology.NP() < 2 {
@@ -552,6 +567,11 @@ func (e Experiment) check() error {
 	case KindNPB:
 		if err := CheckBench(wl.Bench); err != nil {
 			return fmt.Errorf("exp: %w", err)
+		}
+		// Scale 1 is the full class B, the largest the skeletons run:
+		// a larger scale would run class B under another fingerprint.
+		if wl.Scale > 1 {
+			return fmt.Errorf("exp: npb scale %g is above 1 (the full class B)", wl.Scale)
 		}
 	case KindRay2Mesh:
 		topo := e.topology()

@@ -253,6 +253,14 @@ func TestBadExperimentsReportErr(t *testing.T) {
 		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: NPBWorkload("CG", math.Inf(1))},
 		// A pingpong without sizes measures nothing.
 		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload(nil, 3)},
+		// A pattern without an iteration measures nothing either, and
+		// its elapsed 0 would be cached.
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PatternWorkload("alltoall", 1024, 0)},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PatternWorkload("alltoall", 1024, -1)},
+		// NPB's largest class is scale 1: a larger scale would run class
+		// B under another fingerprint.
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: NPBWorkload("EP", 3)},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: NPBWorkload("EP", 1.0001)},
 	}
 	for _, e := range bad {
 		// check must refuse each one: a panic caught by Run's recover

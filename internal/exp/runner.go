@@ -139,7 +139,14 @@ func (r *Runner) entry(fp string) *cacheEntry {
 // with the same fingerprint run the experiment once; the others block
 // until the result is ready and return it marked Cached.
 func (r *Runner) Run(e Experiment) Result {
-	fp := e.Fingerprint()
+	fp, err := e.fingerprint()
+	if err != nil {
+		// Nothing can cache or execute it; check names the bad axis.
+		if cerr := e.check(); cerr != nil {
+			err = cerr
+		}
+		return Result{Exp: e, Err: err.Error()}
+	}
 	en := r.entry(fp)
 	executed, loaded := false, false
 	en.once.Do(func() {

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,6 +19,29 @@ func mixedSweep() Sweep {
 		Tunings:    []Tuning{{}, {TCP: true}},
 		Topologies: []Topology{Grid(1)},
 		Workloads:  []Workload{PingPongWorkload(tinySizes, 3)},
+	}
+}
+
+// TestRunnerReportsUnfingerprintable: an experiment JSON cannot encode
+// (a NaN or infinite scale, a NaN fault loss) comes back from Runner.Run
+// as Result.Err naming the bad axis, instead of panicking the caller, and
+// nothing is computed or cached.
+func TestRunnerReportsUnfingerprintable(t *testing.T) {
+	r := NewRunner(1)
+	for _, e := range []Experiment{
+		{Impl: mpiimpl.GridMPI, Topology: Grid(1), Workload: NPBWorkload("CG", math.NaN())},
+		{Impl: mpiimpl.GridMPI, Topology: Grid(1), Workload: NPBWorkload("CG", math.Inf(1))},
+		{Impl: mpiimpl.GridMPI, Topology: Grid(1), Workload: Ray2MeshWorkload("rennes", math.Inf(1))},
+		{Impl: mpiimpl.GridMPI, Topology: Grid(1), Workload: PingPongWorkload(tinySizes, 2),
+			Faults: &FaultPlan{Events: []FaultEvent{{Kind: "loss", Loss: math.NaN()}}}},
+	} {
+		res := r.Run(e)
+		if !strings.Contains(res.Err, "scale") && !strings.Contains(res.Err, "loss") {
+			t.Errorf("%s: Err = %q, want a refusal naming the bad scale or loss", e.Name(), res.Err)
+		}
+	}
+	if st := r.CacheStats(); st != (CacheStats{}) || r.CacheLen() != 0 {
+		t.Errorf("refused experiments reached the cache: %+v, %d entries", st, r.CacheLen())
 	}
 }
 
