@@ -8,7 +8,10 @@
 // (Proc): coroutines that run one at a time under kernel control and block
 // in virtual time via Sleep, Signal.Wait, or Mutex.Lock. This lets higher
 // layers (TCP flows, MPI ranks, applications) be written in ordinary
-// blocking style while remaining deterministic.
+// blocking style while remaining deterministic. Code running in event
+// context waits on the same Signal and Mutex through callback waiters
+// (Signal.WaitArg, Mutex.LockArg), which run in the (time, seq) slot a
+// waiting process's wakeup would take.
 //
 // # Hot-path design
 //

@@ -103,8 +103,7 @@ func goBody(p *Proc, fn any) { fn.(func(*Proc))(p) }
 
 // GoJob spawns fn(p, arg) as a new process, starting at the current
 // virtual time after already-scheduled events for this instant. A
-// package-level fn plus a recycled arg struct spawns without allocating
-// (the mpi layer's per-message protocol processes use it).
+// package-level fn plus a recycled arg struct spawns without allocating.
 func (k *Kernel) GoJob(name string, fn func(p *Proc, arg any), arg any) *Proc {
 	p := k.spawn(name)
 	p.body, p.arg = fn, arg

@@ -216,13 +216,12 @@ func (f *Flow) SendArg(p *sim.Proc, n int64, fn func(any), arg any) {
 		return
 	}
 	f.write(p, n)
-	f.notifyAt(f.queued, fn, arg)
-	f.writeMu.Unlock()
+	f.finish(fn, arg)
 }
 
 // write blocks p until the send socket buffer has accepted n bytes,
-// holding the write lock. The caller registers its delivery callback and
-// then releases writeMu, so the notify order matches the write order.
+// holding the write lock. The caller then finishes the write, so the
+// notify order matches the write order.
 func (f *Flow) write(p *sim.Proc, n int64) {
 	f.writeMu.Lock(p)
 	f.owed = n
@@ -267,7 +266,7 @@ func refill(a any) {
 	}
 	w := f.pending
 	f.pending = nil
-	f.finish(w)
+	f.finish(w.Fn, w.Arg)
 	w.Then(w.ThenArg)
 }
 
@@ -320,14 +319,14 @@ func (f *Flow) start(w *Write) bool {
 		f.pending = w
 		return false
 	}
-	f.finish(w)
+	f.finish(w.Fn, w.Arg)
 	return true
 }
 
-// finish registers a fully buffered write's delivery and releases the
-// write lock, as SendArg does after write returns.
-func (f *Flow) finish(w *Write) {
-	f.notifyAt(f.queued, w.Fn, w.Arg)
+// finish completes a fully buffered write: it registers the write's
+// delivery callback fn(arg) and releases the write lock.
+func (f *Flow) finish(fn func(any), arg any) {
+	f.notifyAt(f.queued, fn, arg)
 	f.writeMu.Unlock()
 }
 

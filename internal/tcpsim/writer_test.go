@@ -154,3 +154,70 @@ func TestFlowFitsSizeClass(t *testing.T) {
 		t.Fatalf("Flow is %d bytes, over the 640-byte size class", size)
 	}
 }
+
+// stamp is the (time, seq) of an executed event.
+type stamp struct {
+	at  sim.Time
+	seq uint64
+}
+
+// writersRun has one writer per kind letter write to one WAN flow with a
+// 128 kB send buffer, in order at instant 0, each from an event of its
+// own: a process calling SendArg ('p') or a callback write ('c'). The
+// first write (4 MiB) blocks on the buffer holding the write lock, so
+// the others queue on the lock; the second (64 B) then buffers at once
+// and the third (1 MiB) blocks on the buffer in turn. It returns the
+// event each write completed in, the offset delivered when each write's
+// delivery callback ran, and the whole event stream.
+func writersRun(kinds string) (done []stamp, landed []int64, events []stamp) {
+	k, n := testbed()
+	defer k.Close()
+	f := NewFlow(k, gridPath(n), DefaultLinux26(), BufferPolicy{Explicit: 128 << 10})
+	k.SetTracer(func(at sim.Time, seq uint64) { events = append(events, stamp{at, seq}) })
+	sizes := []int64{4 << 20, 64, 1 << 20}
+	done, landed = make([]stamp, len(sizes)), make([]int64, len(sizes))
+	writes := make([]Write, len(sizes))
+	for i, size := range sizes {
+		finished := func(any) { done[i] = events[len(events)-1] }
+		land := func(any) { landed[i] = f.Delivered() }
+		if kinds[i] == 'p' {
+			k.Go("writer", func(p *sim.Proc) {
+				f.SendArg(p, size, land, nil)
+				finished(nil)
+			})
+			continue
+		}
+		writes[i] = Write{N: size, Fn: land, Then: finished}
+		k.Schedule(0, func() {
+			if f.Write(&writes[i]) {
+				finished(nil)
+			}
+		})
+	}
+	k.Run()
+	return done, landed, events
+}
+
+// TestWriteMatchesSend: a callback write continues where a process
+// writer would be woken or resumed — after the write lock's handoff and
+// from the refill that buffers its last byte — so any mix of callback
+// and process writers completes each write in the same event, delivers
+// the same bytes and executes the same event stream.
+func TestWriteMatchesSend(t *testing.T) {
+	wantDone, wantLanded, wantEvents := writersRun("ppp")
+	if wantLanded[2] != 5<<20+64 {
+		t.Fatalf("the last write landed at offset %d, want %d", wantLanded[2], 5<<20+64)
+	}
+	for _, kinds := range []string{"ccc", "cpc", "pcp", "ppc"} {
+		done, landed, events := writersRun(kinds)
+		if fmt.Sprint(done) != fmt.Sprint(wantDone) {
+			t.Errorf("%s: writes completed in events %v, processes in %v", kinds, done, wantDone)
+		}
+		if fmt.Sprint(landed) != fmt.Sprint(wantLanded) {
+			t.Errorf("%s: deliveries ran at offsets %v, with processes %v", kinds, landed, wantLanded)
+		}
+		if fmt.Sprint(events) != fmt.Sprint(wantEvents) {
+			t.Errorf("%s: %d events differ from the %d with processes", kinds, len(events), len(wantEvents))
+		}
+	}
+}
