@@ -111,7 +111,7 @@ func steadyAllocs(t *testing.T, k *sim.Kernel, step time.Duration, progress func
 }
 
 // TestMpiIsendRendezvousAllocFree locks the nonblocking rendezvous
-// driver: a steady-state exchange of 64 KiB Isends over the rendezvous
+// chain: a steady-state exchange of 64 KiB Isends over the rendezvous
 // protocol — RTS write, CTS wait, payload write, each a kernel event on
 // the pooled send job — allocates nothing.
 func TestMpiIsendRendezvousAllocFree(t *testing.T) {

@@ -163,7 +163,7 @@ func sendOrderScenarios() []sendOrderScenario {
 // TestSendEventOrder locks the executed (time, seq) stream of each send
 // scenario by one line: its name, the sha256 of the stream and the
 // elapsed virtual time. The golden was recorded while every nonblocking
-// send still ran as a process of its own, so a driver that continues in
+// send still ran as a process of its own, so code that continues in
 // event context must schedule each continuation in the (time, seq) slot
 // of the wakeup it replaces. Regenerate with -update-trace only for a
 // deliberate semantic change.

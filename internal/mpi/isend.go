@@ -5,10 +5,10 @@ import (
 	"repro/internal/tcpsim"
 )
 
-// The nonblocking send driver. Isend and the collectives' cisend run the
-// wire protocol of sendProto as a chain of package-level steps on a
-// pooled sendJob, so a nonblocking send spawns no process. Where the
-// blocking driver's process would wait — a delay, the serial-rendezvous
+// Nonblocking sends. Isend and the collectives' cisend run the wire
+// protocol of sendProto as a chain of package-level steps on a pooled
+// sendJob, so a nonblocking send spawns no process. Where sendProto's
+// process would wait — a delay, the serial-rendezvous
 // lock, a flow write, the CTS, the striped lanes — the step registers
 // its continuation instead, and the continuation runs in exactly the
 // (time, seq) slot of the wakeup it replaces: a delay schedules it at
@@ -39,7 +39,7 @@ type sendJob struct {
 	wr    tcpsim.Write
 }
 
-// isend starts the nonblocking driver for one message and returns its
+// isend starts the event chain of one message and returns its
 // request. The first step runs as an event at the current instant, in
 // the slot a send process's start event took.
 func (r *Rank) isend(dst, tag int, size int64, ctx int, data any) *Request {
@@ -154,7 +154,7 @@ func (j *sendJob) write(n int64, d *delivery, next func(any)) bool {
 	return j.flow.Write(&j.wr)
 }
 
-// isendDone completes the send as the blocking driver returns: it
+// isendDone completes the send as sendProto returns: it
 // releases the serial-rendezvous lock, fires the request and recycles
 // the job.
 func isendDone(a any) {

@@ -86,8 +86,8 @@ func (r *Rank) IsendPayload(dst, tag, size int, data any) *Request {
 }
 
 // sendProto runs the wire protocol for one message on process p, which
-// blocks at each of its waits. The nonblocking driver (isend.go) runs
-// the same protocol, step by step, through the same helpers.
+// blocks at each of its waits. Isend's event chain (isend.go) runs the
+// same protocol, step by step, through the same helpers.
 func (r *Rank) sendProto(p *sim.Proc, dst, tag int, size int64, ctx int, data any) {
 	wan := r.sendBegin(dst, size, ctx)
 	p.Sleep(r.w.Prof.Overhead(wan))
@@ -133,7 +133,7 @@ func (r *Rank) sendPayload(p *sim.Proc, flow *tcpsim.Flow, dst int, wan bool, si
 	flow.SendArg(p, n, runDelivery, d)
 }
 
-// --- the protocol's rules, shared by the blocking and nonblocking drivers ---
+// --- the protocol's rules, shared by sendProto and Isend's event chain ---
 
 // sendBegin books one message in the census and reports whether it
 // crosses sites.

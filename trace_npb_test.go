@@ -1,9 +1,9 @@
 package repro
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/exp"
@@ -18,7 +18,7 @@ import (
 // delay and nonblocking rendezvous sends. The golden was recorded while
 // every nonblocking send still ran as a process of its own.
 func TestNPBEventOrderTrace(t *testing.T) {
-	var out strings.Builder
+	var out bytes.Buffer
 	for _, e := range exp.NPBMatrix(exp.Grid(8), 0.01, npb.Names).Experiments() {
 		events := sha256.New()
 		var res exp.Result
@@ -28,5 +28,5 @@ func TestNPBEventOrderTrace(t *testing.T) {
 		}
 		fmt.Fprintf(&out, "%s %x %x\n", e.Name(), events.Sum(nil), sha256.Sum256(exp.MarshalResults([]exp.Result{res})))
 	}
-	checkGolden(t, "event_order_npb.golden", []byte(out.String()))
+	checkGolden(t, "event_order_npb.golden", out.Bytes())
 }
