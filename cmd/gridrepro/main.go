@@ -127,6 +127,11 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(errOut, "-ray-scale must be a finite number ≥ 0 (0 = per-mode default), got %g\n", *rayFlag)
 		return errFlagParse
 	}
+	// A negative count is no run either, not the per-mode default.
+	if *repsFlag < 0 || *traceFlag < 0 {
+		fmt.Fprintf(errOut, "-reps and -trace must be ≥ 0 (0 = per-mode default), got %d and %d\n", *repsFlag, *traceFlag)
+		return errFlagParse
+	}
 
 	reps, nasScale, rayScale, traceN := core.DefaultReps, 0.25, 1.0, 200
 	if *quick {

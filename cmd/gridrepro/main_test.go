@@ -165,12 +165,14 @@ func TestBadInvocations(t *testing.T) {
 			t.Errorf("%v: stderr does not list the sections: %s", args, errOut.String())
 		}
 	}
-	// A scale no run can take is a usage error before any side effect:
-	// the cache directory is not created. NaN and infinity cannot be
-	// fingerprinted, and NPB's largest class is scale 1.
+	// A scale or count no run can take is a usage error before any side
+	// effect: the cache directory is not created. NaN and infinity cannot
+	// be fingerprinted, NPB's largest class is scale 1, and a negative
+	// count is not the per-mode default.
 	for _, args := range [][]string{
 		{"-nas-scale", "Inf"}, {"-nas-scale", "NaN"}, {"-nas-scale", "-1"}, {"-nas-scale", "3"},
 		{"-ray-scale", "Inf"}, {"-ray-scale", "NaN"}, {"-ray-scale", "-1"},
+		{"-reps", "-3"}, {"-trace", "-5"},
 	} {
 		cache := filepath.Join(t.TempDir(), "cache")
 		args = append([]string{"-quick", "-cache", cache}, append(args, "table2", "table6")...)

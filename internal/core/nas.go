@@ -141,7 +141,9 @@ func gridVsCluster(r *exp.Runner, name, title string, npCluster int, scale float
 	grExps := make([]exp.Experiment, len(cells))
 	for i, res := range runAll(r, name, clExps) {
 		clusters[cells[i]] = res
-		budget := time.Duration(float64(res.Elapsed) * 4 * DNFBudgetFactor)
+		// The outer float64 rounds the product, so no architecture fuses
+		// the multiplications into a multiply-add (see tcpsim's Flow.bdp).
+		budget := time.Duration(float64(float64(res.Elapsed)*4) * DNFBudgetFactor)
 		grExps[i] = npbExperiment(cells[i].bench, cells[i].impl, exp.Grid(8), scale, budget)
 	}
 	for i, res := range runAll(r, name, grExps) {

@@ -31,7 +31,9 @@ type Params struct {
 }
 
 func (p Params) iters(full int) int {
-	n := int(float64(full)*p.Scale + 0.999)
+	// The outer float64 rounds the product, so no architecture fuses it
+	// with the addition into one multiply-add (see tcpsim's Flow.bdp).
+	n := int(float64(float64(full)*p.Scale) + 0.999)
 	if n < 1 {
 		return 1
 	}

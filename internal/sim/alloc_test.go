@@ -57,7 +57,7 @@ func TestScheduleFutureAllocFree(t *testing.T) {
 }
 
 // TestSleepAllocFree locks the process wakeup path: a steady-state Sleep
-// is one transfer event plus a coroutine switch each way — no
+// is one wakeup event plus a coroutine switch each way — no
 // closures, no per-iteration allocation.
 func TestSleepAllocFree(t *testing.T) {
 	skipIfRace(t)
@@ -68,7 +68,7 @@ func TestSleepAllocFree(t *testing.T) {
 			p.Sleep(time.Microsecond)
 		}
 	})
-	for i := 0; i < 64; i++ { // warm: first transfers grow stacks etc.
+	for i := 0; i < 64; i++ { // warm: first wakeups grow stacks etc.
 		k.RunUntil(k.Now() + time.Microsecond)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -76,28 +76,6 @@ func TestSleepAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Sleep cycle allocates %v/op, want 0", allocs)
-	}
-}
-
-// TestSpawnAllocFree locks the process pool: once a finished coroutine is
-// in the free list, GoJob with a package-level body and a recycled arg
-// spawns, runs and retires processes without allocating.
-func TestSpawnAllocFree(t *testing.T) {
-	skipIfRace(t)
-	k := New(1)
-	defer k.Close()
-	body := func(p *Proc, arg any) { p.Sleep(time.Microsecond) }
-	arg := new(int)
-	for i := 0; i < 64; i++ { // warm: create and retire the pooled coroutine
-		k.GoJob("job", body, arg)
-		k.Run()
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		k.GoJob("job", body, arg)
-		k.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("GoJob spawn cycle allocates %v/op, want 0", allocs)
 	}
 }
 

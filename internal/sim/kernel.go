@@ -29,16 +29,15 @@
 //     to a FIFO ring buffer that Step drains ahead of any later-time heap
 //     event. The (time, seq) execution order is identical to a single
 //     heap (see Step for the invariant), just cheaper.
-//   - Every event is one of two kinds: a process transfer (hand control to
-//     a *Proc) or a deferred call fn(arg), a package-level function plus
-//     its argument (ScheduleArg). Sleep, the synchronization primitives,
+//   - Every event is a deferred call fn(arg), a package-level function
+//     plus its argument (ScheduleArg); a process wakeup is wakeProc with
+//     the *Proc as its argument. Sleep, the synchronization primitives,
 //     Signal.FireAfter and the TCP flows' round steps capture nothing;
 //     Schedule and After pass their func() as the argument of one
 //     package-level adapter.
-//   - Processes themselves are pooled continuations (see Proc): parking is
-//     a same-thread coroutine switch, not a channel handoff through the Go
-//     scheduler, and a finished process's coroutine is recycled by the next
-//     Go/GoJob, so spawning is allocation-free in steady state too.
+//   - Processes themselves are coroutines (see Proc): parking is a
+//     same-thread coroutine switch, not a channel handoff through the Go
+//     scheduler.
 package sim
 
 import (
@@ -52,16 +51,12 @@ import (
 // formatting.
 type Time = time.Duration
 
-// event is a scheduled call, stored by value in the kernel's slab: fn(arg),
-// or, when fn is nil, a process transfer to the *Proc in arg.
+// event is a scheduled call fn(arg), stored by value in the kernel's slab.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func(any)
 	arg any
-	// gen is the proc generation a transfer targets; transfer drops the
-	// event if the Proc has since finished and been recycled (see Proc.gen).
-	gen uint32
 }
 
 // Kernel is a discrete-event simulator instance. A Kernel and everything
@@ -84,13 +79,12 @@ type Kernel struct {
 	ringHead uint32
 	ringTail uint32
 
-	rng   *rand.Rand
-	procs map[*Proc]struct{}
-	// freeProcs pools finished processes whose coroutines idle at the
-	// trampoline reuse point, ready for the next Go/GoJob.
-	freeProcs []*Proc
-	closed    bool
-	tracer    Tracer
+	rng *rand.Rand
+	// procs holds the processes spawned, in spawn order, less finished
+	// ones GoJob has dropped.
+	procs  []*Proc
+	closed bool
+	tracer Tracer
 
 	// Executed counts events processed, for diagnostics and tests.
 	Executed uint64
@@ -114,10 +108,7 @@ var NewHook func(*Kernel)
 // New creates a kernel with the given RNG seed. The RNG is the only source
 // of randomness in the simulation; a fixed seed yields a fixed trajectory.
 func New(seed int64) *Kernel {
-	k := &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		procs: make(map[*Proc]struct{}),
-	}
+	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
 	if NewHook != nil {
 		NewHook(k)
 	}
@@ -132,7 +123,7 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // alloc takes a slab slot (recycling freed ones), assigns the next
 // sequence number and fills the event in.
-func (k *Kernel) alloc(at Time, fn func(any), arg any, gen uint32) int32 {
+func (k *Kernel) alloc(at Time, fn func(any), arg any) int32 {
 	k.seq++
 	var idx int32
 	if n := len(k.free); n > 0 {
@@ -143,13 +134,15 @@ func (k *Kernel) alloc(at Time, fn func(any), arg any, gen uint32) int32 {
 		idx = int32(len(k.slab) - 1)
 	}
 	ev := &k.slab[idx]
-	ev.at, ev.seq, ev.fn, ev.arg, ev.gen = at, k.seq, fn, arg, gen
+	ev.at, ev.seq, ev.fn, ev.arg = at, k.seq, fn, arg
 	return idx
 }
 
-// schedule routes one event to the ring (same-instant fast path) or the
-// heap (future instants). Times in the past are clamped to the present.
-func (k *Kernel) schedule(at Time, fn func(any), arg any, gen uint32) {
+// ScheduleArg runs fn(arg) at virtual time at. Times in the past are
+// clamped to the present: the event runs at Now, after already-queued
+// events for Now. A package-level fn with a pointer arg schedules without
+// allocating.
+func (k *Kernel) ScheduleArg(at Time, fn func(any), arg any) {
 	if k.closed {
 		return
 	}
@@ -157,30 +150,20 @@ func (k *Kernel) schedule(at Time, fn func(any), arg any, gen uint32) {
 		// Same-instant FIFO: runs at Now, after already-queued events for
 		// Now, in insertion order — exactly the (time, seq) heap order,
 		// without the heap churn.
-		k.ringPush(k.alloc(k.now, fn, arg, gen))
+		k.ringPush(k.alloc(k.now, fn, arg))
 		return
 	}
-	k.heapPush(k.alloc(at, fn, arg, gen))
+	k.heapPush(k.alloc(at, fn, arg))
 }
 
-// ScheduleArg runs fn(arg) at virtual time at. Times in the past are
-// clamped to the present: the event runs at Now, after already-queued
-// events for Now. A package-level fn with a pointer arg schedules without
-// allocating.
-func (k *Kernel) ScheduleArg(at Time, fn func(any), arg any) { k.schedule(at, fn, arg, 0) }
-
 // Schedule runs fn at virtual time at, like ScheduleArg.
-func (k *Kernel) Schedule(at Time, fn func()) { k.schedule(at, call, fn, 0) }
+func (k *Kernel) Schedule(at Time, fn func()) { k.ScheduleArg(at, call, fn) }
 
 // After runs fn d from now. Negative delays are clamped to zero.
-func (k *Kernel) After(d time.Duration, fn func()) { k.schedule(k.now+d, call, fn, 0) }
+func (k *Kernel) After(d time.Duration, fn func()) { k.ScheduleArg(k.now+d, call, fn) }
 
 // call is the event of Schedule and After: their func() is its argument.
 func call(fn any) { fn.(func())() }
-
-// scheduleProc schedules a process transfer: at time at, hand control to
-// p. It is the wakeup used by Go, Sleep, Signal.Fire and Mutex.Unlock.
-func (k *Kernel) scheduleProc(at Time, p *Proc) { k.schedule(at, nil, p, p.gen) }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
@@ -215,11 +198,7 @@ func (k *Kernel) Step() bool {
 	if k.tracer != nil {
 		k.tracer(ev.at, ev.seq)
 	}
-	if ev.fn == nil {
-		k.transfer(ev.arg.(*Proc), ev.gen)
-	} else {
-		ev.fn(ev.arg)
-	}
+	ev.fn(ev.arg)
 	return true
 }
 
@@ -250,28 +229,24 @@ func (k *Kernel) RunUntil(t Time) {
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return len(k.heap) + int(k.ringTail-k.ringHead) }
 
-// Close aborts every live process and retires the pooled coroutines. It
-// must be called after Run returns (not from inside an event), typically
-// deferred right after New in tests. Close is idempotent.
+// Close unwinds every parked process, in spawn order. It must be called
+// after Run returns (not from inside an event), typically deferred right
+// after New in tests. Close is idempotent.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
 	}
 	k.closed = true
-	for p := range k.procs {
-		if !p.done && p.parked {
+	for _, p := range k.procs {
+		if p.parked {
 			// Parked mid-body: stop makes the pending yield report abort,
 			// unwinding the body. Never started: stop retires the coroutine
-			// before it runs, so the body never executes.
+			// before it runs, so the body never executes. A finished or
+			// panicked process is not parked, and its coroutine has ended.
 			p.stop()
 		}
 	}
 	k.procs = nil
-	for i, p := range k.freeProcs {
-		p.stop() // idle at the reuse point: the trampoline returns
-		k.freeProcs[i] = nil
-	}
-	k.freeProcs = nil
 	k.slab, k.free, k.heap, k.ring = nil, nil, nil, nil
 	k.ringHead, k.ringTail = 0, 0
 }

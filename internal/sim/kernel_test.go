@@ -86,19 +86,19 @@ func TestDeterminism(t *testing.T) {
 		k := New(seed)
 		defer k.Close()
 		var trace []Time
-		var spawn func(depth int)
-		spawn = func(depth int) {
+		var branch func(depth int)
+		branch = func(depth int) {
 			if depth > 4 {
 				return
 			}
 			d := time.Duration(k.Rand().Intn(1000)) * time.Microsecond
 			k.After(d, func() {
 				trace = append(trace, k.Now())
-				spawn(depth + 1)
-				spawn(depth + 1)
+				branch(depth + 1)
+				branch(depth + 1)
 			})
 		}
-		spawn(0)
+		branch(0)
 		k.Run()
 		return trace
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"time"
 )
 
@@ -19,14 +20,13 @@ func (abortError) Error() string { return "sim: process aborted" }
 // blocking in virtual time (Sleep, Signal.Wait, Mutex.Lock, Park). All Proc
 // methods must be called from the process itself while it is running.
 //
-// Processes are continuations, not goroutines: each Proc owns an iter.Pull
-// coroutine, parking is a same-thread stack switch (yield), and the kernel
-// resumes a runnable process with another (resume). No channel rendezvous,
-// no scheduler round-trip through the Go runtime — the whole simulation is
-// one OS-schedulable flow of control. Finished processes are recycled: the
-// coroutine body is a trampoline loop that parks at a reuse point when its
-// current function returns, and Kernel.GoJob hands the idle coroutine its
-// next body, so steady-state spawning allocates nothing (see Kernel.spawn).
+// Processes are coroutines, not goroutines: each Proc owns an iter.Pull
+// coroutine that runs its body once, parking is a same-thread stack switch
+// (yield), and the kernel resumes a runnable process with another
+// (resume). No channel rendezvous, no scheduler round-trip through the Go
+// runtime — the whole simulation is one OS-schedulable flow of control.
+// A process's wakeup is an ordinary event: wakeProc with the *Proc as its
+// argument.
 type Proc struct {
 	k      *Kernel
 	name   string
@@ -37,19 +37,13 @@ type Proc struct {
 	yield  func(unit) bool     // process side: park, false = aborting
 	done   bool
 	parked bool
-	// gen distinguishes incarnations of a recycled Proc: wakeup events
-	// record the generation they were scheduled for, and the kernel drops
-	// wakeups whose generation is stale (the body they targeted finished
-	// and the coroutine now runs a different spawn).
-	gen uint32
 }
 
-// main is the coroutine trampoline: it runs the current body, parks at the
-// reuse point, and loops when the kernel hands it the next body. Aborts
-// (Kernel.Close stopping a parked process) unwind the body via an
-// abortError panic that is recovered here, ending the coroutine; genuine
-// panics from a body are re-raised and propagate out of Kernel.Step to the
-// caller of Kernel.Run.
+// main is the coroutine: it runs the body once and returns, which ends
+// the coroutine. Aborts (Kernel.Close stopping a parked process) unwind the
+// body via an abortError panic that is recovered here; genuine panics from
+// a body are re-raised and propagate out of Kernel.Step to the caller of
+// Kernel.Run.
 func (p *Proc) main(yield func(unit) bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -59,39 +53,9 @@ func (p *Proc) main(yield func(unit) bool) {
 		}
 	}()
 	p.yield = yield
-	for {
-		p.body(p, p.arg)
-		p.done = true
-		p.body, p.arg = nil, nil
-		if !yield(unit{}) {
-			return // kernel closed while idle in the free pool
-		}
-	}
-}
-
-// spawn readies a Proc for a new body: recycled from the free pool when
-// possible, otherwise a fresh coroutine. The caller assigns the body and
-// schedules the start event.
-func (k *Kernel) spawn(name string) *Proc {
-	if k.closed {
-		// The kernel is shut down: hand back an inert Proc (never
-		// registered, never scheduled) so late spawners don't crash.
-		return &Proc{k: k, name: name, parked: true}
-	}
-	var p *Proc
-	if n := len(k.freeProcs); n > 0 {
-		p = k.freeProcs[n-1]
-		k.freeProcs[n-1] = nil
-		k.freeProcs = k.freeProcs[:n-1]
-		p.done = false
-	} else {
-		p = &Proc{k: k}
-		p.resume, p.stop = iter.Pull(p.main)
-	}
-	p.name = name
-	p.parked = true // blocked awaiting its start event
-	k.procs[p] = struct{}{}
-	return p
+	p.body(p, p.arg)
+	p.done = true
+	p.body, p.arg = nil, nil
 }
 
 // Go spawns fn as a new process, like GoJob. fn starts executing at the
@@ -102,33 +66,34 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc { return k.GoJob(name, 
 func goBody(p *Proc, fn any) { fn.(func(*Proc))(p) }
 
 // GoJob spawns fn(p, arg) as a new process, starting at the current
-// virtual time after already-scheduled events for this instant. A
-// package-level fn plus a recycled arg struct spawns without allocating.
+// virtual time after already-scheduled events for this instant.
 func (k *Kernel) GoJob(name string, fn func(p *Proc, arg any), arg any) *Proc {
-	p := k.spawn(name)
-	p.body, p.arg = fn, arg
-	k.scheduleProc(k.now, p)
+	// The process is parked until its start event runs.
+	p := &Proc{k: k, name: name, body: fn, arg: arg, parked: true}
+	if k.closed {
+		// The kernel is shut down: hand back an inert Proc (never
+		// registered, never scheduled) so late spawners don't crash.
+		return p
+	}
+	p.resume, p.stop = iter.Pull(p.main)
+	if len(k.procs) == cap(k.procs) {
+		// Only parked processes matter to Close: drop the finished ones
+		// before growing, and leave room for as many again, so a kernel
+		// that keeps spawning holds only its live processes.
+		k.procs = slices.DeleteFunc(k.procs, (*Proc).Done)
+		k.procs = slices.Grow(k.procs, len(k.procs))
+	}
+	k.procs = append(k.procs, p)
+	k.ScheduleArg(k.now, wakeProc, p)
 	return p
 }
 
-// transfer hands control to p until it parks or finishes. gen is the
-// process generation the wakeup was scheduled for; a stale generation means
-// the target body already finished and the Proc was recycled, so the wakeup
-// is dropped. Called only from the kernel event loop.
-func (k *Kernel) transfer(p *Proc, gen uint32) {
-	if p.done || p.gen != gen {
-		return
-	}
-	p.parked = false
-	_, idle := p.resume()
-	if p.done {
-		delete(k.procs, p)
-		p.gen++
-		if idle {
-			// The trampoline parked at its reuse point: pool the coroutine.
-			k.freeProcs = append(k.freeProcs, p)
-		}
-	}
+// wakeProc is the event of a process wakeup: the parked *Proc is its
+// argument. It is the wakeup of GoJob's start, Sleep, Signal.Wait and
+// Mutex.Lock.
+func wakeProc(p any) {
+	proc := p.(*Proc)
+	proc.k.Resume(proc)
 }
 
 // Park blocks the process until the kernel resumes it. Sleep, Signal
@@ -141,19 +106,20 @@ func (p *Proc) Park() {
 	if !p.yield(unit{}) {
 		panic(abortError{})
 	}
-	p.parked = false
 }
 
 // Resume runs p, blocked in a direct Park, inline in the calling event
 // until it parks again or finishes. It is no event of its own: the tracer
 // sees the resumed code as part of the event that called Resume. Call it
 // only from event context (a Schedule or After callback), never from a
-// process, and only on a process no other wakeup is pending for.
+// process, and only on a process no other wakeup is pending for. Every
+// wakeup resumes a process through it, wakeProc's included.
 func (k *Kernel) Resume(p *Proc) {
 	if !p.parked {
 		panic("sim: Resume of a process that is not parked")
 	}
-	k.transfer(p, p.gen)
+	p.parked = false
+	p.resume()
 }
 
 // Done reports whether the process body has returned.
@@ -168,10 +134,7 @@ func (p *Proc) Now() Time { return p.k.now }
 // Sleep blocks the process for d of virtual time. Non-positive durations
 // still yield, resuming after events already scheduled for this instant.
 func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.k.scheduleProc(p.k.now+d, p)
+	p.k.ScheduleArg(p.k.now+d, wakeProc, p)
 	p.Park()
 }
 
@@ -182,8 +145,8 @@ func (p *Proc) String() string { return fmt.Sprintf("sim.Proc(%s)", p.name) }
 // returns immediately. The zero value is not usable; create signals with
 // NewSignal.
 //
-// A waiter is a process (Wait) or a callback (WaitArg); both kinds share
-// one FIFO. The overwhelmingly common case — a completion signal with
+// A waiter is a callback: WaitArg's, or for a process in Wait, its
+// wakeup. The overwhelmingly common case — a completion signal with
 // exactly one waiter (MPI request done, rendezvous CTS) — is held in an
 // inline slot, so waiting allocates nothing; additional waiters overflow
 // into a slice behind a pointer, which keeps the Signal itself as small
@@ -195,23 +158,11 @@ type Signal struct {
 	more  *[]waiter // further waiters, in Wait order
 }
 
-// waiter is one queued wakeup: a process (fn nil, arg the *Proc) or a
-// callback fn(arg).
+// waiter is one queued wakeup, fn(arg); a process's is wakeProc with the
+// *Proc. A nil fn marks an empty slot.
 type waiter struct {
 	fn  func(any)
 	arg any
-}
-
-func (w waiter) empty() bool { return w.fn == nil && w.arg == nil }
-
-// wake schedules w at the current instant: a process's transfer, or a
-// callback in the same (time, seq) slot that transfer would take.
-func (k *Kernel) wake(w waiter) {
-	if w.fn == nil {
-		k.scheduleProc(k.now, w.arg.(*Proc))
-		return
-	}
-	k.schedule(k.now, w.fn, w.arg, 0)
 }
 
 // NewSignal creates an unfired Signal on this kernel.
@@ -228,13 +179,14 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	if !s.w0.empty() {
-		s.k.wake(s.w0)
+	k := s.k
+	if s.w0.fn != nil {
+		k.ScheduleArg(k.now, s.w0.fn, s.w0.arg)
 		s.w0 = waiter{}
 	}
 	if s.more != nil {
 		for _, w := range *s.more {
-			s.k.wake(w)
+			k.ScheduleArg(k.now, w.fn, w.arg)
 		}
 		s.more = nil
 	}
@@ -255,11 +207,9 @@ func fireSignal(s any) { s.(*Signal).Fire() }
 
 // Wait blocks p until the signal fires. p must be the calling process.
 func (s *Signal) Wait(p *Proc) {
-	if s.fired {
-		return
+	if !s.WaitArg(wakeProc, p) {
+		p.Park()
 	}
-	s.add(waiter{arg: p})
-	p.Park()
 }
 
 // WaitArg is Wait for code running in event context: it reports true
@@ -270,13 +220,9 @@ func (s *Signal) WaitArg(fn func(any), arg any) bool {
 	if s.fired {
 		return true
 	}
-	s.add(waiter{fn, arg})
-	return false
-}
-
-func (s *Signal) add(w waiter) {
+	w := waiter{fn, arg}
 	switch {
-	case s.w0.empty():
+	case s.w0.fn == nil:
 		// w0 empty implies no waiters at all: Fire and Reset clear both
 		// slots, and overflow only ever follows an occupied w0.
 		s.w0 = w
@@ -285,6 +231,7 @@ func (s *Signal) add(w waiter) {
 	default:
 		*s.more = append(*s.more, w)
 	}
+	return false
 }
 
 // popFront removes element 0 by compacting in place, keeping the slice's

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -184,36 +186,25 @@ func TestGoJobRunsWithArg(t *testing.T) {
 	}
 }
 
-// TestProcReuseDropsStaleState checks coroutine recycling: a proc that
-// finishes is reused by the next Go, runs the new body from a clean
-// state, and events scheduled for the old incarnation never wake the new
-// one (generation guard).
-func TestProcReuseDropsStaleState(t *testing.T) {
+// TestFinishedProcsHoldNoGoroutine: a process's coroutine ends when its
+// body returns, so finished processes hold no goroutine before Close.
+func TestFinishedProcsHoldNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := New(1)
 	defer k.Close()
-	first := k.Go("first", func(p *Proc) { p.Sleep(time.Microsecond) })
-	k.Run()
-	if !first.Done() {
-		t.Fatal("first proc did not finish")
-	}
-	runs := 0
-	second := k.Go("second", func(p *Proc) {
-		runs++
-		p.Sleep(time.Microsecond)
-	})
-	if second != first {
-		t.Fatal("finished coroutine was not recycled by the next Go")
+	for range 16 {
+		k.Go("sleeper", func(p *Proc) { p.Sleep(time.Microsecond) })
 	}
 	k.Run()
-	if runs != 1 || !second.Done() {
-		t.Fatalf("recycled proc ran %d times (done=%v), want exactly once", runs, second.Done())
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after every process finished, want %d as before the spawns", n, base)
 	}
 }
 
 // TestResumeRunsInlineInCallingEvent pins Kernel.Resume's contract: a
 // process blocked in a direct Park continues inside the event that
 // resumes it, and that event finishes once the process parks again. The
-// tracer records the resuming event and no transfer event of its own.
+// tracer records the resuming event and no wakeup event of its own.
 func TestResumeRunsInlineInCallingEvent(t *testing.T) {
 	k := New(1)
 	defer k.Close()
@@ -257,8 +248,8 @@ func TestResumeRunsInlineInCallingEvent(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsProcNotParked: resuming a finished process is a
-// programming error and panics instead of running a recycled body.
+// TestResumeRejectsProcNotParked: resuming a finished process, whose
+// coroutine has ended, is a programming error and panics.
 func TestResumeRejectsProcNotParked(t *testing.T) {
 	k := New(1)
 	defer k.Close()
@@ -290,5 +281,48 @@ func TestCloseUnwindsParkedProc(t *testing.T) {
 	k.Close()
 	if !unwound {
 		t.Fatal("Close did not unwind the parked process")
+	}
+}
+
+// TestKernelDropsFinishedProcs: a kernel that keeps spawning short
+// processes holds on to its live ones only, not to every one it spawned.
+func TestKernelDropsFinishedProcs(t *testing.T) {
+	k := New(1)
+	defer k.Close()
+	live := k.Go("live", func(p *Proc) { p.Park() })
+	for range 1000 {
+		k.GoJob("job", func(p *Proc, arg any) { p.Sleep(time.Microsecond) }, nil)
+		k.Run()
+	}
+	if n := len(k.procs); n > 4 {
+		t.Fatalf("kernel holds %d processes after 1,000 finished, want at most 4", n)
+	}
+	if k.procs[0] != live {
+		t.Fatal("the parked process was dropped")
+	}
+}
+
+// TestCloseUnwindsParkedProcsInSpawnOrder: Close unwinds parked processes
+// in the order they were spawned, so their defers run deterministically,
+// also after finished processes between them were dropped.
+func TestCloseUnwindsParkedProcsInSpawnOrder(t *testing.T) {
+	k := New(1)
+	var unwound, want []int
+	for i := range 32 {
+		k.Go("proc", func(p *Proc) {
+			if i%2 == 1 {
+				return
+			}
+			defer func() { unwound = append(unwound, i) }()
+			p.Park()
+		})
+		k.Run()
+		if i%2 == 0 {
+			want = append(want, i)
+		}
+	}
+	k.Close()
+	if fmt.Sprint(unwound) != fmt.Sprint(want) {
+		t.Fatalf("Close unwound %v, want spawn order %v", unwound, want)
 	}
 }

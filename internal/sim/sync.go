@@ -14,11 +14,9 @@ func (k *Kernel) NewMutex() *Mutex { return &Mutex{k: k} }
 
 // Lock blocks p until the mutex is acquired. p must be the calling process.
 func (m *Mutex) Lock(p *Proc) {
-	for m.locked {
-		m.waiters = append(m.waiters, waiter{arg: p})
+	for !m.LockArg(wakeProc, p) {
 		p.Park()
 	}
-	m.locked = true
 }
 
 // LockArg is Lock for code running in event context: it reports true
@@ -46,7 +44,7 @@ func (m *Mutex) Unlock() {
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
 		popFront(&m.waiters)
-		m.k.wake(w)
+		m.k.ScheduleArg(m.k.now, w.fn, w.arg)
 	}
 }
 

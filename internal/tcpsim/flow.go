@@ -154,9 +154,13 @@ func NewFlow(k *sim.Kernel, path *netsim.Path, cfg Config, policy BufferPolicy) 
 	return f
 }
 
-// bdp returns the path's bandwidth-delay product in bytes.
+// bdp returns the path's bandwidth-delay product in bytes. Callers add to
+// it, so the float64 conversion rounds the product first: the Go spec says
+// an explicit conversion prevents a fused multiply-add, which arm64 and
+// other architectures would emit and amd64 never does, making results
+// depend on the machine.
 func (f *Flow) bdp() float64 {
-	return f.path.Bottleneck() * efficiency * f.rtt().Seconds()
+	return float64(f.path.Bottleneck() * efficiency * f.rtt().Seconds())
 }
 
 // Path returns the network path the flow runs over.
@@ -613,7 +617,7 @@ func (f *Flow) updateCwnd(w int64, roundTime time.Duration, rateLimited bool) {
 		if f.cfg.Pacing {
 			inc *= pacingGrowthFactor
 		}
-		f.cwnd += inc * frac
+		f.cwnd += float64(inc * frac) // rounded: no fused multiply-add (see bdp)
 		if rateLimited {
 			f.maybeContentionLoss(roundTime)
 		}
