@@ -132,6 +132,12 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(errOut, "-reps and -trace must be ≥ 0 (0 = per-mode default), got %d and %d\n", *repsFlag, *traceFlag)
 		return errFlagParse
 	}
+	// Nor is a -cache-verify fraction outside [0, 1]: NaN fails every
+	// comparison, so it would sample nothing and report success.
+	if !(*verifyP >= 0 && *verifyP <= 1) {
+		fmt.Fprintf(errOut, "-cache-verify must be a fraction in (0, 1] (0 = off), got %g\n", *verifyP)
+		return errFlagParse
+	}
 
 	reps, nasScale, rayScale, traceN := core.DefaultReps, 0.25, 1.0, 200
 	if *quick {
@@ -211,9 +217,6 @@ func run(args []string, out, errOut io.Writer) error {
 	// paper, re-execute a fingerprint-keyed sample of the cache and fail
 	// loudly if the simulator has drifted from the stored results.
 	if *verifyP != 0 {
-		if *verifyP < 0 || *verifyP > 1 {
-			return fmt.Errorf("-cache-verify wants a fraction in (0, 1], got %v", *verifyP)
-		}
 		if *cacheDir == "" {
 			return fmt.Errorf("-cache-verify needs -cache")
 		}

@@ -110,6 +110,11 @@ func run(args []string, out, errOut io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -format %q", *format)
 	}
+	// A negative count or window is a typo, not the server default, an
+	// endless poll or no retry.
+	if *slicesFlag < 0 || *workerIdleExit < 0 || *retryWindow < 0 {
+		return fmt.Errorf("-slices, -worker-idle-exit and -retry must be ≥ 0, got %d, %d and %v", *slicesFlag, *workerIdleExit, *retryWindow)
+	}
 	// -push / -pull are one-shot sync modes: no sweep runs, the local
 	// -cache directory is reconciled with the -cache-remote server.
 	if *pushFlag || *pullFlag {

@@ -138,6 +138,10 @@ func TestRunBadFlags(t *testing.T) {
 		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "1", "-workload", "pattern:alltoall", "-size", "1k", "-iters", "0"},
 		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "1", "-workload", "pattern:alltoall", "-size", "1k", "-iters", "-1"},
 		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "1", "-workload", "npb:EP", "-scale", "3"},
+		// A negative slice count, idle limit or retry window.
+		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-slices", "-1"},
+		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-worker-idle-exit", "-1"},
+		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-retry", "-1s"},
 	} {
 		if err := run(args, &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)

@@ -169,3 +169,16 @@ func TestScheduleArgKeepsInsertionOrder(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkKernelEvents times the event loop's raw cost: one future
+// event scheduled and executed per iteration. scripts/bench_check.sh
+// gates its ns/op.
+func BenchmarkKernelEvents(b *testing.B) {
+	k := New(1)
+	defer k.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k.After(time.Microsecond, func() {})
+		k.Run()
+	}
+}
