@@ -138,6 +138,23 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(errOut, "-cache-verify must be a fraction in (0, 1] (0 = off), got %g\n", *verifyP)
 		return errFlagParse
 	}
+	if *verifyP != 0 && *cacheDir == "" {
+		fmt.Fprintln(errOut, "-cache-verify needs -cache")
+		return errFlagParse
+	}
+	var evict exp.EvictPolicy
+	if *evictStr != "" {
+		if *cacheDir == "" {
+			fmt.Fprintln(errOut, "-cache-evict needs -cache")
+			return errFlagParse
+		}
+		p, err := exp.ParseEvictPolicy(*evictStr)
+		if err != nil {
+			fmt.Fprintln(errOut, err)
+			return errFlagParse
+		}
+		evict = p
+	}
 
 	reps, nasScale, rayScale, traceN := core.DefaultReps, 0.25, 1.0, 200
 	if *quick {
@@ -183,7 +200,8 @@ func run(args []string, out, errOut io.Writer) error {
 	if *faultsStr != "" {
 		plan, err := exp.ParseFaultPlan(*faultsStr)
 		if err != nil {
-			return err
+			fmt.Fprintln(errOut, err)
+			return errFlagParse
 		}
 		sections = append(sections, section{"reliability", func(r *exp.Runner) string {
 			return core.RenderReliabilityMatrix(plan, core.ReliabilityMatrix(r, reps, plan))
@@ -203,6 +221,21 @@ func run(args []string, out, errOut io.Writer) error {
 		return errFlagParse
 	}
 
+	// The cache and the store the flags name are opened before profiling
+	// too, so a refused invocation writes no profile: -cache-verify reads
+	// the cache directly, a regeneration goes through a runner.
+	var store *exp.DiskCache
+	var r *exp.Runner
+	var remote *exp.RemoteStore
+	if *verifyP != 0 {
+		store, err = exp.NewDiskCache(*cacheDir)
+	} else {
+		r, remote, err = exp.NewRunnerCache(*workers, *cacheDir, *remoteURL)
+	}
+	if err != nil {
+		fmt.Fprintln(errOut, err)
+		return errFlagParse
+	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -217,13 +250,6 @@ func run(args []string, out, errOut io.Writer) error {
 	// paper, re-execute a fingerprint-keyed sample of the cache and fail
 	// loudly if the simulator has drifted from the stored results.
 	if *verifyP != 0 {
-		if *cacheDir == "" {
-			return fmt.Errorf("-cache-verify needs -cache")
-		}
-		store, err := exp.NewDiskCache(*cacheDir)
-		if err != nil {
-			return err
-		}
 		rep, err := store.Verify(*verifyP, *workers)
 		if err != nil {
 			return err
@@ -237,23 +263,6 @@ func run(args []string, out, errOut io.Writer) error {
 			return fmt.Errorf("nothing verified: all %d sampled entries were unreadable (foreign schema or corrupt) — the cache needs regenerating, not verifying", rep.Sampled)
 		}
 		return nil
-	}
-
-	var evict exp.EvictPolicy
-	if *evictStr != "" {
-		if *cacheDir == "" {
-			return fmt.Errorf("-cache-evict needs -cache")
-		}
-		p, err := exp.ParseEvictPolicy(*evictStr)
-		if err != nil {
-			return err
-		}
-		evict = p
-	}
-
-	r, remote, err := exp.NewRunnerCache(*workers, *cacheDir, *remoteURL)
-	if err != nil {
-		return err
 	}
 
 	// Every section generates concurrently; the runner's semaphore keeps

@@ -146,30 +146,49 @@ func TestMultilevelAppendsExtensionSection(t *testing.T) {
 	}
 }
 
+// TestBadInvocations: a bad invocation is a usage error (exit 2),
+// refused before any side effect. Each refused run asks for a CPU and a
+// heap profile in a fresh directory, and neither file may appear.
 func TestBadInvocations(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if err := run([]string{"-bogus"}, &out, &errOut); err == nil {
-		t.Error("unknown flag accepted")
-	}
-	if err := run([]string{"-faults", "1s frobnicate site=rennes"}, &out, &errOut); err == nil {
-		t.Error("malformed -faults plan accepted")
-	}
-	// An unknown section name is a usage error (exit 2) that lists the
-	// valid names; reliability and multilevel need their flags.
-	for _, args := range [][]string{{"extra"}, {"table3"}, {"table1", "reliability"}, {"multilevel"}} {
+	refused := func(args ...string) {
+		t.Helper()
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+		args = append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...)
 		errOut.Reset()
 		if err := run(args, &out, &errOut); !errors.Is(err, errFlagParse) {
 			t.Errorf("%v: err = %v, want a usage error", args, err)
 		}
+		for _, p := range []string{cpu, mem} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Errorf("%v: the refused run wrote %s", args, filepath.Base(p))
+			}
+		}
+	}
+	refused("-bogus")
+	refused("-faults", "1s frobnicate site=rennes")
+	refused("-faults", "garbage")
+	// The cache maintenance flags need a cache, an eviction policy must
+	// parse, and the cache and the store must open.
+	refused("-cache-verify", "0.5")
+	refused("-cache-evict", "720h")
+	refused("-cache", t.TempDir(), "-cache-evict", "bogus")
+	refused("-cache-remote", "bogus", "table1")
+	refused("-cache", "\x00impossible/dir", "table1")
+	// An unknown section name is a usage error that lists the valid
+	// names; reliability and multilevel need their flags.
+	for _, args := range [][]string{{"extra"}, {"table3"}, {"table1", "reliability"}, {"multilevel"}} {
+		refused(args...)
 		if !strings.Contains(errOut.String(), "unknown section") || !strings.Contains(errOut.String(), "buffer-sweep") {
 			t.Errorf("%v: stderr does not list the sections: %s", args, errOut.String())
 		}
 	}
-	// A scale, count or fraction no run can take is a usage error before
-	// any side effect: the cache directory is not created. NaN and
-	// infinity cannot be fingerprinted, NPB's largest class is scale 1, a
-	// negative count is not the per-mode default, and a -cache-verify
-	// fraction outside [0, 1] samples nothing.
+	// A scale, count or fraction no run can take is refused too, and the
+	// cache directory is not created. NaN and infinity cannot be
+	// fingerprinted, NPB's largest class is scale 1, a negative count is
+	// not the per-mode default, and a -cache-verify fraction outside
+	// [0, 1] samples nothing.
 	for _, args := range [][]string{
 		{"-nas-scale", "Inf"}, {"-nas-scale", "NaN"}, {"-nas-scale", "-1"}, {"-nas-scale", "3"},
 		{"-ray-scale", "Inf"}, {"-ray-scale", "NaN"}, {"-ray-scale", "-1"},
@@ -177,19 +196,10 @@ func TestBadInvocations(t *testing.T) {
 		{"-cache-verify", "NaN"}, {"-cache-verify", "Inf"}, {"-cache-verify", "-0.5"}, {"-cache-verify", "1.5"},
 	} {
 		cache := filepath.Join(t.TempDir(), "cache")
-		args = append([]string{"-quick", "-cache", cache}, append(args, "table2", "table6")...)
-		if err := run(args, &out, &errOut); !errors.Is(err, errFlagParse) {
-			t.Errorf("%v: err = %v, want a usage error", args, err)
-		}
+		refused(append([]string{"-quick", "-cache", cache}, append(args, "table2", "table6")...)...)
 		if _, err := os.Stat(cache); !os.IsNotExist(err) {
 			t.Errorf("%v: the refused run created its cache directory", args)
 		}
-	}
-	if err := run([]string{"-cache", "\x00impossible/dir"}, &out, &errOut); err == nil {
-		t.Error("uncreatable cache dir accepted")
-	}
-	if err := run([]string{"-cache-verify", "0.5"}, &out, &errOut); err == nil {
-		t.Error("-cache-verify without -cache accepted")
 	}
 }
 

@@ -82,6 +82,11 @@ func TestRunBadFlags(t *testing.T) {
 		{"-nodes", "1", "-size", "1k", "-iters", "0"},
 		{"-nodes", "1", "-size", "1k", "-iters", "-1"},
 		{"-workload", "npb:EP", "-scale", "3"},
+		// Cells the runner would refuse: a pingpong with no size or on
+		// one node, and a trace without a message.
+		{"-workload", "pingpong", "-max-size", "512"},
+		{"-workload", "pingpong", "-max-size", "1k", "-topo", "rennes:1"},
+		{"-workload", "trace", "-size", "1k", "-reps", "0"},
 	} {
 		var out, errOut strings.Builder
 		if err := run(args, &out, &errOut); err == nil || errors.Is(err, errRunFailed) {

@@ -207,15 +207,8 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		return nil
 	}
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(errOut, err)
-		}
-	}()
+	// Every remaining flag is checked before profiling starts, so a
+	// refused invocation writes no profile.
 	sweep, err := axes.Sweep()
 	if err != nil {
 		return err
@@ -245,6 +238,36 @@ func run(args []string, out, errOut io.Writer) error {
 		// faults, not the collective algorithm.
 		return fmt.Errorf("-guidelines assumes a healthy network; drop -faults")
 	}
+	if *submitURL != "" {
+		if !shard.IsAll() {
+			return fmt.Errorf("-shard does not combine with -submit: the control plane partitions the matrix itself")
+		}
+		if *guidelines {
+			return fmt.Errorf("-guidelines is a local post-processor; drop -submit")
+		}
+	}
+	// What the run talks to is built before profiling too, which refuses
+	// a malformed -submit or -cache-remote URL.
+	var client *exp.QueueClient
+	var runner *exp.Runner
+	var remote *exp.RemoteStore
+	if *submitURL != "" {
+		client, err = exp.NewQueueClient(*submitURL)
+	} else {
+		runner, remote, err = exp.NewRunnerCache(*workers, *cacheDir, *remoteURL)
+	}
+	if err != nil {
+		return err
+	}
+	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(errOut, err)
+		}
+	}()
 	all := sweep.Experiments()
 	// Faults apply before sharding: the partition keys on the faulted
 	// fingerprints, so every shard of a faulted matrix agrees on ownership.
@@ -258,19 +281,9 @@ func run(args []string, out, errOut io.Writer) error {
 	// fleet, this invocation waits and then pulls every cell back through
 	// the verified read path, rendering exactly like a local run.
 	if *submitURL != "" {
-		if !shard.IsAll() {
-			return fmt.Errorf("-shard does not combine with -submit: the control plane partitions the matrix itself")
-		}
-		if *guidelines {
-			return fmt.Errorf("-guidelines is a local post-processor; drop -submit")
-		}
-		return submit(out, errOut, *submitURL, all, *slicesFlag, *detach, *format, axes.Workload, *retryWindow)
+		return submit(out, errOut, client, *submitURL, all, *slicesFlag, *detach, *format, axes.Workload, *retryWindow)
 	}
 	exps := shard.Select(all)
-	runner, remote, err := exp.NewRunnerCache(*workers, *cacheDir, *remoteURL)
-	if err != nil {
-		return err
-	}
 	start := time.Now()
 	results := runner.RunAll(exps)
 	wall := time.Since(start)
@@ -359,16 +372,13 @@ func run(args []string, out, errOut io.Writer) error {
 	return nil
 }
 
-// submit is the -submit mode: post the matrix as one job, wait for the
-// fleet (progress on stderr), pull the finished cells back in submission
-// order, and render them like a local run. Failed cells have no stored
-// result; they are reported on stderr and fail the invocation, mirroring
-// the local failed-experiment exit path.
-func submit(out, errOut io.Writer, url string, cells []exp.Experiment, slices int, detach bool, format, workload string, retry time.Duration) error {
-	client, err := exp.NewQueueClient(url)
-	if err != nil {
-		return err
-	}
+// submit is the -submit mode: post the matrix as one job through
+// client, the control plane at url, wait for the fleet (progress on
+// stderr), pull the finished cells back in submission order, and render
+// them like a local run. Failed cells have no stored result; they are
+// reported on stderr and fail the invocation, mirroring the local
+// failed-experiment exit path.
+func submit(out, errOut io.Writer, client *exp.QueueClient, url string, cells []exp.Experiment, slices int, detach bool, format, workload string, retry time.Duration) error {
 	// The retry window is what lets a waiting submitter survive a sweepd
 	// restart: the journaled queue comes back still holding the job.
 	client.Retry = exp.Backoff{Window: retry}

@@ -105,9 +105,13 @@ func TestRunPaperMatrixShape(t *testing.T) {
 	}
 }
 
-// TestRunBadFlags covers rejection paths.
+// TestRunBadFlags covers rejection paths. Every refused invocation is
+// refused before any side effect: it writes neither of the profiles it
+// asks for, and creates no cache directory.
 func TestRunBadFlags(t *testing.T) {
 	var out, errOut strings.Builder
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
 	for _, args := range [][]string{
 		{"-workload", "nope"},
 		{"-tunings", "bogus"},
@@ -115,21 +119,34 @@ func TestRunBadFlags(t *testing.T) {
 		{"-topo", "rennes:0"},
 		{"-placement", "scatter"},
 		{"-impls", "LAM/MPI"},
+		{"-impls", "bogus"},
 		{"-shard", "0/2"},
 		{"-shard", "3/2"},
 		{"-shard", "x"},
 		{"-cache-evict", "720h"}, // needs -cache
-		{"-cache-evict", "nonsense", "-cache", "cachedir"},
+		{"-cache-evict", "bogus"},
+		{"-cache-evict", "nonsense", "-cache", cache},
 		{"-faults", "1s frobnicate site=rennes"},
+		{"-faults", "garbage"},
 		{"-format", "xml", "-impls", "TCP", "-tunings", "default", "-reps", "1", "-max-size", "1k"},
 		{"-guidelines", "-faults", "0s loss 0.02"}, // guidelines need a healthy network
+		{"-guidelines", "-faults", "seed=1"},
+		// -submit partitions the matrix itself and runs no guidelines;
+		// both are refused before the server is contacted.
+		{"-submit", "http://127.0.0.1:9", "-shard", "1/2"},
+		{"-submit", "http://127.0.0.1:9", "-guidelines"},
+		{"-submit", "not-a-url"},
+		{"-cache-remote", "bogus"},
 		// A scale or a loss that no run can take: NaN cannot be
 		// fingerprinted, and NPB would clamp a negative scale.
 		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "2", "-workload", "npb:CG", "-scale", "NaN"},
 		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "2", "-workload", "npb:CG", "-scale", "-1"},
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-faults", "0s loss NaN"},
-		// A size grid with no sizes measures nothing.
+		// A size grid with no sizes measures nothing, and neither do no
+		// round trips or a single node.
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "512"},
+		{"-impls", "GridMPI", "-tunings", "full", "-reps", "0", "-max-size", "1k"},
+		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-topo", "rennes:1"},
 		// Specs naming something other than what would run.
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-workload", "pingpong:bogus"},
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-size", "1k", "-workload", "trace:bogus"},
@@ -143,8 +160,16 @@ func TestRunBadFlags(t *testing.T) {
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-worker-idle-exit", "-1"},
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-retry", "-1s"},
 	} {
+		cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+		args = append(args, "-cpuprofile", cpu, "-memprofile", mem)
 		if err := run(args, &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+		for _, p := range []string{cpu, mem, cache} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Errorf("args %v: the refused run wrote %s", args, filepath.Base(p))
+				os.RemoveAll(p)
+			}
 		}
 	}
 }

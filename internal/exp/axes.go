@@ -52,8 +52,10 @@ func (a *Axes) Register(fs *flag.FlagSet) {
 // Sweep turns the flags into the sweep they name. It refuses what would
 // not run as spelled: unknown names, a value listed twice on one axis,
 // an argument on a workload kind that takes none, a scale that is not a
-// finite number ≥ 0 (or, for npb, above 1), and a pattern with fewer
-// than one iteration.
+// finite number ≥ 0 (or, for npb, above 1), a pattern with fewer than
+// one iteration, and any cell the runner would refuse (a pingpong with
+// no size or no round trip, a topology too small for its workload), so
+// a command refuses a bad invocation before it starts anything.
 func (a Axes) Sweep() (Sweep, error) {
 	if a.Nodes < 1 {
 		return Sweep{}, fmt.Errorf("-nodes must be ≥ 1, got %d", a.Nodes)
@@ -81,6 +83,11 @@ func (a Axes) Sweep() (Sweep, error) {
 	}
 	if s.Topologies, err = a.topologies(s.Workloads[0].Kind == KindRay2Mesh); err != nil {
 		return Sweep{}, err
+	}
+	for _, e := range s.Experiments() {
+		if err := e.check(); err != nil {
+			return Sweep{}, err
+		}
 	}
 	return s, nil
 }
@@ -155,14 +162,8 @@ func (a Axes) workloads(size, maxSize int) ([]Workload, error) {
 		if err := CheckPattern(arg); err != nil {
 			return nil, err
 		}
-		if a.Iters < 1 {
-			return nil, fmt.Errorf("-iters must be ≥ 1 for a pattern workload, got %d", a.Iters)
-		}
 		return []Workload{PatternWorkload(arg, size, a.Iters)}, nil
 	case KindNPB:
-		if a.Scale > 1 {
-			return nil, fmt.Errorf("-scale must be ≤ 1 for npb (1 is the full class B), got %g", a.Scale)
-		}
 		return list("workload", every(arg, npb.Names), func(bench string) (Workload, error) {
 			return NPBWorkload(bench, a.Scale), CheckBench(bench)
 		})

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
 )
@@ -227,5 +228,33 @@ func TestArenaRecycling(t *testing.T) {
 	if len(w.msgs.free) != msgs || len(w.delivs.free) != deliv || len(w.reqs.free) != reqs {
 		t.Fatalf("pool sizes changed on identical rerun: msgs %d→%d deliveries %d→%d reqs %d→%d",
 			msgs, len(w.msgs.free), deliv, len(w.delivs.free), reqs, len(w.reqs.free))
+	}
+}
+
+// worldSink keeps the worlds TestNewWorldAllocs builds on the heap.
+var worldSink *World
+
+// TestNewWorldAllocs locks a 16-rank world's set-up at exactly 72
+// allocations: eight for the world (the World, its Stats and their
+// three maps, the rank slice, and the fresh functions of the request and
+// handshake pools) and four per rank (the Rank and its flows, rndvLocks
+// and bigOut maps). A rendezvous keeps its state in a pooled handshake
+// passed by pointer, so no rank holds a map for it.
+func TestNewWorldAllocs(t *testing.T) {
+	skipIfRace(t)
+	k, w := newWorld(t, Reference(), tcpsim.DefaultLinux26(), 8, true)
+	defer k.Close()
+	hosts := make([]*netsim.Host, w.Size())
+	for i, r := range w.ranks {
+		hosts[i] = r.host
+	}
+	if len(hosts) != 16 {
+		t.Fatalf("world has %d ranks, want 16", len(hosts))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		worldSink = NewWorld(k, w.Net, w.TCP, w.Prof, hosts)
+	})
+	if allocs != 72 {
+		t.Fatalf("NewWorld of 16 ranks allocates %v objects, want exactly 72", allocs)
 	}
 }

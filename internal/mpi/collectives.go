@@ -29,7 +29,7 @@ const (
 // internal point-to-point helpers running in the collective context.
 
 func (r *Rank) csend(dst, tag int, size int64) {
-	r.sendProto(r.proc, dst, tag, size, ctxColl, nil)
+	r.sendProto(dst, tag, size, ctxColl, nil)
 }
 
 func (r *Rank) cisend(dst, tag int, size int64) *Request {

@@ -22,28 +22,27 @@ import (
 // sendJob is one nonblocking send in flight: its parameters and the
 // protocol's state between steps.
 type sendJob struct {
-	r     *Rank
-	dst   int
-	tag   int
-	ctx   int
-	size  int64
-	data  any
-	req   *Request
-	wan   bool
-	big   bool
-	flow  *tcpsim.Flow
-	lock  *sim.Mutex // the serial-rendezvous lock, nil without one
-	reqID int64      // rendezvous handshake id
-	cts   *sim.Signal
-	d     *delivery // the payload's delivery
-	wr    tcpsim.Write
+	r    *Rank
+	dst  int
+	tag  int
+	ctx  int
+	size int64
+	data any
+	req  *Request
+	wan  bool
+	big  bool
+	flow *tcpsim.Flow
+	lock *sim.Mutex // the serial-rendezvous lock, nil without one
+	hs   *handshake // the rendezvous, if the message takes one
+	d    *delivery  // the payload's delivery
+	wr   tcpsim.Write
 }
 
 // isend starts the event chain of one message and returns its
 // request. The first step runs as an event at the current instant, in
 // the slot a send process's start event took.
 func (r *Rank) isend(dst, tag int, size int64, ctx int, data any) *Request {
-	req := r.w.getReq(r)
+	req := r.w.getReq()
 	j := r.w.jobs.get()
 	j.r, j.dst, j.tag, j.ctx, j.size, j.data, j.req = r, dst, tag, ctx, size, data, req
 	r.w.K.ScheduleArg(r.w.K.Now(), isendStart, j)
@@ -102,7 +101,7 @@ func isendLock(a any) {
 		return
 	}
 	var rts *delivery
-	j.reqID, j.cts, rts = j.r.startRndv(j.dst, j.tag, j.size, j.ctx, j.data)
+	j.hs, rts = j.r.startRndv(j.dst, j.tag, j.size, j.ctx, j.data)
 	if j.write(ControlBytes, rts, isendRTSWritten) {
 		isendRTSWritten(j)
 	}
@@ -111,15 +110,15 @@ func isendLock(a any) {
 // isendRTSWritten waits for the CTS.
 func isendRTSWritten(a any) {
 	j := a.(*sendJob)
-	if j.cts.WaitArg(isendCleared, j) {
+	if j.hs.cts.WaitArg(isendCleared, j) {
 		isendCleared(j)
 	}
 }
 
-// isendCleared closes the handshake and sends the payload.
+// isendCleared sends the payload of a cleared handshake.
 func isendCleared(a any) {
 	j := a.(*sendJob)
-	j.d = j.r.rndvData(j.dst, j.reqID, j.cts, j.big)
+	j.d = j.r.rndvData(j.dst, j.hs, j.big)
 	isendPayload(j)
 }
 

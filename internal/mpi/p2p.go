@@ -34,8 +34,6 @@ type Status struct {
 
 // Request is a nonblocking operation handle.
 type Request struct {
-	rank   *Rank
-	isRecv bool
 	ctx    int
 	src    int // recv matching source (AnySource allowed)
 	tag    int // recv matching tag (AnyTag allowed)
@@ -51,7 +49,7 @@ type inMsg struct {
 	tag   int
 	size  int64
 	eager bool
-	reqID int64 // rendezvous handshake id (RTS only)
+	hs    *handshake // the rendezvous the RTS opens (RTS only)
 	data  any
 }
 
@@ -64,13 +62,13 @@ func (m *inMsg) status() Status {
 // by TCP; rendezvous sends return once the receiver has accepted the
 // transfer and the data is on the wire.
 func (r *Rank) Send(dst, tag int, size int) {
-	r.sendProto(r.proc, dst, tag, int64(size), ctxUser, nil)
+	r.sendProto(dst, tag, int64(size), ctxUser, nil)
 }
 
 // SendPayload is Send with an application value attached; the receiver
 // finds it in Status.Data. Size still governs all timing.
 func (r *Rank) SendPayload(dst, tag, size int, data any) {
-	r.sendProto(r.proc, dst, tag, int64(size), ctxUser, data)
+	r.sendProto(dst, tag, int64(size), ctxUser, data)
 }
 
 // Isend starts a nonblocking send and returns its request. The transfer
@@ -85,10 +83,12 @@ func (r *Rank) IsendPayload(dst, tag, size int, data any) *Request {
 	return r.isend(dst, tag, int64(size), ctxUser, data)
 }
 
-// sendProto runs the wire protocol for one message on process p, which
-// blocks at each of its waits. Isend's event chain (isend.go) runs the
-// same protocol, step by step, through the same helpers.
-func (r *Rank) sendProto(p *sim.Proc, dst, tag int, size int64, ctx int, data any) {
+// sendProto runs the wire protocol for one message on the rank's
+// process, which blocks at each of its waits. Isend's event chain
+// (isend.go) runs the same protocol, step by step, through the same
+// helpers.
+func (r *Rank) sendProto(dst, tag int, size int64, ctx int, data any) {
+	p := r.proc
 	wan := r.sendBegin(dst, size, ctx)
 	p.Sleep(r.w.Prof.Overhead(wan))
 	flow := r.flowTo(dst)
@@ -100,7 +100,7 @@ func (r *Rank) sendProto(p *sim.Proc, dst, tag int, size int64, ctx int, data an
 		r.bigOut[dst]++ // released when the payload's delivery lands
 	}
 	if !r.w.Prof.UsesRendezvous(int(size)) {
-		r.sendPayload(p, flow, dst, wan, size, r.eagerDelivery(dst, tag, size, ctx, data, big))
+		r.sendPayload(flow, dst, wan, size, r.eagerDelivery(dst, tag, size, ctx, data, big))
 		return
 	}
 
@@ -109,28 +109,47 @@ func (r *Rank) sendProto(p *sim.Proc, dst, tag int, size int64, ctx int, data an
 	if lock != nil {
 		lock.Lock(p)
 	}
-	reqID, cts, rts := r.startRndv(dst, tag, size, ctx, data)
-	flow.SendArg(p, ControlBytes, runDelivery, rts)
-	cts.Wait(p)
-	r.sendPayload(p, flow, dst, wan, size, r.rndvData(dst, reqID, cts, big))
+	hs, rts := r.startRndv(dst, tag, size, ctx, data)
+	r.write(flow, ControlBytes, rts)
+	hs.cts.Wait(p)
+	r.sendPayload(flow, dst, wan, size, r.rndvData(dst, hs, big))
 	if lock != nil {
 		lock.Unlock()
 	}
 }
 
 // sendPayload writes the payload of size bytes and its envelope to the
-// flow, blocking p until they are buffered; d runs when the last byte
-// lands.
-func (r *Rank) sendPayload(p *sim.Proc, flow *tcpsim.Flow, dst int, wan bool, size int64, d *delivery) {
+// flow, blocking the rank until they are buffered; d runs when the last
+// byte lands.
+func (r *Rank) sendPayload(flow *tcpsim.Flow, dst int, wan bool, size int64, d *delivery) {
 	n := EnvelopeBytes + size
 	if delay, ok := r.fragmentDelay(n); ok {
-		p.Sleep(delay)
+		r.proc.Sleep(delay)
 	}
 	if r.striped(wan, n) {
-		r.sendStriped(dst, n, d).Wait(p)
+		r.sendStriped(dst, n, d).Wait(r.proc)
 		return
 	}
-	flow.SendArg(p, n, runDelivery, d)
+	r.write(flow, n, d)
+}
+
+// write writes n bytes to flow on the rank's write record, parking the
+// rank until the send buffer has taken them all; d runs when the last
+// byte lands. A rank blocks in at most one write at a time, so one
+// record serves all of them.
+func (r *Rank) write(flow *tcpsim.Flow, n int64, d *delivery) {
+	r.wr = tcpsim.Write{N: n, Fn: runDelivery, Arg: d, Then: resumeRank, ThenArg: r}
+	if !flow.Write(&r.wr) {
+		r.proc.Park() // until resumeRank
+	}
+}
+
+// resumeRank is the continuation of a rank's blocked write: it runs the
+// rank inline, in the lock-handoff or refill event that completed the
+// write.
+func resumeRank(a any) {
+	r := a.(*Rank)
+	r.w.K.Resume(r.proc)
 }
 
 // --- the protocol's rules, shared by sendProto and Isend's event chain ---
@@ -171,28 +190,34 @@ func (r *Rank) eagerDelivery(dst, tag int, size int64, ctx int, data any, big bo
 	return d
 }
 
-// startRndv opens a rendezvous handshake: it registers the CTS signal the
-// sender waits on and returns it with the RTS delivery to write.
-func (r *Rank) startRndv(dst, tag int, size int64, ctx int, data any) (reqID int64, cts *sim.Signal, rts *delivery) {
-	r.w.stats.Rendezvous++
-	reqID = r.newReqID()
-	cts = r.w.sigs.get()
-	cts.Reset()
-	r.pendingCTS[reqID] = cts
-	m := r.w.msgs.get()
-	m.ctx, m.src, m.tag, m.size, m.reqID, m.data = ctx, r.id, tag, size, reqID, data
-	rts = r.w.delivs.get()
-	rts.src, rts.dst, rts.m, rts.kind = r, r.w.ranks[dst], m, delivRTS
-	return reqID, cts, rts
+// handshake is one rendezvous in flight, a pooled record passed by
+// pointer: the RTS carries it to the receiver, the CTS back to the
+// sender and the payload to the receiver again. cts fires when the CTS
+// lands, and req is the receive that matched the RTS, which the
+// payload's landing completes before the record is recycled.
+type handshake struct {
+	cts *sim.Signal
+	req *Request
 }
 
-// rndvData closes a handshake whose CTS has fired and returns the
-// payload's delivery.
-func (r *Rank) rndvData(dst int, reqID int64, cts *sim.Signal, big bool) *delivery {
-	delete(r.pendingCTS, reqID)
-	r.w.sigs.put(cts) // fired, so Reset may rearm it
+// startRndv opens a rendezvous handshake and returns it with the RTS
+// delivery to write; the sender waits on its cts.
+func (r *Rank) startRndv(dst, tag int, size int64, ctx int, data any) (hs *handshake, rts *delivery) {
+	r.w.stats.Rendezvous++
+	hs = r.w.shakes.get()
+	hs.cts.Reset()
+	m := r.w.msgs.get()
+	m.ctx, m.src, m.tag, m.size, m.hs, m.data = ctx, r.id, tag, size, hs, data
+	rts = r.w.delivs.get()
+	rts.src, rts.dst, rts.m, rts.kind = r, r.w.ranks[dst], m, delivRTS
+	return hs, rts
+}
+
+// rndvData returns the payload's delivery for a handshake whose CTS has
+// fired.
+func (r *Rank) rndvData(dst int, hs *handshake, big bool) *delivery {
 	d := r.w.delivs.get()
-	d.src, d.dst, d.reqID, d.big, d.kind = r, r.w.ranks[dst], reqID, big, delivRndvData
+	d.src, d.dst, d.hs, d.big, d.kind = r, r.w.ranks[dst], hs, big, delivRndvData
 	return d
 }
 
@@ -318,8 +343,8 @@ func (r *Rank) Irecv(src, tag int) *Request {
 }
 
 func (r *Rank) irecv(src, tag, ctx int) *Request {
-	req := r.w.getReq(r)
-	req.isRecv, req.ctx, req.src, req.tag = true, ctx, src, tag
+	req := r.w.getReq()
+	req.ctx, req.src, req.tag = ctx, src, tag
 	if m := r.takeUnexpected(src, tag, ctx); m != nil {
 		if m.eager {
 			// The message arrived before the receive was posted: it sat in
@@ -380,34 +405,17 @@ func (r *Rank) deliverRTS(m *inMsg) {
 	r.unexpected = append(r.unexpected, m)
 }
 
-// acceptRndv matches a posted/poster receive with an RTS: registers the
-// data completion, returns a CTS to the sender and recycles the envelope.
+// acceptRndv matches a posted or posting receive with an RTS: it stores
+// the receive in the handshake, for the payload's landing to complete,
+// returns a CTS to the sender and recycles the envelope.
 func (r *Rank) acceptRndv(req *Request, m *inMsg) {
 	req.Status = m.status()
-	r.rndvRecv[m.reqID] = req
-	src := r.w.ranks[m.src]
+	m.hs.req = req
 	d := r.w.delivs.get()
-	d.src, d.dst, d.reqID, d.kind = r, src, m.reqID, delivCTS
+	d.src, d.dst, d.hs, d.kind = r, r.w.ranks[m.src], m.hs, delivCTS
 	r.flowTo(m.src).SendAsyncArg(ControlBytes, runDelivery, d)
 	*m = inMsg{}
 	r.w.msgs.put(m)
-}
-
-// fireCTS wakes the sender blocked on the rendezvous handshake.
-func (r *Rank) fireCTS(reqID int64) {
-	if s, ok := r.pendingCTS[reqID]; ok {
-		s.Fire()
-	}
-}
-
-// deliverRndvData completes the receive once the payload has arrived.
-func (r *Rank) deliverRndvData(reqID int64) {
-	req, ok := r.rndvRecv[reqID]
-	if !ok {
-		panic("mpi: rendezvous data for unknown request")
-	}
-	delete(r.rndvRecv, reqID)
-	req.done.Fire()
 }
 
 // matchPosted removes and returns the oldest posted receive matching the

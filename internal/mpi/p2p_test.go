@@ -208,6 +208,72 @@ func TestRendezvousAddsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConcurrentRendezvousMatchOutOfOrder runs four rendezvous to one
+// peer at once, three Isends and then a blocking Send, with distinct
+// tags and sizes, and matches them in another order: two by receives
+// posted before their RTS arrives, two after their RTS has waited in the
+// unexpected queue. Each handshake carries its own receive, so every
+// Status has its own message's size, and every receive completes only
+// once its own payload has landed. The payloads share one flow in match
+// order (each is written when its CTS returns), so a receive completed
+// by another message's payload would see fewer bytes delivered than its
+// own payload's end.
+func TestConcurrentRendezvousMatchOutOfOrder(t *testing.T) {
+	k, w := newWorld(t, Reference(), tcpsim.DefaultLinux26(), 1, true)
+	defer k.Close()
+	// Every size is over the eager threshold and over the flow's window,
+	// so no round lands two payloads' ends at once.
+	sizes := map[int]int{1: 200 << 10, 2: 300 << 10, 3: 400 << 10, 4: 500 << 10}
+	// Posted receives match as their RTSes arrive, and the blocking
+	// Send's RTS goes out first: its process resumes from the zero
+	// overhead before the Isends' chains take their second step.
+	// Unexpected RTSes match in the order the receiver posts for them.
+	matchOrder := []int{4, 3, 2, 1}
+	landed := map[int]int64{} // the flow's delivered offset when each receive completed
+	statuses := map[int]Status{}
+	_, err := w.Run(func(r *Rank) {
+		if r.Rank() == 0 {
+			reqs := []*Request{r.Isend(1, 1, sizes[1]), r.Isend(1, 2, sizes[2]), r.Isend(1, 3, sizes[3])}
+			r.Send(1, 4, sizes[4])
+			r.WaitAll(reqs...)
+			return
+		}
+		reqs := map[int]*Request{}
+		irecv := func(tag int) {
+			reqs[tag] = r.Irecv(0, tag)
+			reqs[tag].done.WaitArg(func(any) { landed[tag] = w.ranks[0].flows[1].Delivered() }, nil)
+		}
+		irecv(3)
+		irecv(4)
+		// Every RTS has arrived after one WAN one-way delay (≈6 ms).
+		r.Sleep(20 * time.Millisecond)
+		if len(r.posted) != 0 || len(r.unexpected) != 2 {
+			t.Errorf("at 20ms: %d receives posted and %d RTSes unexpected, want 0 and 2", len(r.posted), len(r.unexpected))
+		}
+		irecv(2)
+		irecv(1)
+		for _, tag := range matchOrder {
+			statuses[tag] = r.Wait(reqs[tag])
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := int64(len(sizes) * ControlBytes) // the RTSes go out before any CTS returns
+	for _, tag := range matchOrder {
+		end += EnvelopeBytes + int64(sizes[tag])
+		if st := statuses[tag]; st.Source != 0 || st.Tag != tag || st.Size != int64(sizes[tag]) {
+			t.Errorf("tag %d: status %+v, want source 0 and size %d", tag, st, sizes[tag])
+		}
+		if landed[tag] < end {
+			t.Errorf("tag %d: receive completed with %d bytes delivered, before its payload ending at %d", tag, landed[tag], end)
+		}
+	}
+	if got := w.ranks[0].flows[1].Delivered(); got != end {
+		t.Errorf("the flow delivered %d bytes, want %d", got, end)
+	}
+}
+
 func TestIsendWaitAndSendrecv(t *testing.T) {
 	k, w := newWorld(t, Reference(), tcpsim.DefaultLinux26(), 2, false)
 	defer k.Close()

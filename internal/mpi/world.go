@@ -37,7 +37,7 @@ type World struct {
 	msgs    freeList[inMsg]
 	jobs    freeList[sendJob]
 	delivs  freeList[delivery]
-	sigs    freeList[sim.Signal]
+	shakes  freeList[handshake]
 	stripes freeList[stripedSend]
 }
 
@@ -49,18 +49,16 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, tcp tcpsim.Config, prof Profil
 	}
 	w := &World{K: k, Net: net, TCP: tcp, Prof: prof, stats: newStats()}
 	w.reqs.fresh = func() *Request { return &Request{done: k.NewSignal()} }
-	w.sigs.fresh = k.NewSignal
+	w.shakes.fresh = func() *handshake { return &handshake{cts: k.NewSignal()} }
 	w.ranks = make([]*Rank, len(hosts))
 	for i, h := range hosts {
 		w.ranks[i] = &Rank{
-			w:          w,
-			id:         i,
-			host:       h,
-			flows:      make(map[int]*tcpsim.Flow),
-			rndvLocks:  make(map[int]*sim.Mutex),
-			pendingCTS: make(map[int64]*sim.Signal),
-			rndvRecv:   make(map[int64]*Request),
-			bigOut:     make(map[int]int),
+			w:         w,
+			id:        i,
+			host:      h,
+			flows:     make(map[int]*tcpsim.Flow),
+			rndvLocks: make(map[int]*sim.Mutex),
+			bigOut:    make(map[int]int),
 		}
 	}
 	return w
@@ -154,13 +152,12 @@ type Rank struct {
 	rndvLocks  map[int]*sim.Mutex
 	posted     []*Request
 	unexpected []*inMsg
-	pendingCTS map[int64]*sim.Signal
-	rndvRecv   map[int64]*Request
 	// bigOut counts in-flight oversized messages per destination, for the
 	// fast-buffer collision model (see slowPath).
 	bigOut  map[int]int
-	reqSeq  int64
 	collSeq int
+	// wr is the record of the rank's blocking flow writes (see write).
+	wr tcpsim.Write
 }
 
 // Rank returns this process's rank id.
@@ -207,9 +204,4 @@ func (r *Rank) rndvLock(dst int) *sim.Mutex {
 	m := r.w.K.NewMutex()
 	r.rndvLocks[dst] = m
 	return m
-}
-
-func (r *Rank) newReqID() int64 {
-	r.reqSeq++
-	return int64(r.id)<<32 | r.reqSeq
 }

@@ -88,14 +88,12 @@ type Flow struct {
 
 	writeMu *sim.Mutex
 	// A write blocked until the send buffer has taken all of its message
-	// is either a process parked in write (writer) or a callback write
-	// (pending); owed is the bytes not yet buffered. writeMu serializes
+	// is pending; owed is the bytes not yet buffered. writeMu serializes
 	// writers, so there is at most one. Refills run as flow events
 	// (refill) and buffer what fits; only the refill that buffers the
-	// last byte resumes the writer or continues the callback write, so a
-	// blocked write costs one park and one resume, or no switch at all,
-	// however many window rounds it spans.
-	writer  *sim.Proc
+	// last byte finishes the write and runs its continuation, so the
+	// continuation runs once however many window rounds the write spans,
+	// and a process writing through Send parks once and resumes once.
 	pending *Write
 	owed    int64
 
@@ -194,54 +192,39 @@ func (f *Flow) rto() time.Duration {
 	return r
 }
 
-// Send is SendArg with a closure: delivered, if non-nil, runs when the
-// destination has received the last of the n bytes.
+// Send writes n bytes from process p, blocking until the send socket
+// buffer has accepted all of them (the paper's eager-mode completion
+// semantics: MPI_Send returns once the data is copied into the TCP
+// buffer). delivered, if non-nil, runs when the destination has received
+// the last of the n bytes. Send is a Write whose continuation resumes p,
+// so p parks at most once per write. Concurrent writers are serialized
+// FIFO. Send allocates its record; a writer on a hot path reuses a Write
+// of its own (mpi's ranks do).
 func (f *Flow) Send(p *sim.Proc, n int64, delivered func()) {
-	fn := call
-	if delivered == nil {
-		fn = nil
+	w := &Write{N: n, Then: f.resume, ThenArg: p}
+	if delivered != nil {
+		w.Fn, w.Arg = call, delivered
 	}
-	f.SendArg(p, n, fn, delivered)
+	if !f.Write(w) {
+		p.Park() // until the write's continuation resumes p
+	}
 }
 
 // call runs a func() passed as the argument of a delivery callback.
 func call(fn any) { fn.(func())() }
 
-// SendArg enqueues n bytes from process p, blocking until the send socket
-// buffer has accepted all of them (the paper's eager-mode completion
-// semantics: MPI_Send returns once the data is copied into the TCP buffer).
-// If fn is non-nil, fn(arg) runs when the destination has received the
-// last of these n bytes; a package-level fn plus a pooled arg (mpi's
-// delivery arena) registers it without allocating. Concurrent senders are
-// serialized FIFO.
-func (f *Flow) SendArg(p *sim.Proc, n int64, fn func(any), arg any) {
-	if n <= 0 {
-		f.notifyAt(f.queued, fn, arg)
-		return
-	}
-	f.write(p, n)
-	f.finish(fn, arg)
-}
-
-// write blocks p until the send socket buffer has accepted n bytes,
-// holding the write lock. The caller then finishes the write, so the
-// notify order matches the write order.
-func (f *Flow) write(p *sim.Proc, n int64) {
-	f.writeMu.Lock(p)
-	f.owed = n
-	if !f.fill() {
-		f.writer = p
-		p.Park() // until the refill that buffers the last byte
-	}
-}
+// resume is Send's continuation: it runs the writing process, parked in
+// Send, inline.
+func (f *Flow) resume(p any) { f.k.Resume(p.(*sim.Proc)) }
 
 // fill buffers as much of the owed bytes as the send buffer has room
 // for and reports whether all of them are buffered. Like write(2), it
 // fills whatever space is free and waits only when there is none:
 // keeping the buffer topped up keeps the congestion window fully
-// utilizable. The queue accounting stays inline: write runs fill on the
-// writer's coroutine stack, and one more frame there pushes a fresh
-// coroutine's first write past its initial stack, costing a stack copy.
+// utilizable. The queue accounting stays inline: a write that completes
+// at once runs fill on the writer's coroutine stack, and one more frame
+// there pushes a fresh coroutine's first write past its initial stack,
+// costing a stack copy.
 func (f *Flow) fill() bool {
 	if free := f.sndbufFree(); free > 0 {
 		chunk := min(f.owed, free)
@@ -256,16 +239,11 @@ func (f *Flow) fill() bool {
 // refill is the flow event ackRound schedules for a blocked write. It
 // re-checks the free space when it runs, because a SendAsyncArg (a
 // rendezvous CTS) may have filled it since the ack, and once the last
-// owed byte is buffered it resumes the parked writer inline, or finishes
-// the callback write and runs its continuation.
+// owed byte is buffered it finishes the write and runs its
+// continuation.
 func refill(a any) {
 	f := a.(*Flow)
 	if !f.fill() {
-		return
-	}
-	if p := f.writer; p != nil {
-		f.writer = nil
-		f.k.Resume(p)
 		return
 	}
 	w := f.pending
@@ -274,10 +252,10 @@ func refill(a any) {
 	w.Then(w.ThenArg)
 }
 
-// Write is a caller-owned write of N bytes for code running in event
-// context (see Flow.Write): Fn(Arg), if Fn is non-nil, runs when the
-// destination has received the last of the bytes, and Then(ThenArg)
-// continues the writer when the write could not complete at once.
+// Write is a caller-owned write of N bytes (see Flow.Write): Fn(Arg),
+// if Fn is non-nil, runs when the destination has received the last of
+// the bytes, and Then(ThenArg) continues the writer when the write could
+// not complete at once.
 type Write struct {
 	N       int64
 	Fn      func(any)
@@ -288,14 +266,13 @@ type Write struct {
 	f *Flow
 }
 
-// Write is SendArg without a process. It reports whether w completed at
-// once: the bytes are buffered, the delivery registered and the write
-// lock released before it returns. Otherwise the write continues from
-// event context — after the lock's handoff, in the slot a parked
-// writer's wakeup would take, and from the refill that buffers its last
-// byte, where a parked writer would be resumed — and once it completes
-// the flow calls w.Then(w.ThenArg) there. w must stay untouched until
-// then; a pooled w makes the write allocation-free.
+// Write starts w and reports whether it completed at once: the bytes
+// are buffered, the delivery registered and the write lock released
+// before it returns. Otherwise the write continues from event context —
+// after the lock's handoff, and from the refill that buffers its last
+// byte — and once it completes the flow calls w.Then(w.ThenArg) there.
+// w must stay untouched until then; a pooled w makes the write
+// allocation-free.
 func (f *Flow) Write(w *Write) bool {
 	if w.N <= 0 {
 		f.notifyAt(f.queued, w.Fn, w.Arg)
@@ -305,9 +282,9 @@ func (f *Flow) Write(w *Write) bool {
 	return f.writeMu.LockArg(lockWrite, w) && f.start(w)
 }
 
-// lockWrite is a callback write's lock waiter: woken by Unlock, it takes
-// the lock (or queues again behind a writer that barged in) and starts
-// the write.
+// lockWrite is a write's lock waiter: woken by Unlock, in the slot a
+// process's lock wakeup would take, it takes the lock (or queues again
+// behind a writer that barged in) and starts the write.
 func lockWrite(a any) {
 	w := a.(*Write)
 	if w.f.writeMu.LockArg(lockWrite, w) && w.f.start(w) {
@@ -315,8 +292,8 @@ func lockWrite(a any) {
 	}
 }
 
-// start buffers a callback write that holds the lock and reports
-// whether it completed; if not, refill finishes it.
+// start buffers a write that holds the lock and reports whether it
+// completed; if not, refill finishes it.
 func (f *Flow) start(w *Write) bool {
 	f.owed = w.N
 	if !f.fill() {
@@ -561,7 +538,7 @@ func ackRound(a any) {
 	f.lastActive = f.k.Now()
 	f.updateCwnd(f.ackW, f.ackRoundTime, f.ackRateLimited)
 	f.busy = false
-	if (f.writer != nil || f.pending != nil) && f.sndbufFree() > 0 {
+	if f.pending != nil && f.sndbufFree() > 0 {
 		// Refill first, then pump: the refill event is scheduled before
 		// the pump event, so the next round sends a full window instead
 		// of the leftover tail.

@@ -66,7 +66,7 @@ func runBlockedWrite(t *testing.T, asyncAt sim.Time, async int64) blockedWrite {
 		if f.deliveredOff < prevDelivered {
 			fail("delivered offset went back from %d to %d", prevDelivered, f.deliveredOff)
 		}
-		if f.ackedOff != prevAcked && f.writer != nil && f.sndbufFree() > 0 {
+		if f.ackedOff != prevAcked && f.pending != nil && f.sndbufFree() > 0 {
 			r.acks = append(r.acks, prevAt) // an ack whose refill is pending
 		}
 		prevAt, prevQueued, prevAcked, prevDelivered = at, f.queued, f.ackedOff, f.deliveredOff
@@ -79,7 +79,7 @@ func runBlockedWrite(t *testing.T, asyncAt sim.Time, async int64) blockedWrite {
 		// before the refill the ack put in the same-instant ring.
 		k.RunUntil(asyncAt - 1)
 		k.Schedule(asyncAt, func() {
-			r.placed = f.writer != nil && f.sndbufFree() > 0
+			r.placed = f.pending != nil && f.sndbufFree() > 0
 			f.SendAsyncArg(async, func(any) { r.asyncLanded = f.Delivered() }, nil)
 			r.asyncEnd, asyncJustQueued = f.queued, true
 		})
@@ -134,7 +134,7 @@ func TestCloseUnwindsBlockedWriter(t *testing.T) {
 		t.Error("Send returned although the kernel closed mid-write")
 	})
 	k.RunUntil(100 * time.Millisecond)
-	if f.writer == nil || f.owed == 0 {
+	if f.pending == nil || f.owed == 0 {
 		t.Fatalf("writer not parked mid-write at 100ms (owed %d)", f.owed)
 	}
 	if unwound {
@@ -163,7 +163,7 @@ type stamp struct {
 
 // writersRun has one writer per kind letter write to one WAN flow with a
 // 128 kB send buffer, in order at instant 0, each from an event of its
-// own: a process calling SendArg ('p') or a callback write ('c'). The
+// own: a process calling Send ('p') or a callback write ('c'). The
 // first write (4 MiB) blocks on the buffer holding the write lock, so
 // the others queue on the lock; the second (64 B) then buffers at once
 // and the third (1 MiB) blocks on the buffer in turn. It returns the
@@ -179,15 +179,15 @@ func writersRun(kinds string) (done []stamp, landed []int64, events []stamp) {
 	writes := make([]Write, len(sizes))
 	for i, size := range sizes {
 		finished := func(any) { done[i] = events[len(events)-1] }
-		land := func(any) { landed[i] = f.Delivered() }
+		land := func() { landed[i] = f.Delivered() }
 		if kinds[i] == 'p' {
 			k.Go("writer", func(p *sim.Proc) {
-				f.SendArg(p, size, land, nil)
+				f.Send(p, size, land)
 				finished(nil)
 			})
 			continue
 		}
-		writes[i] = Write{N: size, Fn: land, Then: finished}
+		writes[i] = Write{N: size, Fn: func(any) { land() }, Then: finished}
 		k.Schedule(0, func() {
 			if f.Write(&writes[i]) {
 				finished(nil)
@@ -198,15 +198,23 @@ func writersRun(kinds string) (done []stamp, landed []int64, events []stamp) {
 	return done, landed, events
 }
 
-// TestWriteMatchesSend: a callback write continues where a process
-// writer would be woken or resumed — after the write lock's handoff and
-// from the refill that buffers its last byte — so any mix of callback
-// and process writers completes each write in the same event, delivers
-// the same bytes and executes the same event stream.
+// TestWriteMatchesSend: a process writing through Send parks, and its
+// write's continuation resumes it inline — after the write lock's
+// handoff or in the refill that buffers its last byte — so the park adds
+// no event: any mix of process and callback writers completes each
+// write in the same event, delivers the same bytes and executes the same
+// event stream.
 func TestWriteMatchesSend(t *testing.T) {
 	wantDone, wantLanded, wantEvents := writersRun("ppp")
 	if wantLanded[2] != 5<<20+64 {
 		t.Fatalf("the last write landed at offset %d, want %d", wantLanded[2], 5<<20+64)
+	}
+	// The events the writes complete in, and the event count, pinned to
+	// what a blocked process writer took when it parked in a write path
+	// of its own: Send keeps each process writer in those slots.
+	const recorded = "[{534152000 186} {534152000 190} {653718367 232}] of 235 events"
+	if got := fmt.Sprintf("%v of %d events", wantDone, len(wantEvents)); got != recorded {
+		t.Fatalf("process writers completed in %s, recorded %s", got, recorded)
 	}
 	for _, kinds := range []string{"ccc", "cpc", "pcp", "ppc"} {
 		done, landed, events := writersRun(kinds)
