@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/profiling"
 )
 
 func main() {
@@ -93,17 +92,13 @@ func generate(s section, r *exp.Runner) (out string, err error) {
 	return s.gen(r), nil
 }
 
-func run(args []string, out, errOut io.Writer) error {
+func run(args []string, out, errOut io.Writer) (err error) {
 	fs := flag.NewFlagSet("gridrepro", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	quick := fs.Bool("quick", false, "use reduced repetitions and workload scales")
-	workers := fs.Int("workers", 0, "experiment worker-pool size (0 = one per CPU)")
-	cacheDir := fs.String("cache", "", "persistent result-cache directory (empty = in-memory only)")
-	remoteURL := fs.String("cache-remote", "", "result-store server URL (a cmd/sweepd instance); with -cache, the directory becomes its local read-through/write-behind tier")
-	evictStr := fs.String("cache-evict", "", `age/size bound applied to -cache after the run, e.g. "720h", "512M" or "720h,512M"`)
+	var rf exp.RunFlags
+	rf.Register(fs)
 	verifyP := fs.Float64("cache-verify", 0, "instead of regenerating, re-run this deterministic sample fraction (0..1] of -cache entries and report results the current simulator no longer reproduces")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProf := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	faultsStr := fs.String("faults", "", `append a reliability-matrix section: the paper's impl × tuning grid re-run under this fault plan (syntax: "seed=N; <time> down|up site=S; <time> loss <p>; <time> jitter <dur>")`)
 	multilevel := fs.Bool("multilevel", false, "append the flat-vs-multilevel collectives extension table across asymmetric layouts")
 	repsFlag := fs.Int("reps", 0, "override pingpong round trips per size (0 = per-mode default)")
@@ -138,22 +133,9 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(errOut, "-cache-verify must be a fraction in (0, 1] (0 = off), got %g\n", *verifyP)
 		return errFlagParse
 	}
-	if *verifyP != 0 && *cacheDir == "" {
+	if *verifyP != 0 && rf.Cache == "" {
 		fmt.Fprintln(errOut, "-cache-verify needs -cache")
 		return errFlagParse
-	}
-	var evict exp.EvictPolicy
-	if *evictStr != "" {
-		if *cacheDir == "" {
-			fmt.Fprintln(errOut, "-cache-evict needs -cache")
-			return errFlagParse
-		}
-		p, err := exp.ParseEvictPolicy(*evictStr)
-		if err != nil {
-			fmt.Fprintln(errOut, err)
-			return errFlagParse
-		}
-		evict = p
 	}
 
 	reps, nasScale, rayScale, traceN := core.DefaultReps, 0.25, 1.0, 200
@@ -215,42 +197,26 @@ func run(args []string, out, errOut io.Writer) error {
 			return core.RenderMultilevelTable(core.MultilevelTable(r, size, 3), size)
 		}})
 	}
-	sections, err := pick(sections, fs.Args())
+	sections, err = pick(sections, fs.Args())
 	if err != nil {
 		fmt.Fprintln(errOut, err)
 		return errFlagParse
 	}
 
-	// The cache and the store the flags name are opened before profiling
-	// too, so a refused invocation writes no profile: -cache-verify reads
-	// the cache directly, a regeneration goes through a runner.
-	var store *exp.DiskCache
-	var r *exp.Runner
-	var remote *exp.RemoteStore
-	if *verifyP != 0 {
-		store, err = exp.NewDiskCache(*cacheDir)
-	} else {
-		r, remote, err = exp.NewRunnerCache(*workers, *cacheDir, *remoteURL)
-	}
+	// The run flags are checked last, since opening them creates the
+	// cache directory and starts the profiles.
+	sess, err := rf.Open()
 	if err != nil {
 		fmt.Fprintln(errOut, err)
 		return errFlagParse
 	}
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(errOut, err)
-		}
-	}()
+	defer func() { err = errors.Join(err, sess.Close(errOut)) }()
 
 	// -cache-verify is a maintenance mode: instead of regenerating the
 	// paper, re-execute a fingerprint-keyed sample of the cache and fail
 	// loudly if the simulator has drifted from the stored results.
 	if *verifyP != 0 {
-		rep, err := store.Verify(*verifyP, *workers)
+		rep, err := sess.Local.Verify(*verifyP, rf.Workers)
 		if err != nil {
 			return err
 		}
@@ -275,7 +241,7 @@ func run(args []string, out, errOut io.Writer) error {
 		wg.Add(1)
 		go func(i int, s section) {
 			defer wg.Done()
-			outs[i], errs[i] = generate(s, r)
+			outs[i], errs[i] = generate(s, sess.Runner)
 		}(i, s)
 	}
 	wg.Wait()
@@ -289,32 +255,6 @@ func run(args []string, out, errOut io.Writer) error {
 	fmt.Fprintln(out)
 	for _, s := range outs {
 		fmt.Fprintln(out, s)
-	}
-
-	stats := r.CacheStats()
-	// With a remote store the backing tier is not (only) local disk.
-	source := "from disk"
-	if remote != nil {
-		source = "from store"
-	}
-	fmt.Fprintf(errOut, "cache: %d computed, %d %s, %d from memory (%d distinct experiments)\n",
-		stats.Computed, stats.Disk, source, stats.Memory, r.CacheLen())
-	if stats.StoreErrors > 0 {
-		fmt.Fprintf(errOut, "warning: %d results could not be written to the disk cache\n", stats.StoreErrors)
-	}
-	if remote != nil {
-		fmt.Fprintln(errOut, remote.Stats())
-	}
-	if evict != (exp.EvictPolicy{}) {
-		store, err := exp.NewDiskCache(*cacheDir)
-		if err != nil {
-			return fmt.Errorf("cache eviction: %w", err)
-		}
-		rep, err := store.Evict(evict)
-		if err != nil {
-			return fmt.Errorf("cache eviction: %w", err)
-		}
-		fmt.Fprintln(errOut, rep)
 	}
 	return nil
 }

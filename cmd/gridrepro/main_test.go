@@ -176,6 +176,12 @@ func TestBadInvocations(t *testing.T) {
 	refused("-cache", t.TempDir(), "-cache-evict", "bogus")
 	refused("-cache-remote", "bogus", "table1")
 	refused("-cache", "\x00impossible/dir", "table1")
+	// The store's URL is parsed before its directory is made.
+	cache := filepath.Join(t.TempDir(), "cache")
+	refused("-cache", cache, "-cache-remote", "bogus", "table1")
+	if _, err := os.Stat(cache); !os.IsNotExist(err) {
+		t.Error("-cache-remote bogus: the refused run created its cache directory")
+	}
 	// An unknown section name is a usage error that lists the valid
 	// names; reliability and multilevel need their flags.
 	for _, args := range [][]string{{"extra"}, {"table3"}, {"table1", "reliability"}, {"multilevel"}} {
@@ -205,17 +211,21 @@ func TestBadInvocations(t *testing.T) {
 
 // TestCacheVerifyMode populates a cache with a tiny regeneration, then
 // exercises the -cache-verify maintenance mode: a clean cache verifies
-// silently, a tampered entry fails the run with a mismatch report.
+// silently and then takes its eviction bound, a tampered entry fails the
+// run with a mismatch report.
 func TestCacheVerifyMode(t *testing.T) {
 	dir := t.TempDir()
 	regen(t, "-cache", dir)
 
 	var out, errOut bytes.Buffer
-	if err := run([]string{"-cache", dir, "-cache-verify", "0.25", "-workers", "4"}, &out, &errOut); err != nil {
+	if err := run([]string{"-cache", dir, "-cache-verify", "0.25", "-workers", "4", "-cache-evict", "720h"}, &out, &errOut); err != nil {
 		t.Fatalf("verify of a fresh cache failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "0 mismatched") {
 		t.Fatalf("unexpected verify report: %s", out.String())
+	}
+	if !strings.HasPrefix(errOut.String(), "cache evict: removed 0 of ") {
+		t.Errorf("the verify pass skipped its eviction bound: %s", errOut.String())
 	}
 
 	// Tamper with one entry's measurement (keeping its experiment, and so

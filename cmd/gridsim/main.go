@@ -45,7 +45,7 @@ var errFlagParse = errors.New("flag parsing failed")
 // bad invocation.
 var errRunFailed = errors.New("run failed")
 
-func run(args []string, out, errOut io.Writer) error {
+func run(args []string, out, errOut io.Writer) (err error) {
 	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	axes := exp.Axes{Impls: mpiimpl.GridMPI, Tunings: "full", Nodes: 4, Workload: "pattern:alltoall",
@@ -75,11 +75,12 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		e.Workload.Timeout = *budget
 	}
-	runner, _, err := exp.NewRunnerCache(1, *cacheDir, "")
+	sess, err := exp.RunFlags{Workers: 1, Cache: *cacheDir}.Open()
 	if err != nil {
 		return err
 	}
-	res := runner.Run(e)
+	defer func() { err = errors.Join(err, sess.Close(errOut)) }()
+	res := sess.Runner.Run(e)
 	if res.Err != "" {
 		return fmt.Errorf("%w: %s", errRunFailed, res.Err)
 	}

@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/profiling"
 )
 
 func main() {
@@ -73,15 +72,14 @@ var errFlagParse = errors.New("flag parsing failed")
 // into it directly.
 var workerStop = make(chan os.Signal, 1)
 
-func run(args []string, out, errOut io.Writer) error {
+func run(args []string, out, errOut io.Writer) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	axes := exp.Axes{Impls: "all", Tunings: "default,tcp,full", Nodes: 1, Workload: "pingpong",
 		Reps: 50, Size: "1M", Iters: 10, Scale: 0.1, MaxSize: "64M"}
 	axes.Register(fs)
-	workers := fs.Int("workers", 0, "worker pool size (0 = one per CPU)")
-	cacheDir := fs.String("cache", "", "persistent result-cache directory (empty = in-memory only)")
-	remoteURL := fs.String("cache-remote", "", "result-store server URL (a cmd/sweepd instance); with -cache, the directory becomes its local read-through/write-behind tier")
+	var rf exp.RunFlags
+	rf.Register(fs)
 	pushFlag := fs.Bool("push", false, "instead of sweeping, upload every -cache entry the -cache-remote server is missing, then exit")
 	pullFlag := fs.Bool("pull", false, "instead of sweeping, download every -cache-remote entry missing from -cache, then exit (with -push too: pull first, then push)")
 	faultsStr := fs.String("faults", "", `seeded fault plan applied to every experiment: semicolon-separated clauses "seed=N", "<time> down|up site=S|host=H", "<time> loss <p> [site=|host=]", "<time> jitter <dur> [site=|host=]" — e.g. "seed=7; 100ms down site=rennes; 300ms up site=rennes"`)
@@ -94,10 +92,7 @@ func run(args []string, out, errOut io.Writer) error {
 	workerIdleExit := fs.Int("worker-idle-exit", 0, "with -worker: exit after this many consecutive empty polls (0 = poll forever)")
 	retryWindow := fs.Duration("retry", exp.DefaultRetryWindow, "with -worker/-submit: retry budget for transient control-plane failures (connection refused, 5xx, timeouts), so the fleet rides through a sweepd restart; 0 fails on the first error")
 	guidelines := fs.Bool("guidelines", false, "after the sweep, run the Hunold-style self-consistency guideline suite (collective patterns at -size x -iters) for every impl x tuning x topology and flag configurations where a specialized collective loses to a composition of general ones (e.g. Allgather slower than Gather+Bcast)")
-	evictStr := fs.String("cache-evict", "", `age/size bound applied to -cache after the run, e.g. "720h", "512M" or "720h,512M"`)
 	format := fs.String("format", "table", "output: table, csv, json")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-	memProf := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -105,6 +100,9 @@ func run(args []string, out, errOut io.Writer) error {
 		return errFlagParse // already reported by the FlagSet
 	}
 
+	// Every flag is checked, in every mode, before the run opens its
+	// store and starts its profiles, so a refused invocation creates
+	// neither.
 	switch *format {
 	case "table", "csv", "json":
 	default:
@@ -115,100 +113,6 @@ func run(args []string, out, errOut io.Writer) error {
 	if *slicesFlag < 0 || *workerIdleExit < 0 || *retryWindow < 0 {
 		return fmt.Errorf("-slices, -worker-idle-exit and -retry must be ≥ 0, got %d, %d and %v", *slicesFlag, *workerIdleExit, *retryWindow)
 	}
-	// -push / -pull are one-shot sync modes: no sweep runs, the local
-	// -cache directory is reconciled with the -cache-remote server.
-	if *pushFlag || *pullFlag {
-		if *cacheDir == "" || *remoteURL == "" {
-			return fmt.Errorf("-push/-pull need both -cache (the local directory) and -cache-remote (the server)")
-		}
-		local, err := exp.NewDiskCache(*cacheDir)
-		if err != nil {
-			return err
-		}
-		remote, err := exp.NewRemoteStore(*remoteURL, local)
-		if err != nil {
-			return err
-		}
-		failed := 0
-		if *pullFlag {
-			rep, err := remote.Pull()
-			if err != nil {
-				return fmt.Errorf("pull: %w", err)
-			}
-			fmt.Fprintf(out, "pull: %s\n", rep)
-			failed += rep.Failed
-		}
-		if *pushFlag {
-			rep, err := remote.Push()
-			if err != nil {
-				return fmt.Errorf("push: %w", err)
-			}
-			fmt.Fprintf(out, "push: %s\n", rep)
-			failed += rep.Failed
-		}
-		if failed > 0 {
-			return fmt.Errorf("%d entries failed to sync", failed)
-		}
-		return nil
-	}
-	// -worker is the fleet's execution side: an endless pull loop against
-	// a sweepd control plane. The matrix flags are ignored — the server
-	// decides what runs — and the worker computes one cell at a time, so
-	// the fleet's unit of parallelism is the worker process. -cache
-	// gives the worker a warm local tier under the server store.
-	if *workerURL != "" {
-		if *submitURL != "" {
-			return fmt.Errorf("-worker and -submit are exclusive: one invocation is either fleet muscle or the submitting client")
-		}
-		if *workers > 1 {
-			return fmt.Errorf("-worker computes one cell at a time, so -workers %d would go unused: start one worker per core instead", *workers)
-		}
-		id := *workerID
-		if id == "" {
-			host, _ := os.Hostname()
-			if host == "" {
-				host = "worker"
-			}
-			id = fmt.Sprintf("%s:%d", host, os.Getpid())
-		}
-		client, err := exp.NewQueueClient(*workerURL)
-		if err != nil {
-			return err
-		}
-		client.Retry = exp.Backoff{Window: *retryWindow}
-		runner, remote, err := exp.NewRunnerCache(1, *cacheDir, *workerURL)
-		if err != nil {
-			return err
-		}
-		if remote != nil {
-			remote.Retry = exp.Backoff{Window: *retryWindow}
-		}
-		// SIGTERM/SIGINT request a graceful exit: the cell in flight
-		// finishes (and reports) before the loop returns.
-		stopCh := make(chan struct{})
-		signal.Notify(workerStop, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(workerStop)
-		go func() {
-			sig := <-workerStop
-			fmt.Fprintf(errOut, "worker %s: %v, finishing current cell\n", id, sig)
-			close(stopCh)
-		}()
-		fmt.Fprintf(errOut, "worker %s: polling %s\n", id, *workerURL)
-		rep := client.Work(exp.WorkerConfig{
-			ID:       id,
-			Runner:   runner,
-			IdleExit: *workerIdleExit,
-			Stop:     stopCh,
-			Log:      errOut,
-		})
-		fmt.Fprintln(out, rep)
-		if rep.Errors > 0 || rep.Rejected > 0 {
-			return fmt.Errorf("worker finished degraded: %d transport errors, %d rejected reports", rep.Errors, rep.Rejected)
-		}
-		return nil
-	}
-	// Every remaining flag is checked before profiling starts, so a
-	// refused invocation writes no profile.
 	sweep, err := axes.Sweep()
 	if err != nil {
 		return err
@@ -216,15 +120,6 @@ func run(args []string, out, errOut io.Writer) error {
 	shard := exp.Shard{}
 	if *shardStr != "" {
 		if shard, err = exp.ParseShard(*shardStr); err != nil {
-			return err
-		}
-	}
-	var evict exp.EvictPolicy
-	if *evictStr != "" {
-		if *cacheDir == "" {
-			return fmt.Errorf("-cache-evict needs -cache")
-		}
-		if evict, err = exp.ParseEvictPolicy(*evictStr); err != nil {
 			return err
 		}
 	}
@@ -238,36 +133,62 @@ func run(args []string, out, errOut io.Writer) error {
 		// faults, not the collective algorithm.
 		return fmt.Errorf("-guidelines assumes a healthy network; drop -faults")
 	}
+	// -push / -pull are one-shot sync modes: no sweep runs, the local
+	// -cache directory is reconciled with the -cache-remote server.
+	syncing := *pushFlag || *pullFlag
+	if syncing && (rf.Cache == "" || rf.Remote == "") {
+		return fmt.Errorf("-push/-pull need both -cache (the local directory) and -cache-remote (the server)")
+	}
+	// -worker and -submit talk to a sweepd control plane, which is also
+	// the result store they run through: the worker publishes what it
+	// computes there, and the submitter reads the fleet's results back.
+	fleetURL := *workerURL
 	if *submitURL != "" {
+		if fleetURL != "" {
+			return fmt.Errorf("-worker and -submit are exclusive: one invocation is either fleet muscle or the submitting client")
+		}
 		if !shard.IsAll() {
 			return fmt.Errorf("-shard does not combine with -submit: the control plane partitions the matrix itself")
 		}
 		if *guidelines {
 			return fmt.Errorf("-guidelines is a local post-processor; drop -submit")
 		}
+		fleetURL = *submitURL
 	}
-	// What the run talks to is built before profiling too, which refuses
-	// a malformed -submit or -cache-remote URL.
-	var client *exp.QueueClient
-	var runner *exp.Runner
-	var remote *exp.RemoteStore
-	if *submitURL != "" {
-		client, err = exp.NewQueueClient(*submitURL)
-	} else {
-		runner, remote, err = exp.NewRunnerCache(*workers, *cacheDir, *remoteURL)
-	}
-	if err != nil {
-		return err
-	}
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(errOut, err)
+	if *workerURL != "" {
+		if rf.Workers > 1 {
+			return fmt.Errorf("-worker computes one cell at a time, so -workers %d would go unused: start one worker per core instead", rf.Workers)
 		}
-	}()
+		rf.Workers = 1
+	}
+	var client *exp.QueueClient
+	if fleetURL != "" {
+		if rf.Remote != "" {
+			return fmt.Errorf("-cache-remote does not combine with -worker or -submit: their sweepd is their result store")
+		}
+		if client, err = exp.NewQueueClient(fleetURL); err != nil {
+			return err
+		}
+		// The retry window is what lets the fleet survive a sweepd
+		// restart: the journaled queue comes back still holding the job.
+		client.Retry = exp.Backoff{Window: *retryWindow}
+		rf.Remote = fleetURL
+	}
+	sess, err := rf.Open()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, sess.Close(errOut)) }()
+	if client != nil {
+		sess.Remote.Retry = client.Retry
+	}
+
+	switch {
+	case syncing:
+		return syncStore(out, sess.Remote, *pullFlag, *pushFlag)
+	case *workerURL != "":
+		return work(out, errOut, client, sess.Runner, *workerURL, *workerID, *workerIdleExit)
+	}
 	all := sweep.Experiments()
 	// Faults apply before sharding: the partition keys on the faulted
 	// fingerprints, so every shard of a faulted matrix agrees on ownership.
@@ -276,36 +197,22 @@ func run(args []string, out, errOut io.Writer) error {
 			all[i].Faults = faults
 		}
 	}
-	// -submit hands the whole matrix to a sweepd control plane instead of
-	// running it here: the server partitions and leases it to the worker
-	// fleet, this invocation waits and then pulls every cell back through
-	// the verified read path, rendering exactly like a local run.
 	if *submitURL != "" {
-		return submit(out, errOut, client, *submitURL, all, *slicesFlag, *detach, *format, axes.Workload, *retryWindow)
+		return submit(out, errOut, client, sess.Remote, all, *slicesFlag, *detach, *format, axes.Workload)
 	}
 	exps := shard.Select(all)
 	start := time.Now()
-	results := runner.RunAll(exps)
+	results := sess.Runner.RunAll(exps)
 	wall := time.Since(start)
-
-	switch *format {
-	case "json":
-		if err := exp.WriteJSON(out, results); err != nil {
-			return err
-		}
-	case "csv":
-		if err := exp.WriteCSV(out, results); err != nil {
-			return err
-		}
-	default:
-		title := fmt.Sprintf("Sweep: %d experiments (%s workload)", len(results), axes.Workload)
-		if !shard.IsAll() {
-			title = fmt.Sprintf("Sweep shard %s: %d of %d experiments (%s workload)",
-				shard, len(results), sweep.Size(), axes.Workload)
-		}
-		fmt.Fprintln(out, exp.MatrixTable(title, results))
-		fmt.Fprintf(out, "%d experiments, %d workers, wall time %v\n",
-			len(results), runner.Workers(), wall.Round(time.Millisecond))
+	title := fmt.Sprintf("Sweep: %d experiments (%s workload)", len(results), axes.Workload)
+	if !shard.IsAll() {
+		title = fmt.Sprintf("Sweep shard %s: %d of %d experiments (%s workload)",
+			shard, len(results), sweep.Size(), axes.Workload)
+	}
+	footer := fmt.Sprintf("%d experiments, %d workers, wall time %v",
+		len(results), sess.Runner.Workers(), wall.Round(time.Millisecond))
+	if err := render(out, *format, results, title, footer); err != nil {
+		return err
 	}
 	// The guideline suite is a post-processor: its pattern cells run
 	// through the same runner (so they hit the same cache tiers), whole
@@ -315,7 +222,7 @@ func run(args []string, out, errOut io.Writer) error {
 	if *guidelines {
 		size, _ := exp.ParseSize(axes.Size) // Sweep has checked it
 		suite := exp.GuidelineSuite(sweep.Impls, sweep.Tunings, sweep.Topologies, exp.DefaultGuidelines, size, axes.Iters)
-		gres := runner.RunAll(suite)
+		gres := sess.Runner.RunAll(suite)
 		results = append(results, gres...)
 		// JSON and CSV keep stdout machine-readable: the report goes to
 		// stderr.
@@ -325,30 +232,6 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		guidelineViolations = exp.WriteGuidelineReport(report, gres,
 			exp.DefaultGuidelines, exp.DefaultGuidelineTolerance)
-	}
-	if *cacheDir != "" || *remoteURL != "" {
-		stats := runner.CacheStats()
-		// With a remote store the backing tier is not (only) local disk.
-		source := "from disk"
-		if remote != nil {
-			source = "from store"
-		}
-		fmt.Fprintf(errOut, "cache: %d computed, %d %s, %d from memory\n",
-			stats.Computed, stats.Disk, source, stats.Memory)
-	}
-	if remote != nil {
-		fmt.Fprintln(errOut, remote.Stats())
-	}
-	if evict != (exp.EvictPolicy{}) {
-		store, err := exp.NewDiskCache(*cacheDir)
-		if err != nil {
-			return fmt.Errorf("cache eviction: %w", err)
-		}
-		rep, err := store.Evict(evict)
-		if err != nil {
-			return fmt.Errorf("cache eviction: %w", err)
-		}
-		fmt.Fprintln(errOut, rep)
 	}
 	// Failed cells render as ERR/err fields above; surface the reason and
 	// exit nonzero so scripts don't take a broken sweep as a measurement.
@@ -372,16 +255,96 @@ func run(args []string, out, errOut io.Writer) error {
 	return nil
 }
 
+// render writes results to out in format: JSON or CSV alone, or a
+// matrix table under title with footer below it.
+func render(out io.Writer, format string, results []exp.Result, title, footer string) error {
+	switch format {
+	case "json":
+		return exp.WriteJSON(out, results)
+	case "csv":
+		return exp.WriteCSV(out, results)
+	}
+	fmt.Fprintln(out, exp.MatrixTable(title, results))
+	fmt.Fprintln(out, footer)
+	return nil
+}
+
+// syncStore is the -push/-pull mode: it reconciles the local tier of
+// remote with the server, pulling first, and fails if any entry did not
+// transfer.
+func syncStore(out io.Writer, remote *exp.RemoteStore, pull, push bool) error {
+	failed := 0
+	if pull {
+		rep, err := remote.Pull()
+		if err != nil {
+			return fmt.Errorf("pull: %w", err)
+		}
+		fmt.Fprintf(out, "pull: %s\n", rep)
+		failed += rep.Failed
+	}
+	if push {
+		rep, err := remote.Push()
+		if err != nil {
+			return fmt.Errorf("push: %w", err)
+		}
+		fmt.Fprintf(out, "push: %s\n", rep)
+		failed += rep.Failed
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d entries failed to sync", failed)
+	}
+	return nil
+}
+
+// work is the -worker mode, the fleet's execution side: a pull loop
+// against the control plane at url. The server decides what runs, and
+// the worker computes one cell at a time on runner, which publishes
+// through the server's store, so the fleet's unit of parallelism is the
+// worker process.
+func work(out, errOut io.Writer, client *exp.QueueClient, runner *exp.Runner, url, id string, idleExit int) error {
+	if id == "" {
+		host, _ := os.Hostname()
+		if host == "" {
+			host = "worker"
+		}
+		id = fmt.Sprintf("%s:%d", host, os.Getpid())
+	}
+	// SIGTERM/SIGINT request a graceful exit: the cell in flight
+	// finishes (and reports) before the loop returns.
+	stopCh, done := make(chan struct{}), make(chan struct{})
+	signal.Notify(workerStop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(workerStop)
+	defer close(done)
+	go func() {
+		select {
+		case sig := <-workerStop:
+			fmt.Fprintf(errOut, "worker %s: %v, finishing current cell\n", id, sig)
+			close(stopCh)
+		case <-done:
+		}
+	}()
+	fmt.Fprintf(errOut, "worker %s: polling %s\n", id, url)
+	rep := client.Work(exp.WorkerConfig{
+		ID:       id,
+		Runner:   runner,
+		IdleExit: idleExit,
+		Stop:     stopCh,
+		Log:      errOut,
+	})
+	fmt.Fprintln(out, rep)
+	if rep.Errors > 0 || rep.Rejected > 0 {
+		return fmt.Errorf("worker finished degraded: %d transport errors, %d rejected reports", rep.Errors, rep.Rejected)
+	}
+	return nil
+}
+
 // submit is the -submit mode: post the matrix as one job through
-// client, the control plane at url, wait for the fleet (progress on
-// stderr), pull the finished cells back in submission order, and render
-// them like a local run. Failed cells have no stored result; they are
-// reported on stderr and fail the invocation, mirroring the local
-// failed-experiment exit path.
-func submit(out, errOut io.Writer, client *exp.QueueClient, url string, cells []exp.Experiment, slices int, detach bool, format, workload string, retry time.Duration) error {
-	// The retry window is what lets a waiting submitter survive a sweepd
-	// restart: the journaled queue comes back still holding the job.
-	client.Retry = exp.Backoff{Window: retry}
+// client, wait for the fleet (progress on stderr), read the finished
+// cells back from store in submission order, and render them like a
+// local run. Failed cells have no stored result; they are reported on
+// stderr and fail the invocation, mirroring the local failed-experiment
+// exit path.
+func submit(out, errOut io.Writer, client *exp.QueueClient, store *exp.RemoteStore, cells []exp.Experiment, slices int, detach bool, format, workload string) error {
 	client.Log = errOut
 	st, err := client.Submit(cells, slices)
 	if err != nil {
@@ -408,34 +371,20 @@ func submit(out, errOut io.Writer, client *exp.QueueClient, url string, cells []
 		return err
 	}
 	wall := time.Since(start)
-	// Pull every finished cell through the same verified read path the
-	// workers published through; order is the submission order, so the
-	// rendering is byte-identical to a local run of the same matrix.
-	store, err := exp.NewRemoteStore(url, nil)
-	if err != nil {
-		return err
-	}
-	store.Retry = exp.Backoff{Window: retry}
+	// Every finished cell comes back through the same verified read path
+	// the workers published through; order is the submission order, so
+	// the rendering is byte-identical to a local run of the same matrix.
 	results := make([]exp.Result, 0, len(cells))
 	for _, e := range cells {
 		if res, ok := store.Load(e.Fingerprint()); ok {
 			results = append(results, res)
 		}
 	}
-	switch format {
-	case "json":
-		if err := exp.WriteJSON(out, results); err != nil {
-			return err
-		}
-	case "csv":
-		if err := exp.WriteCSV(out, results); err != nil {
-			return err
-		}
-	default:
-		title := fmt.Sprintf("Sweep job %s: %d experiments (%s workload)", st.ID, len(results), workload)
-		fmt.Fprintln(out, exp.MatrixTable(title, results))
-		fmt.Fprintf(out, "%d experiments, %d computed by the fleet, %d cached, wall time %v\n",
-			len(results), final.Computed, final.Cached, wall.Round(time.Millisecond))
+	title := fmt.Sprintf("Sweep job %s: %d experiments (%s workload)", st.ID, len(results), workload)
+	footer := fmt.Sprintf("%d experiments, %d computed by the fleet, %d cached, wall time %v",
+		len(results), final.Computed, final.Cached, wall.Round(time.Millisecond))
+	if err := render(out, format, results, title, footer); err != nil {
+		return err
 	}
 	if final.Failed > 0 {
 		for _, f := range final.Failures {

@@ -105,13 +105,19 @@ func TestRunPaperMatrixShape(t *testing.T) {
 	}
 }
 
-// TestRunBadFlags covers rejection paths. Every refused invocation is
-// refused before any side effect: it writes neither of the profiles it
-// asks for, and creates no cache directory.
+// TestRunBadFlags covers rejection paths. Every refused invocation, in
+// every mode, is refused before any side effect: it writes neither of
+// the profiles it asks for, and creates no cache directory. The fleet
+// and sync rows point at a live sweepd, where they would run if
+// accepted.
 func TestRunBadFlags(t *testing.T) {
 	var out, errOut strings.Builder
 	dir := t.TempDir()
 	cache := filepath.Join(dir, "cache")
+	srv := newSweepdServer(t)
+	worker := []string{"-worker", srv.URL, "-worker-idle-exit", "1", "-retry", "0"}
+	push := []string{"-push", "-cache", cache, "-cache-remote", srv.URL}
+	pull := []string{"-pull", "-cache", cache, "-cache-remote", srv.URL}
 	for _, args := range [][]string{
 		{"-workload", "nope"},
 		{"-tunings", "bogus"},
@@ -137,6 +143,22 @@ func TestRunBadFlags(t *testing.T) {
 		{"-submit", "http://127.0.0.1:9", "-guidelines"},
 		{"-submit", "not-a-url"},
 		{"-cache-remote", "bogus"},
+		{"-cache", cache, "-cache-remote", "bogus"}, // parsed before the directory is made
+		// The fleet and sync modes check every flag too, and refuse a
+		// -cache-remote that their sweepd would replace.
+		append(worker, "-cache-evict", "bogus"),
+		append(worker, "-cache-evict", "720h"), // needs -cache
+		append(worker, "-faults", "garbage"),
+		append(worker, "-shard", "9/2"),
+		append(worker, "-workload", "nope"),
+		append(worker, "-cache-remote", srv.URL),
+		{"-submit", srv.URL, "-detach", "-cache-remote", srv.URL, "-impls", "TCP", "-tunings", "default", "-reps", "1", "-max-size", "1k"},
+		append(push, "-cache-evict", "bogus"),
+		append(push, "-faults", "garbage"),
+		append(push, "-shard", "9/2"),
+		append(push, "-workload", "nope"),
+		append(pull, "-worker", srv.URL),
+		append(pull, "-submit", srv.URL),
 		// A scale or a loss that no run can take: NaN cannot be
 		// fingerprinted, and NPB would clamp a negative scale.
 		{"-impls", "GridMPI", "-tunings", "full", "-nodes", "2", "-workload", "npb:CG", "-scale", "NaN"},
@@ -604,6 +626,39 @@ func TestRunFleetDetachAndBadCombos(t *testing.T) {
 		var out, errOut strings.Builder
 		if err := run(append(append([]string{}, args...), tinyArgs...), &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRunFleetModesWriteProfiles: a fleet worker and a sync each write
+// the CPU and heap profiles they are asked for, and the worker reports
+// what its runner served at exit.
+func TestRunFleetModesWriteProfiles(t *testing.T) {
+	srv := newSweepdServer(t)
+	var out, errOut strings.Builder
+	if err := run(append([]string{"-submit", srv.URL, "-detach"}, tinyArgs...), &out, &errOut); err != nil {
+		t.Fatalf("detach submit: %v", err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string // in stdout and stderr
+	}{
+		{[]string{"-worker", srv.URL, "-worker-idle-exit", "1"}, "cache: 4 computed, 0 from store, 0 from memory (4 distinct experiments)"},
+		{[]string{"-pull", "-push", "-cache", t.TempDir(), "-cache-remote", srv.URL}, "pull: 4 entries scanned: 4 transferred"},
+	} {
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+		var out, errOut strings.Builder
+		if err := run(append(c.args, "-cpuprofile", cpu, "-memprofile", mem), &out, &errOut); err != nil {
+			t.Fatalf("%v: %v\n%s", c.args, err, errOut.String())
+		}
+		if !strings.Contains(out.String()+errOut.String(), c.want) {
+			t.Errorf("%v printed no %q:\n%s%s", c.args, c.want, out.String(), errOut.String())
+		}
+		for _, p := range []string{cpu, mem} {
+			if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+				t.Errorf("%v wrote no %s", c.args, filepath.Base(p))
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/grid5000"
@@ -65,17 +66,18 @@ func TestMultilevelLargeCollectivesReplay(t *testing.T) {
 	}
 	dir := t.TempDir()
 	run := func(workers int, dir string) ([]Result, CacheStats) {
-		r, _, err := NewRunnerCache(workers, dir, "")
+		sess, err := RunFlags{Workers: workers, Cache: dir}.Open()
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := r.RunAll(exps)
+		defer sess.Close(io.Discard)
+		results := sess.Runner.RunAll(exps)
 		for _, res := range results {
 			if res.Err != "" {
 				t.Fatalf("%s: %s", res.Exp.Name(), res.Err)
 			}
 		}
-		return results, r.CacheStats()
+		return results, sess.Runner.CacheStats()
 	}
 	seq, _ := run(1, dir)
 	want := MarshalResults(seq)

@@ -62,33 +62,6 @@ func NewRunnerStore(workers int, s Store) *Runner {
 	return r
 }
 
-// NewRunnerCache is the CLI wiring of the -cache/-cache-remote flag
-// pair. With a remote URL, the runner's backing store is a RemoteStore
-// (returned so the front-end can report its counters); a non-empty dir
-// then becomes its local read-through/write-behind tier. Without one,
-// the returned RemoteStore is nil and the runner is plain for an empty
-// dir, DiskCache-backed otherwise.
-func NewRunnerCache(workers int, dir, remote string) (*Runner, *RemoteStore, error) {
-	var local *DiskCache
-	if dir != "" {
-		var err error
-		if local, err = NewDiskCache(dir); err != nil {
-			return nil, nil, err
-		}
-	}
-	if remote == "" {
-		if local == nil {
-			return NewRunner(workers), nil, nil
-		}
-		return NewRunnerStore(workers, local), nil, nil
-	}
-	rs, err := NewRemoteStore(remote, local)
-	if err != nil {
-		return nil, nil, err
-	}
-	return NewRunnerStore(workers, rs), rs, nil
-}
-
 // Workers returns the pool size.
 func (r *Runner) Workers() int { return r.workers }
 

@@ -50,10 +50,10 @@ func (r *Rank) csendrecv(dst, sendTag int, size int64, src, recvTag int) {
 // call in the census on the recording rank (the root, or rank 0). All
 // ranks call collectives in the same order (the usual SPMD contract), so
 // the blocks agree across ranks.
-func (r *Rank) startColl(op string, recorder int, bytes int64) int {
+func (r *Rank) startColl(op string, recorder int) int {
 	r.collSeq++
 	if r.id == recorder {
-		r.w.stats.recordColl(op, bytes)
+		r.w.stats.recordColl(op)
 	}
 	return r.collSeq << 6
 }
@@ -150,7 +150,7 @@ func (r *Rank) strategy(op string, n int) strategy {
 
 // Bcast broadcasts n payload bytes from root to every rank.
 func (r *Rank) Bcast(root int, n int) {
-	tag := r.startColl("bcast", root, int64(n))
+	tag := r.startColl("bcast", root)
 	s := r.w.sites()
 	switch r.strategy("bcast", n) {
 	case multilevel:
@@ -215,7 +215,7 @@ func (r *Rank) twoSiteBcast(tag, root int, n int64) {
 
 // Reduce combines n payload bytes from every rank onto root.
 func (r *Rank) Reduce(root int, n int) {
-	tag := r.startColl("reduce", root, int64(n))
+	tag := r.startColl("reduce", root)
 	s := r.w.sites()
 	switch r.strategy("reduce", n) {
 	case multilevel:
@@ -232,7 +232,7 @@ func (r *Rank) Reduce(root int, n int) {
 // Allreduce combines n payload bytes across all ranks, leaving the result
 // everywhere.
 func (r *Rank) Allreduce(n int) {
-	tag := r.startColl("allreduce", 0, int64(n))
+	tag := r.startColl("allreduce", 0)
 	s := r.w.sites()
 	switch r.strategy("allreduce", n) {
 	case multilevel:
@@ -290,7 +290,7 @@ func (r *Rank) twoSiteAllreduce(tag int, n int64) {
 
 // Allgather makes every rank's block of n bytes available everywhere.
 func (r *Rank) Allgather(n int) {
-	tag := r.startColl("allgather", 0, int64(n))
+	tag := r.startColl("allgather", 0)
 	s := r.w.sites()
 	switch r.strategy("allgather", n) {
 	case multilevel:
@@ -313,7 +313,7 @@ func (r *Rank) Allgather(n int) {
 // oversubscription under which GridMPI's pacing shines and the others
 // take contention losses.
 func (r *Rank) Alltoall(n int) {
-	tag := r.startColl("alltoall", 0, int64(n)*int64(r.Size()))
+	tag := r.startColl("alltoall", 0)
 	s := r.w.sites()
 	switch r.strategy("alltoall", n) {
 	case multilevel:
@@ -343,17 +343,13 @@ func (r *Rank) Alltoall(n int) {
 // out the v-collectives as the operations even MPICH-G2 leaves
 // topology-unaware (§2.1.5).
 func (r *Rank) Alltoallv(sizes []int) {
-	var total int64
-	for _, n := range sizes {
-		total += int64(n)
-	}
-	tag := r.startColl("alltoallv", 0, total)
+	tag := r.startColl("alltoallv", 0)
 	r.shift(tag, r.w.sites().all, 1, sizes)
 }
 
 // Gather collects n bytes from every rank at root.
 func (r *Rank) Gather(root int, n int) {
-	tag := r.startColl("gather", root, int64(n))
+	tag := r.startColl("gather", root)
 	s := r.w.sites()
 	switch r.strategy("gather", n) {
 	case multilevel:
@@ -370,7 +366,7 @@ func (r *Rank) Gather(root int, n int) {
 
 // Scatter distributes n bytes from root to every rank.
 func (r *Rank) Scatter(root int, n int) {
-	tag := r.startColl("scatter", root, int64(n))
+	tag := r.startColl("scatter", root)
 	s := r.w.sites()
 	switch r.strategy("scatter", n) {
 	case multilevel:
@@ -387,7 +383,7 @@ func (r *Rank) Scatter(root int, n int) {
 
 // Barrier synchronizes all ranks with the dissemination algorithm.
 func (r *Rank) Barrier() {
-	tag := r.startColl("barrier", 0, 0)
+	tag := r.startColl("barrier", 0)
 	s := r.w.sites()
 	switch r.strategy("barrier", 0) {
 	case multilevel:

@@ -31,7 +31,6 @@ type Stats struct {
 
 	sizeCounts map[int64]int64
 	collCalls  map[string]int64
-	collBytes  map[string]int64
 	collSentBy []int64
 	collRecvBy []int64
 }
@@ -40,7 +39,6 @@ func newStats() *Stats {
 	return &Stats{
 		sizeCounts: make(map[int64]int64),
 		collCalls:  make(map[string]int64),
-		collBytes:  make(map[string]int64),
 	}
 }
 
@@ -54,9 +52,8 @@ func (s *Stats) recordP2P(size int64, wan bool) {
 	s.sizeCounts[size]++
 }
 
-func (s *Stats) recordColl(op string, bytes int64) {
+func (s *Stats) recordColl(op string) {
 	s.collCalls[op]++
-	s.collBytes[op] += bytes
 }
 
 // recordCollMsg books one collective-context transport message. The

@@ -124,14 +124,8 @@ func (l *Link) NotifyUp(fn func()) {
 // SetExtraLoss sets an injected per-round loss probability on the link.
 func (l *Link) SetExtraLoss(p float64) { l.extraLoss = p }
 
-// ExtraLoss returns the injected per-round loss probability.
-func (l *Link) ExtraLoss() float64 { return l.extraLoss }
-
 // SetJitter sets an injected latency jitter amplitude on the link.
 func (l *Link) SetJitter(j time.Duration) { l.jitter = j }
-
-// Jitter returns the injected latency jitter amplitude.
-func (l *Link) Jitter() time.Duration { return l.jitter }
 
 // Active reports the number of flows currently registered.
 func (l *Link) Active() int { return l.active }

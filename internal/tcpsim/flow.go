@@ -161,9 +161,6 @@ func (f *Flow) bdp() float64 {
 	return float64(f.path.Bottleneck() * efficiency * f.rtt().Seconds())
 }
 
-// Path returns the network path the flow runs over.
-func (f *Flow) Path() *netsim.Path { return f.path }
-
 // WindowCap returns the socket-buffer-imposed window ceiling in bytes.
 func (f *Flow) WindowCap() int { return f.windowCap }
 
