@@ -182,6 +182,12 @@ func TestBadInvocations(t *testing.T) {
 	if _, err := os.Stat(cache); !os.IsNotExist(err) {
 		t.Error("-cache-remote bogus: the refused run created its cache directory")
 	}
+	// A profile that cannot be created is refused before any section
+	// runs and before the cache directory is made.
+	refused("-cache", cache, "-memprofile", filepath.Join(t.TempDir(), "missing", "m.prof"), "table1")
+	if _, err := os.Stat(cache); !os.IsNotExist(err) {
+		t.Error("-memprofile in a missing directory: the refused run created its cache directory")
+	}
 	// An unknown section name is a usage error that lists the valid
 	// names; reliability and multilevel need their flags.
 	for _, args := range [][]string{{"extra"}, {"table3"}, {"table1", "reliability"}, {"multilevel"}} {

@@ -181,9 +181,13 @@ func TestRunBadFlags(t *testing.T) {
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-slices", "-1"},
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-worker-idle-exit", "-1"},
 		{"-impls", "GridMPI", "-tunings", "full", "-reps", "2", "-max-size", "1k", "-retry", "-1s"},
+		// A profile that cannot be created, refused before the sweep
+		// runs and before the cache directory is made.
+		{"-cache", cache, "-memprofile", filepath.Join(dir, "missing", "m.prof"), "-impls", "TCP", "-tunings", "default", "-reps", "1", "-max-size", "1k"},
 	} {
+		// The profile flags come first, so a row may override one.
 		cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-		args = append(args, "-cpuprofile", cpu, "-memprofile", mem)
+		args = append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...)
 		if err := run(args, &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)
 		}

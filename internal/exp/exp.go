@@ -534,6 +534,11 @@ func (e Experiment) check() error {
 	if err := e.Faults.Validate(); err != nil {
 		return err
 	}
+	// A negative override would run the profile's default under a
+	// fingerprint of its own: two cache entries for one run.
+	if e.EagerThreshold < 0 || e.SocketBuffer < 0 {
+		return fmt.Errorf("exp: negative override: eager threshold %d, socket buffer %d", e.EagerThreshold, e.SocketBuffer)
+	}
 	wl := e.Workload
 	// A negative message size would run as an empty message and report
 	// a negative bandwidth.

@@ -261,6 +261,10 @@ func TestBadExperimentsReportErr(t *testing.T) {
 		// B under another fingerprint.
 		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: NPBWorkload("EP", 3)},
 		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: NPBWorkload("EP", 1.0001)},
+		// A negative override would run the default under a
+		// fingerprint of its own.
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload(tinySizes, 1), EagerThreshold: -1},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload(tinySizes, 1), SocketBuffer: -4096},
 	}
 	for _, e := range bad {
 		// check must refuse each one: a panic caught by Run's recover

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/profiling"
 )
@@ -45,10 +46,10 @@ type Session struct {
 	stopProf func() error
 }
 
-// Open checks the flags, then opens the store they name under a runner
-// of Workers, then starts the profiles. Every check comes before
-// anything is created, so a refused invocation leaves no cache
-// directory and no profile behind.
+// Open checks the flags, then starts the profiles, then opens the store
+// they name under a runner of Workers. Every check comes before
+// anything is created, and the cache directory comes last, so a refused
+// invocation leaves no cache directory and no profile behind.
 func (f RunFlags) Open() (*Session, error) {
 	s := &Session{}
 	var err error
@@ -67,8 +68,18 @@ func (f RunFlags) Open() (*Session, error) {
 			return nil, err
 		}
 	}
+	if s.stopProf, err = profiling.Start(f.CPUProfile, f.MemProfile); err != nil {
+		return nil, err
+	}
 	if f.Cache != "" {
 		if s.Local, err = NewDiskCache(f.Cache); err != nil {
+			// Take back the profile files Start created.
+			s.stopProf()
+			for _, p := range []string{f.CPUProfile, f.MemProfile} {
+				if p != "" {
+					os.Remove(p)
+				}
+			}
 			return nil, err
 		}
 	}
@@ -79,9 +90,6 @@ func (f RunFlags) Open() (*Session, error) {
 		s.Runner.store = s.Remote
 	case s.Local != nil:
 		s.Runner.store = s.Local
-	}
-	if s.stopProf, err = profiling.Start(f.CPUProfile, f.MemProfile); err != nil {
-		return nil, err
 	}
 	return s, nil
 }

@@ -10,22 +10,32 @@ import (
 )
 
 // TestRunFlagsOpenRefusesBeforeCreating: a bound without a cache, a
-// malformed bound and a malformed server URL are refused before the
-// cache directory or a profile exists.
+// malformed bound, a malformed server URL and a profile file that cannot
+// be created are refused before the cache directory or a profile exists.
 func TestRunFlagsOpenRefusesBeforeCreating(t *testing.T) {
 	dir := t.TempDir()
-	cache, cpu := filepath.Join(dir, "cache"), filepath.Join(dir, "cpu.prof")
+	cache, cpu, mem := filepath.Join(dir, "cache"), filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	unwritable := filepath.Join(dir, "missing", "x.prof")
 	for _, f := range []RunFlags{
 		{Evict: "720h"},
 		{Cache: cache, Evict: "bogus"},
 		{Cache: cache, Remote: "bogus"},
 		{Cache: cache, Remote: "ftp://host:1"},
+		// A profile that cannot be created is refused before the cache
+		// directory is made.
+		{Cache: cache, CPUProfile: unwritable},
+		{Cache: cache, MemProfile: unwritable},
 	} {
-		f.CPUProfile = cpu
+		if f.CPUProfile == "" {
+			f.CPUProfile = cpu
+		}
+		if f.MemProfile == "" {
+			f.MemProfile = mem
+		}
 		if _, err := f.Open(); err == nil {
 			t.Errorf("%+v opened", f)
 		}
-		for _, p := range []string{cache, cpu} {
+		for _, p := range []string{cache, cpu, mem} {
 			if _, err := os.Stat(p); !os.IsNotExist(err) {
 				t.Errorf("%+v: the refused Open created %s", f, filepath.Base(p))
 				os.RemoveAll(p)

@@ -20,10 +20,10 @@ func skipIfRace(t *testing.T) {
 
 // TestMpiHotPathAllocFree locks the whole message arena end to end: a
 // steady-state eager ping-pong (Isend + Recv + Wait per rank per round)
-// must run at zero allocations once the pools are warm — Requests, inMsg
-// envelopes, send jobs and delivery records all recycle through the
-// World's free lists, and each Isend's protocol runs as kernel events
-// with the send job as their argument, no process of its own.
+// must run at zero allocations once the pools are warm — Requests,
+// messages and send jobs all recycle through the World's free lists, and
+// each Isend's protocol runs as kernel events with the send job as
+// their argument, no process of its own.
 func TestMpiHotPathAllocFree(t *testing.T) {
 	skipIfRace(t)
 	k, w := newWorld(t, Reference(), tcpsim.DefaultLinux26(), 1, false)
@@ -59,7 +59,8 @@ func TestMpiHotPathAllocFree(t *testing.T) {
 // a steady-state 4 MiB rendezvous ping-pong between Rennes and Nancy
 // keeps every payload write blocked on the send buffer for dozens of
 // window rounds, and the refills, the writer's park and resume and the
-// rendezvous handshake must allocate nothing once the pools are warm.
+// rendezvous's RTS, CTS and payload must allocate nothing once the pools
+// are warm.
 func TestMpiLargeMessageAllocFree(t *testing.T) {
 	skipIfRace(t)
 	k, w := newWorld(t, Reference(), tcpsim.DefaultLinux26(), 1, true)
@@ -200,46 +201,93 @@ func TestMpiStripedIsendAllocFree(t *testing.T) {
 	}
 }
 
-// TestArenaRecycling checks the pools actually cycle: after a run with
-// message traffic, the world holds recycled protocol objects, and reusing
-// the world keeps the pool sizes stable instead of growing per message.
+// TestArenaRecycling checks that the pools cycle and that every message
+// record is recycled exactly once, for each way a message crosses the
+// wire: on Rennes–Nancy under the reference, MPICH-Madeleine (serial
+// rendezvous, fast-buffer slot) and MPICH-G2 (striped payloads), rank 0
+// sends an eager message to a posted receive and one that arrives
+// unexpected, a rendezvous whose receive is posted before its RTS lands
+// and, 100 ms later, one whose RTS waits in the unexpected queue, then
+// a burst of Isends with a 2 MiB payload (striped under MPICH-G2).
+// After each of two runs on the same world, no record is in the message
+// pool twice, every pooled record is zero but for its CTS signal, and
+// the second run leaves every pool as the first did.
 func TestArenaRecycling(t *testing.T) {
-	k, w := newWorld(t, Reference(), tcpsim.DefaultLinux26(), 1, false)
-	defer k.Close()
-	body := func(r *Rank) {
-		for i := 0; i < 10; i++ {
-			if r.Rank() == 0 {
-				r.Send(1, i, 2048)
-			} else {
-				r.Recv(0, i)
+	for _, c := range []struct {
+		name string
+		prof Profile
+	}{{"reference", Reference()}, {"madeleine", madeleine()}, {"mpich-g2", mpichG2()}} {
+		t.Run(c.name, func(t *testing.T) {
+			k, w := newWorld(t, c.prof, tcpsim.DefaultLinux26(), 1, true)
+			defer k.Close()
+			const eager, rndv = 1 << 10, 1 << 20
+			body := func(r *Rank) {
+				if r.Rank() == 0 {
+					r.Send(1, 1, eager)
+					r.Send(1, 2, eager)
+					r.Send(1, 3, rndv)
+					r.Sleep(100 * time.Millisecond)
+					r.Send(1, 4, rndv)
+					r.WaitAll(r.Isend(1, 5, eager), r.Isend(1, 6, rndv), r.Isend(1, 7, 2<<20))
+					return
+				}
+				queued := func(eager bool) {
+					if len(r.unexpected) != 1 || r.unexpected[0].eager != eager {
+						t.Errorf("want one unexpected message (eager %v), have %d", eager, len(r.unexpected))
+					}
+				}
+				posted, early := r.Irecv(0, 1), r.Irecv(0, 3)
+				r.Sleep(50 * time.Millisecond)
+				queued(true)
+				r.Recv(0, 2)
+				r.WaitAll(posted, early)
+				r.Sleep(200 * time.Millisecond)
+				queued(false)
+				for tag := 4; tag <= 7; tag++ {
+					r.Recv(0, tag)
+				}
 			}
-		}
-	}
-	if _, err := w.Run(body); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.msgs.free) == 0 || len(w.delivs.free) == 0 {
-		t.Fatalf("pools empty after traffic: msgs=%d deliveries=%d", len(w.msgs.free), len(w.delivs.free))
-	}
-	msgs, deliv, reqs := len(w.msgs.free), len(w.delivs.free), len(w.reqs.free)
-	if _, err := w.Run(body); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.msgs.free) != msgs || len(w.delivs.free) != deliv || len(w.reqs.free) != reqs {
-		t.Fatalf("pool sizes changed on identical rerun: msgs %d→%d deliveries %d→%d reqs %d→%d",
-			msgs, len(w.msgs.free), deliv, len(w.delivs.free), reqs, len(w.reqs.free))
+			check := func() [4]int {
+				t.Helper()
+				if _, err := w.Run(body); err != nil {
+					t.Fatal(err)
+				}
+				seen := map[*message]bool{}
+				for _, m := range w.msgs.free {
+					if seen[m] {
+						t.Fatalf("message record %p is in the pool twice", m)
+					}
+					seen[m] = true
+					if *m != (message{cts: m.cts}) {
+						t.Fatalf("pooled message record not zeroed: %+v", *m)
+					}
+				}
+				return [4]int{len(w.reqs.free), len(w.msgs.free), len(w.jobs.free), len(w.stripes.free)}
+			}
+			first := check()
+			if first[1] == 0 || first[2] == 0 {
+				t.Fatalf("pools empty after traffic: reqs, msgs, jobs, stripes = %v", first)
+			}
+			if c.prof.ParallelStreams > 1 && first[3] == 0 {
+				t.Fatal("no striped payload was recycled")
+			}
+			if second := check(); second != first {
+				t.Fatalf("pool sizes (reqs, msgs, jobs, stripes) changed on identical rerun: %v → %v", first, second)
+			}
+		})
 	}
 }
 
 // worldSink keeps the worlds TestNewWorldAllocs builds on the heap.
 var worldSink *World
 
-// TestNewWorldAllocs locks a 16-rank world's set-up at exactly 71
-// allocations: seven for the world (the World, its Stats and their
-// two maps, the rank slice, and the fresh functions of the request and
-// handshake pools) and four per rank (the Rank and its flows, rndvLocks
-// and bigOut maps). A rendezvous keeps its state in a pooled handshake
-// passed by pointer, so no rank holds a map for it.
+// TestNewWorldAllocs locks a 16-rank world's set-up at exactly 69
+// allocations: five for the world (the World, its Stats and their two
+// maps, and the rank slice) and four per rank (the Rank and its flows,
+// rndvLocks and bigOut maps). A rendezvous keeps its state in its pooled
+// message, passed by pointer, so no rank holds a map for it, and the
+// pools make their records' signals on first use, so they need no
+// constructor.
 func TestNewWorldAllocs(t *testing.T) {
 	skipIfRace(t)
 	k, w := newWorld(t, Reference(), tcpsim.DefaultLinux26(), 8, true)
@@ -254,7 +302,7 @@ func TestNewWorldAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		worldSink = NewWorld(k, w.Net, w.TCP, w.Prof, hosts)
 	})
-	if allocs != 71 {
-		t.Fatalf("NewWorld of 16 ranks allocates %v objects, want exactly 71", allocs)
+	if allocs != 69 {
+		t.Fatalf("NewWorld of 16 ranks allocates %v objects, want exactly 69", allocs)
 	}
 }

@@ -19,23 +19,17 @@ import (
 // is the one a process per send executed (locked by TestSendEventOrder
 // and the root event-order goldens).
 
-// sendJob is one nonblocking send in flight: its parameters and the
+// sendJob is one nonblocking send in flight: its message and the
 // protocol's state between steps.
 type sendJob struct {
-	r    *Rank
-	dst  int
-	tag  int
-	ctx  int
-	size int64
-	data any
-	req  *Request
-	wan  bool
-	big  bool
-	flow *tcpsim.Flow
-	lock *sim.Mutex // the serial-rendezvous lock, nil without one
-	hs   *handshake // the rendezvous, if the message takes one
-	d    *delivery  // the payload's delivery
-	wr   tcpsim.Write
+	r      *Rank
+	m      *message
+	req    *Request
+	wan    bool
+	flow   *tcpsim.Flow
+	lock   *sim.Mutex // the serial-rendezvous lock, nil without one
+	landed func(any)  // the payload's landing
+	wr     tcpsim.Write
 }
 
 // isend starts the event chain of one message and returns its
@@ -44,7 +38,7 @@ type sendJob struct {
 func (r *Rank) isend(dst, tag int, size int64, ctx int, data any) *Request {
 	req := r.w.getReq()
 	j := r.w.jobs.get()
-	j.r, j.dst, j.tag, j.ctx, j.size, j.data, j.req = r, dst, tag, ctx, size, data, req
+	j.r, j.m, j.req = r, r.newMessage(dst, tag, size, ctx, data), req
 	r.w.K.ScheduleArg(r.w.K.Now(), isendStart, j)
 	return req
 }
@@ -59,7 +53,7 @@ func (j *sendJob) after(d sim.Time, step func(any)) {
 // isendStart books the message and pays the software overhead.
 func isendStart(a any) {
 	j := a.(*sendJob)
-	j.wan = j.r.sendBegin(j.dst, j.size, j.ctx)
+	j.wan = j.r.sendBegin(j.m)
 	j.after(j.r.w.Prof.Overhead(j.wan), isendOverhead)
 }
 
@@ -67,10 +61,8 @@ func isendStart(a any) {
 func isendOverhead(a any) {
 	j := a.(*sendJob)
 	r := j.r
-	j.flow = r.flowTo(j.dst)
-	var stall bool
-	j.big, stall = r.slowPath(j.dst, j.size, j.wan)
-	if stall {
+	j.flow = r.flowTo(j.m.to.id)
+	if r.slowPath(j.m, j.wan) {
 		j.after(r.w.Prof.SlowPathStall, isendProtocol)
 		return
 	}
@@ -80,16 +72,16 @@ func isendOverhead(a any) {
 // isendProtocol sends an eager payload or opens the rendezvous.
 func isendProtocol(a any) {
 	j := a.(*sendJob)
-	r := j.r
-	if j.big {
-		r.bigOut[j.dst]++ // released when the payload's delivery lands
+	r, m := j.r, j.m
+	if m.big {
+		r.bigOut[m.to.id]++ // released when the payload lands
 	}
-	if !r.w.Prof.UsesRendezvous(int(j.size)) {
-		j.d = r.eagerDelivery(j.dst, j.tag, j.size, j.ctx, j.data, j.big)
+	if m.eager {
+		j.landed = eagerLanded
 		isendPayload(j)
 		return
 	}
-	j.lock = r.rndvLock(j.dst)
+	j.lock, j.landed = r.rndvLock(m.to.id), payloadLanded
 	isendLock(j)
 }
 
@@ -100,31 +92,24 @@ func isendLock(a any) {
 	if j.lock != nil && !j.lock.LockArg(isendLock, j) {
 		return
 	}
-	var rts *delivery
-	j.hs, rts = j.r.startRndv(j.dst, j.tag, j.size, j.ctx, j.data)
-	if j.write(ControlBytes, rts, isendRTSWritten) {
+	j.r.startRndv(j.m)
+	if j.write(ControlBytes, rtsLanded, isendRTSWritten) {
 		isendRTSWritten(j)
 	}
 }
 
-// isendRTSWritten waits for the CTS.
+// isendRTSWritten waits for the CTS, then sends the payload.
 func isendRTSWritten(a any) {
 	j := a.(*sendJob)
-	if j.hs.cts.WaitArg(isendCleared, j) {
-		isendCleared(j)
+	if j.m.cts.WaitArg(isendPayload, j) {
+		isendPayload(j)
 	}
 }
 
-// isendCleared sends the payload of a cleared handshake.
-func isendCleared(a any) {
-	j := a.(*sendJob)
-	j.d = j.r.rndvData(j.dst, j.hs, j.big)
-	isendPayload(j)
-}
-
 // isendPayload pays the fragment pipeline's delay when it applies.
-func isendPayload(j *sendJob) {
-	if delay, ok := j.r.fragmentDelay(EnvelopeBytes + j.size); ok {
+func isendPayload(a any) {
+	j := a.(*sendJob)
+	if delay, ok := j.r.fragmentDelay(EnvelopeBytes + j.m.size); ok {
 		j.after(delay, isendWrite)
 		return
 	}
@@ -134,22 +119,23 @@ func isendPayload(j *sendJob) {
 // isendWrite writes the payload, striped or on the flow.
 func isendWrite(a any) {
 	j := a.(*sendJob)
-	n := EnvelopeBytes + j.size
+	n := EnvelopeBytes + j.m.size
 	if j.r.striped(j.wan, n) {
-		if j.r.sendStriped(j.dst, n, j.d).WaitArg(isendDone, j) {
+		if j.r.sendStriped(j.m, n, j.landed).WaitArg(isendDone, j) {
 			isendDone(j)
 		}
 		return
 	}
-	if j.write(n, j.d, isendDone) {
+	if j.write(n, j.landed, isendDone) {
 		isendDone(j)
 	}
 }
 
-// write starts a flow write of n bytes whose landing runs d and reports
-// whether it completed at once; otherwise the flow calls next later.
-func (j *sendJob) write(n int64, d *delivery, next func(any)) bool {
-	j.wr = tcpsim.Write{N: n, Fn: runDelivery, Arg: d, Then: next, ThenArg: j}
+// write starts a flow write of n bytes of the job's message, whose
+// landing runs landed, and reports whether it completed at once;
+// otherwise the flow calls next later.
+func (j *sendJob) write(n int64, landed func(any), next func(any)) bool {
+	j.wr = tcpsim.Write{N: n, Fn: landed, Arg: j.m, Then: next, ThenArg: j}
 	return j.flow.Write(&j.wr)
 }
 

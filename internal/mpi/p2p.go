@@ -41,22 +41,6 @@ type Request struct {
 	Status Status
 }
 
-// inMsg is an arrived-but-unmatched message: either a full eager payload
-// or a rendezvous RTS.
-type inMsg struct {
-	ctx   int
-	src   int
-	tag   int
-	size  int64
-	eager bool
-	hs    *handshake // the rendezvous the RTS opens (RTS only)
-	data  any
-}
-
-func (m *inMsg) status() Status {
-	return Status{Source: m.src, Tag: m.tag, Size: m.size, Data: m.data}
-}
-
 // Send transmits size payload bytes to rank dst with the given tag,
 // blocking per MPI semantics: eager sends return once the data is buffered
 // by TCP; rendezvous sends return once the receiver has accepted the
@@ -89,18 +73,18 @@ func (r *Rank) IsendPayload(dst, tag, size int, data any) *Request {
 // helpers.
 func (r *Rank) sendProto(dst, tag int, size int64, ctx int, data any) {
 	p := r.proc
-	wan := r.sendBegin(dst, size, ctx)
+	m := r.newMessage(dst, tag, size, ctx, data)
+	wan := r.sendBegin(m)
 	p.Sleep(r.w.Prof.Overhead(wan))
 	flow := r.flowTo(dst)
-	big, stall := r.slowPath(dst, size, wan)
-	if stall {
+	if r.slowPath(m, wan) {
 		p.Sleep(r.w.Prof.SlowPathStall)
 	}
-	if big {
-		r.bigOut[dst]++ // released when the payload's delivery lands
+	if m.big {
+		r.bigOut[dst]++ // released when the payload lands
 	}
-	if !r.w.Prof.UsesRendezvous(int(size)) {
-		r.sendPayload(flow, dst, wan, size, r.eagerDelivery(dst, tag, size, ctx, data, big))
+	if m.eager {
+		r.sendPayload(flow, wan, m, eagerLanded)
 		return
 	}
 
@@ -109,36 +93,36 @@ func (r *Rank) sendProto(dst, tag int, size int64, ctx int, data any) {
 	if lock != nil {
 		lock.Lock(p)
 	}
-	hs, rts := r.startRndv(dst, tag, size, ctx, data)
-	r.write(flow, ControlBytes, rts)
-	hs.cts.Wait(p)
-	r.sendPayload(flow, dst, wan, size, r.rndvData(dst, hs, big))
+	r.startRndv(m)
+	r.write(flow, ControlBytes, m, rtsLanded)
+	m.cts.Wait(p)
+	r.sendPayload(flow, wan, m, payloadLanded)
 	if lock != nil {
 		lock.Unlock()
 	}
 }
 
-// sendPayload writes the payload of size bytes and its envelope to the
-// flow, blocking the rank until they are buffered; d runs when the last
-// byte lands.
-func (r *Rank) sendPayload(flow *tcpsim.Flow, dst int, wan bool, size int64, d *delivery) {
-	n := EnvelopeBytes + size
+// sendPayload writes m's payload and its envelope to the flow, blocking
+// the rank until they are buffered; landed(m) runs when the last byte
+// lands.
+func (r *Rank) sendPayload(flow *tcpsim.Flow, wan bool, m *message, landed func(any)) {
+	n := EnvelopeBytes + m.size
 	if delay, ok := r.fragmentDelay(n); ok {
 		r.proc.Sleep(delay)
 	}
 	if r.striped(wan, n) {
-		r.sendStriped(dst, n, d).Wait(r.proc)
+		r.sendStriped(m, n, landed).Wait(r.proc)
 		return
 	}
-	r.write(flow, n, d)
+	r.write(flow, n, m, landed)
 }
 
-// write writes n bytes to flow on the rank's write record, parking the
-// rank until the send buffer has taken them all; d runs when the last
-// byte lands. A rank blocks in at most one write at a time, so one
-// record serves all of them.
-func (r *Rank) write(flow *tcpsim.Flow, n int64, d *delivery) {
-	r.wr = tcpsim.Write{N: n, Fn: runDelivery, Arg: d, Then: resumeRank, ThenArg: r}
+// write writes n bytes of m to flow on the rank's write record, parking
+// the rank until the send buffer has taken them all; landed(m) runs when
+// the last byte lands. A rank blocks in at most one write at a time, so
+// one record serves all of them.
+func (r *Rank) write(flow *tcpsim.Flow, n int64, m *message, landed func(any)) {
+	r.wr = tcpsim.Write{N: n, Fn: landed, Arg: m, Then: resumeRank, ThenArg: r}
 	if !flow.Write(&r.wr) {
 		r.proc.Park() // until resumeRank
 	}
@@ -154,71 +138,40 @@ func resumeRank(a any) {
 
 // --- the protocol's rules, shared by sendProto and Isend's event chain ---
 
-// sendBegin books one message in the census and reports whether it
-// crosses sites.
-func (r *Rank) sendBegin(dst int, size int64, ctx int) (wan bool) {
-	wan = !netsim.SameSite(r.host, r.w.ranks[dst].host)
-	if ctx == ctxColl {
-		r.w.stats.recordCollMsg(r.id, dst, size, wan)
+// sendBegin books m in the census and reports whether it crosses sites.
+func (r *Rank) sendBegin(m *message) (wan bool) {
+	wan = !netsim.SameSite(r.host, m.to.host)
+	if m.ctx == ctxColl {
+		r.w.stats.recordCollMsg(r.id, m.to.id, m.size, wan)
 	} else {
-		r.w.stats.recordP2P(size, wan)
+		r.w.stats.recordP2P(m.size, wan)
 	}
 	return wan
 }
 
 // slowPath is MPICH-Madeleine's fast-buffer collision: its pinned
 // channel buffer is shared between the two directions of a pair, and a
-// message larger than SlowPathThreshold monopolizes it (big: the message
-// holds the slot until it lands). When both directions move such
-// messages at once over a long-RTT link (BT/SP's simultaneous face
-// exchanges), the loser falls back to a polled slow path and stalls
-// SlowPathStall first. One-directional traffic (pingpong) and messages
-// that fit (CG's 147 kB) are unaffected.
-func (r *Rank) slowPath(dst int, size int64, wan bool) (big, stall bool) {
+// message larger than SlowPathThreshold monopolizes it (m.big: the
+// message holds the slot until its payload lands). When both directions
+// move such messages at once over a long-RTT link (BT/SP's simultaneous
+// face exchanges), the loser falls back to a polled slow path and
+// stalls SlowPathStall first (stall). One-directional traffic
+// (pingpong) and messages that fit (CG's 147 kB) are unaffected.
+func (r *Rank) slowPath(m *message, wan bool) (stall bool) {
 	prof := r.w.Prof
-	big = wan && prof.SlowPathThreshold > 0 && size > int64(prof.SlowPathThreshold)
-	return big, big && r.w.ranks[dst].bigOut[r.id] > 0
+	m.big = wan && prof.SlowPathThreshold > 0 && m.size > int64(prof.SlowPathThreshold)
+	return m.big && m.to.bigOut[r.id] > 0
 }
 
-// eagerDelivery builds the delivery of an eager message: the payload
-// carries its envelope.
-func (r *Rank) eagerDelivery(dst, tag int, size int64, ctx int, data any, big bool) *delivery {
-	m := r.w.msgs.get()
-	m.ctx, m.src, m.tag, m.size, m.eager, m.data = ctx, r.id, tag, size, true, data
-	d := r.w.delivs.get()
-	d.src, d.dst, d.m, d.big, d.kind = r, r.w.ranks[dst], m, big, delivEager
-	return d
-}
-
-// handshake is one rendezvous in flight, a pooled record passed by
-// pointer: the RTS carries it to the receiver, the CTS back to the
-// sender and the payload to the receiver again. cts fires when the CTS
-// lands, and req is the receive that matched the RTS, which the
-// payload's landing completes before the record is recycled.
-type handshake struct {
-	cts *sim.Signal
-	req *Request
-}
-
-// startRndv opens a rendezvous handshake and returns it with the RTS
-// delivery to write; the sender waits on its cts.
-func (r *Rank) startRndv(dst, tag int, size int64, ctx int, data any) (hs *handshake, rts *delivery) {
+// startRndv opens m's rendezvous: the sender writes the RTS next and
+// waits on m.cts.
+func (r *Rank) startRndv(m *message) {
 	r.w.stats.Rendezvous++
-	hs = r.w.shakes.get()
-	hs.cts.Reset()
-	m := r.w.msgs.get()
-	m.ctx, m.src, m.tag, m.size, m.hs, m.data = ctx, r.id, tag, size, hs, data
-	rts = r.w.delivs.get()
-	rts.src, rts.dst, rts.m, rts.kind = r, r.w.ranks[dst], m, delivRTS
-	return hs, rts
-}
-
-// rndvData returns the payload's delivery for a handshake whose CTS has
-// fired.
-func (r *Rank) rndvData(dst int, hs *handshake, big bool) *delivery {
-	d := r.w.delivs.get()
-	d.src, d.dst, d.hs, d.big, d.kind = r, r.w.ranks[dst], hs, big, delivRndvData
-	return d
+	if m.cts == nil {
+		m.cts = r.w.K.NewSignal()
+	} else {
+		m.cts.Reset()
+	}
 }
 
 // fragmentDelay is the sender CPU time of a fragment pipeline (OpenMPI's
@@ -241,10 +194,11 @@ func (r *Rank) striped(wan bool, n int64) bool {
 
 // stripedSend is one payload split across parallel TCP streams, a pooled
 // countdown record: each lane is a callback write, buffered fires once
-// every lane's bytes are buffered, and d runs when the slowest lane has
-// fully arrived.
+// every lane's bytes are buffered, and landed(m) runs when the slowest
+// lane has fully arrived.
 type stripedSend struct {
-	d        *delivery
+	m        *message
+	landed   func(any)
 	buffered *sim.Signal
 	writing  int // lanes not yet buffered
 	landing  int // lanes not yet arrived
@@ -257,22 +211,22 @@ type stripeLane struct {
 	wr   tcpsim.Write
 }
 
-// sendStriped splits the payload across the profile's parallel streams
-// to dst, each lane's write starting in an event of its own, in lane
-// order. It returns the signal that fires once every stripe is
+// sendStriped splits m's payload of n wire bytes across the profile's
+// parallel streams, each lane's write starting in an event of its own,
+// in lane order. It returns the signal that fires once every stripe is
 // buffered: the sender keeps eager semantics by waiting on it.
-func (r *Rank) sendStriped(dst int, n int64, d *delivery) *sim.Signal {
+func (r *Rank) sendStriped(m *message, n int64, landed func(any)) *sim.Signal {
 	streams := r.w.Prof.ParallelStreams
 	s := r.w.stripes.get()
 	if s.buffered == nil {
 		s.buffered, s.lanes = r.w.K.NewSignal(), make([]stripeLane, streams)
 	}
 	s.buffered.Reset()
-	s.d, s.writing, s.landing = d, streams, streams
+	s.m, s.landed, s.writing, s.landing = m, landed, streams, streams
 	stripe := n / int64(streams)
 	for lane := range s.lanes {
 		l := &s.lanes[lane]
-		l.flow = r.laneFlow(dst, lane)
+		l.flow = r.laneFlow(m.to.id, lane)
 		l.wr = tcpsim.Write{N: stripe, Fn: laneLanded, Arg: s, Then: laneBuffered, ThenArg: s}
 		if lane == streams-1 {
 			l.wr.N = n - stripe*int64(streams-1)
@@ -301,16 +255,16 @@ func laneBuffered(a any) {
 }
 
 // laneLanded counts one lane whose bytes arrived; the last runs the
-// payload's delivery and recycles the record. Every lane is buffered by
+// payload's landing and recycles the record. Every lane is buffered by
 // then, and the sender's wakeup ran: it was scheduled when the last lane
 // was buffered, before that lane's bytes could land.
 func laneLanded(a any) {
 	s := a.(*stripedSend)
 	s.landing--
 	if s.landing == 0 {
-		w := s.d.src.w
-		runDelivery(s.d)
-		s.d = nil
+		w := s.m.from.w
+		s.landed(s.m)
+		s.m, s.landed = nil, nil
 		w.stripes.put(s)
 	}
 }
@@ -352,8 +306,7 @@ func (r *Rank) irecv(src, tag, ctx int) *Request {
 			req.Status = m.status()
 			copyCost := time.Duration(float64(m.size) / copyRate * float64(time.Second))
 			req.done.FireAfter(copyCost)
-			*m = inMsg{}
-			r.w.msgs.put(m)
+			m.recycle()
 		} else {
 			r.acceptRndv(req, m)
 		}
@@ -383,13 +336,45 @@ func (r *Rank) WaitAll(reqs ...*Request) {
 
 // --- receiver-side engine (runs in kernel event context) ---
 
+// The landing callbacks: each wire step of a message runs one when its
+// last byte reaches the other end, with the message as its argument.
+
+// eagerLanded: an eager payload arrived; it frees the fast-buffer slot.
+func eagerLanded(a any) {
+	m := a.(*message)
+	if m.big {
+		m.from.bigOut[m.to.id]--
+	}
+	m.to.deliverEager(m)
+}
+
+// rtsLanded: a rendezvous request-to-send arrived.
+func rtsLanded(a any) {
+	m := a.(*message)
+	m.to.deliverRTS(m)
+}
+
+// ctsLanded: the clear-to-send arrived back at the sender.
+func ctsLanded(a any) { a.(*message).cts.Fire() }
+
+// payloadLanded: a rendezvous payload arrived, the message's last step;
+// it frees the fast-buffer slot, completes the matched receive and
+// recycles the message.
+func payloadLanded(a any) {
+	m := a.(*message)
+	if m.big {
+		m.from.bigOut[m.to.id]--
+	}
+	m.req.done.Fire()
+	m.recycle()
+}
+
 // deliverEager handles a fully-arrived eager message.
-func (r *Rank) deliverEager(m *inMsg) {
+func (r *Rank) deliverEager(m *message) {
 	if req := r.matchPosted(m); req != nil {
 		req.Status = m.status()
 		req.done.Fire()
-		*m = inMsg{}
-		r.w.msgs.put(m)
+		m.recycle()
 		return
 	}
 	r.w.stats.Unexpected++
@@ -397,7 +382,7 @@ func (r *Rank) deliverEager(m *inMsg) {
 }
 
 // deliverRTS handles a rendezvous request-to-send.
-func (r *Rank) deliverRTS(m *inMsg) {
+func (r *Rank) deliverRTS(m *message) {
 	if req := r.matchPosted(m); req != nil {
 		r.acceptRndv(req, m)
 		return
@@ -406,24 +391,20 @@ func (r *Rank) deliverRTS(m *inMsg) {
 }
 
 // acceptRndv matches a posted or posting receive with an RTS: it stores
-// the receive in the handshake, for the payload's landing to complete,
-// returns a CTS to the sender and recycles the envelope.
-func (r *Rank) acceptRndv(req *Request, m *inMsg) {
+// the receive in the message, for the payload's landing to complete,
+// and returns a CTS to the sender.
+func (r *Rank) acceptRndv(req *Request, m *message) {
 	req.Status = m.status()
-	m.hs.req = req
-	d := r.w.delivs.get()
-	d.src, d.dst, d.hs, d.kind = r, r.w.ranks[m.src], m.hs, delivCTS
-	r.flowTo(m.src).SendAsyncArg(ControlBytes, runDelivery, d)
-	*m = inMsg{}
-	r.w.msgs.put(m)
+	m.req = req
+	r.flowTo(m.from.id).SendAsyncArg(ControlBytes, ctsLanded, m)
 }
 
 // matchPosted removes and returns the oldest posted receive matching the
 // message, or nil.
-func (r *Rank) matchPosted(m *inMsg) *Request {
+func (r *Rank) matchPosted(m *message) *Request {
 	for i, req := range r.posted {
 		if req.ctx == m.ctx &&
-			(req.src == AnySource || req.src == m.src) &&
+			(req.src == AnySource || req.src == m.from.id) &&
 			(req.tag == AnyTag || req.tag == m.tag) {
 			r.posted = popAt(r.posted, i)
 			return req
@@ -434,10 +415,10 @@ func (r *Rank) matchPosted(m *inMsg) *Request {
 
 // takeUnexpected removes and returns the oldest unexpected message
 // matching (src, tag), or nil.
-func (r *Rank) takeUnexpected(src, tag, ctx int) *inMsg {
+func (r *Rank) takeUnexpected(src, tag, ctx int) *message {
 	for i, m := range r.unexpected {
 		if m.ctx == ctx &&
-			(src == AnySource || src == m.src) &&
+			(src == AnySource || src == m.from.id) &&
 			(tag == AnyTag || tag == m.tag) {
 			r.unexpected = popAt(r.unexpected, i)
 			return m

@@ -34,10 +34,8 @@ type World struct {
 	// Protocol arenas (see arena.go): free lists for the per-message
 	// objects, shared by all ranks of the job.
 	reqs    freeList[Request]
-	msgs    freeList[inMsg]
+	msgs    freeList[message]
 	jobs    freeList[sendJob]
-	delivs  freeList[delivery]
-	shakes  freeList[handshake]
 	stripes freeList[stripedSend]
 }
 
@@ -48,8 +46,6 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, tcp tcpsim.Config, prof Profil
 		panic("mpi: world needs at least one host")
 	}
 	w := &World{K: k, Net: net, TCP: tcp, Prof: prof, stats: newStats()}
-	w.reqs.fresh = func() *Request { return &Request{done: k.NewSignal()} }
-	w.shakes.fresh = func() *handshake { return &handshake{cts: k.NewSignal()} }
 	w.ranks = make([]*Rank, len(hosts))
 	for i, h := range hosts {
 		w.ranks[i] = &Rank{
@@ -151,7 +147,7 @@ type Rank struct {
 	flows      map[int]*tcpsim.Flow
 	rndvLocks  map[int]*sim.Mutex
 	posted     []*Request
-	unexpected []*inMsg
+	unexpected []*message
 	// bigOut counts in-flight oversized messages per destination, for the
 	// fast-buffer collision model (see slowPath).
 	bigOut  map[int]int

@@ -337,15 +337,10 @@ func (f *Flow) notifyAt(off int64, fn func(any), arg any) {
 		f.k.ScheduleArg(f.k.Now(), fn, arg)
 		return
 	}
-	// Insert keeping ascending offset order; appends dominate because
-	// stream offsets grow monotonically.
-	i := len(f.notifies)
-	for i > 0 && f.notifies[i-1].off > off {
-		i--
-	}
-	f.notifies = append(f.notifies, notifyEntry{})
-	copy(f.notifies[i+1:], f.notifies[i:])
-	f.notifies[i] = notifyEntry{off: off, fn: fn, arg: arg}
+	// Appending keeps the list in ascending offset order: every caller
+	// (a 0-byte Write, finish, SendAsyncArg) passes f.queued, which
+	// never decreases.
+	f.notifies = append(f.notifies, notifyEntry{off: off, fn: fn, arg: arg})
 }
 
 // pumpFlow is the pump as a flow event.
