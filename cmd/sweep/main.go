@@ -324,12 +324,12 @@ func work(out, errOut io.Writer, client *exp.QueueClient, runner *exp.Runner, ur
 		}
 	}()
 	fmt.Fprintf(errOut, "worker %s: polling %s\n", id, url)
+	client.Log = errOut
 	rep := client.Work(exp.WorkerConfig{
 		ID:       id,
 		Runner:   runner,
 		IdleExit: idleExit,
 		Stop:     stopCh,
-		Log:      errOut,
 	})
 	fmt.Fprintln(out, rep)
 	if rep.Errors > 0 || rep.Rejected > 0 {

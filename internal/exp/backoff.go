@@ -35,13 +35,10 @@ func IsTransient(err error) bool {
 
 // Backoff retries transient failures with capped exponential delays and
 // equal jitter (half the delay fixed, half random — spreading a fleet's
-// reconnection stampede after a sweepd restart). The zero value retries
-// nothing: Window is the opt-in.
+// reconnection stampede after a sweepd restart). The delays double from
+// backoffBase up to backoffCap. The zero value retries nothing: Window
+// is the opt-in.
 type Backoff struct {
-	// Base is the first retry delay (default 100ms).
-	Base time.Duration
-	// Cap bounds any single delay (default 5s).
-	Cap time.Duration
 	// Window is the total delay budget across all retries of one
 	// operation; once the budget would be exceeded the last transient
 	// error is returned. Zero disables retrying entirely.
@@ -59,6 +56,12 @@ type Backoff struct {
 // fails the caller in well under a minute.
 const DefaultRetryWindow = 30 * time.Second
 
+// backoffBase is a Backoff's first delay, and backoffCap bounds any one.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffCap  = 5 * time.Second
+)
+
 // Do runs op, retrying while it returns a Transient-marked error and
 // the delay budget lasts. The first non-transient result (success or
 // permanent failure) is returned as-is; an exhausted budget returns
@@ -68,13 +71,7 @@ func (b Backoff) Do(op func() error) error {
 	if err == nil || !IsTransient(err) || b.Window <= 0 {
 		return err
 	}
-	base, cap, sleep, rnd := b.Base, b.Cap, b.Sleep, b.Rand
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
+	sleep, rnd := b.Sleep, b.Rand
 	if sleep == nil {
 		sleep = time.Sleep
 	}
@@ -84,7 +81,7 @@ func (b Backoff) Do(op func() error) error {
 	// The budget is accounted in intended delay, not wall clock, so a
 	// stubbed Sleep cannot turn an always-failing op into a spin loop.
 	var spent time.Duration
-	for delay := base; ; delay = min(2*delay, cap) {
+	for delay := backoffBase; ; delay = min(2*delay, backoffCap) {
 		d := delay/2 + time.Duration(rnd()*float64(delay/2))
 		if spent+d > b.Window {
 			return err

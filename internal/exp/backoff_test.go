@@ -35,8 +35,6 @@ func TestTransientMarking(t *testing.T) {
 // and whose jitter is deterministic (always the full half-delay).
 func stubBackoff(window time.Duration, slept *[]time.Duration) Backoff {
 	return Backoff{
-		Base:   100 * time.Millisecond,
-		Cap:    time.Second,
 		Window: window,
 		Sleep:  func(d time.Duration) { *slept = append(*slept, d) },
 		Rand:   func() float64 { return 1.0 },
@@ -71,19 +69,19 @@ func TestBackoffRetriesUntilSuccess(t *testing.T) {
 	}
 }
 
-// TestBackoffCapsDelay: the per-retry delay never exceeds Cap however
-// long the outage lasts.
+// TestBackoffCapsDelay: the per-retry delay stops doubling at
+// backoffCap however long the outage lasts.
 func TestBackoffCapsDelay(t *testing.T) {
 	var slept []time.Duration
-	stubBackoff(10*time.Second, &slept).Do(func() error {
+	stubBackoff(time.Minute, &slept).Do(func() error {
 		return Transient(errors.New("down"))
 	})
-	if len(slept) == 0 {
-		t.Fatal("no retries")
+	if len(slept) == 0 || slept[len(slept)-1] != backoffCap {
+		t.Fatalf("delays %v, want them to reach the %v cap", slept, backoffCap)
 	}
 	for _, d := range slept {
-		if d > time.Second {
-			t.Errorf("delay %v exceeds the 1s cap", d)
+		if d > backoffCap {
+			t.Errorf("delay %v exceeds the %v cap", d, backoffCap)
 		}
 	}
 }

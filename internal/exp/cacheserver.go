@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"strconv"
 	"sync/atomic"
 )
@@ -98,7 +99,7 @@ func (s *CacheServer) register(mux *http.ServeMux) {
 		writeJSON(w, fps)
 	})
 	mux.HandleFunc("GET "+resultsPath+"/{fp}", func(w http.ResponseWriter, r *http.Request) {
-		fp, ok := entryKey(w, r)
+		fp, ok := pathKey(w, r, "fp", fingerprintPat)
 		if !ok {
 			return
 		}
@@ -121,7 +122,7 @@ func (s *CacheServer) register(mux *http.ServeMux) {
 		w.Write(blob)
 	})
 	mux.HandleFunc("PUT "+resultsPath+"/{fp}", func(w http.ResponseWriter, r *http.Request) {
-		fp, ok := entryKey(w, r)
+		fp, ok := pathKey(w, r, "fp", fingerprintPat)
 		if !ok {
 			return
 		}
@@ -154,15 +155,16 @@ func (s *CacheServer) register(mux *http.ServeMux) {
 	})
 }
 
-// entryKey extracts and validates the {fp} path element. Anything that
-// is not exactly a fingerprint (16 lowercase hex digits) is 404 — it
-// cannot name an entry, and rejecting it up front keeps path data out
-// of filesystem operations entirely.
-func entryKey(w http.ResponseWriter, r *http.Request) (string, bool) {
-	fp := r.PathValue("fp")
-	if !fingerprintPat.MatchString(fp) {
+// pathKey extracts the path element name and checks it against pat.
+// Anything else — not exactly a fingerprint, not a job ID JobQueue
+// issues — cannot name an entry or a job and is 404: rejecting it up
+// front keeps path data out of filesystem operations and the queue's
+// state machine entirely.
+func pathKey(w http.ResponseWriter, r *http.Request, name string, pat *regexp.Regexp) (string, bool) {
+	v := r.PathValue(name)
+	if !pat.MatchString(v) {
 		http.NotFound(w, r)
 		return "", false
 	}
-	return fp, true
+	return v, true
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"time"
@@ -101,8 +102,9 @@ const (
 	KindFabric   = "fabric"   // §5 heterogeneity: pingpong on a custom local fabric
 )
 
-// Workload is a tagged union selected by Kind; unrelated fields are left
-// zero and omitted from the fingerprint.
+// Workload is a tagged union selected by Kind: each kind reads the
+// fields kindFields names, and check refuses any other that is not zero,
+// so a run has one fingerprint.
 type Workload struct {
 	Kind string `json:"kind"`
 	// Sizes is the pingpong message-size grid.
@@ -138,6 +140,30 @@ type Workload struct {
 	// Gateway is the per-message MPICH-Madeleine-style gateway overhead
 	// charged at the sender of a fabric workload.
 	Gateway time.Duration `json:"gateway,omitempty"`
+}
+
+// kindFields names, by their JSON names, the Workload fields each kind
+// reads.
+var kindFields = map[string][]string{
+	KindPingPong: {"sizes", "reps"},
+	KindTrace:    {"size", "reps"},
+	KindPattern:  {"pattern", "size", "iters", "timeout"},
+	KindNPB:      {"bench", "scale", "timeout"},
+	KindRay2Mesh: {"master", "scale", "timeout"},
+	KindFabric:   {"sizes", "reps", "fabric_one_way", "fabric_rate", "fabric_stack", "gateway"},
+}
+
+// foreignField returns the JSON name of a field w sets that its kind
+// does not read, or "" when there is none.
+func (w Workload) foreignField() string {
+	v := reflect.ValueOf(w)
+	for i := range v.NumField() {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		if name != "kind" && !v.Field(i).IsZero() && !slices.Contains(kindFields[w.Kind], name) {
+			return name
+		}
+	}
+	return ""
 }
 
 // PingPongWorkload is the §3.1 measurement: reps round trips per size,
@@ -270,17 +296,20 @@ type Experiment struct {
 	Faults *FaultPlan `json:"faults,omitempty"`
 }
 
-// normalized resolves the workload's zero-value aliases (Scale 0 means
-// 1.0, Timeout 0 means one hour) so semantically identical experiments
-// share one fingerprint.
+// normalized resolves the workload's aliases (Scale 0 means 1.0,
+// Timeout 0 means one hour, and every negative Timeout means no limit)
+// so semantically identical experiments share one fingerprint.
 func (e Experiment) normalized() Experiment {
 	switch e.Workload.Kind {
 	case KindNPB, KindRay2Mesh:
 		e.Workload.Scale = e.Workload.scale()
 	}
+	// No limit is spelled −1 ns, or 0 for ray2mesh, whose default it is.
 	switch e.Workload.Kind {
 	case KindNPB, KindPattern:
-		e.Workload.Timeout = e.Workload.Budget()
+		e.Workload.Timeout = max(e.Workload.Budget(), -1)
+	case KindRay2Mesh:
+		e.Workload.Timeout = max(e.Workload.Timeout, 0)
 	}
 	// A zero fault plan is the healthy grid: drop it so {} and nil share
 	// one fingerprint — the pre-fault one.
@@ -606,6 +635,11 @@ func (e Experiment) check() error {
 		}
 	default:
 		return fmt.Errorf("exp: unknown workload kind %q", wl.Kind)
+	}
+	// A field the kind does not read would run the same cell under a
+	// fingerprint of its own.
+	if f := wl.foreignField(); f != "" {
+		return fmt.Errorf("exp: %s workloads do not read %s; leave it zero", wl.Kind, f)
 	}
 	// A pingpong without sizes measures nothing; one without round
 	// trips has no RTT, so its bandwidth would be infinite and its

@@ -65,14 +65,38 @@ func TestFingerprint(t *testing.T) {
 		}
 		seen[v.Fingerprint()] = v.Name()
 	}
-	// Zero-value aliases normalize to one key: NPB at Scale 0 ≡ 1.0 and
-	// Timeout 0 ≡ one hour.
-	full := Experiment{Impl: mpiimpl.MPICH2, Topology: Grid(2), Workload: NPBWorkload("EP", 1)}
-	zero := Experiment{Impl: mpiimpl.MPICH2, Topology: Grid(2), Workload: NPBWorkload("EP", 0)}
-	hour := full
-	hour.Workload.Timeout = time.Hour
-	if full.Fingerprint() != zero.Fingerprint() || full.Fingerprint() != hour.Fingerprint() {
-		t.Error("zero-value workload aliases fingerprint differently")
+	// Aliases normalize to one key, the first of each group's: NPB at
+	// Scale 0 ≡ 1.0 and Timeout 0 ≡ one hour, and every negative
+	// Timeout, which means no limit, ≡ −1 ns, or ≡ 0 for ray2mesh, whose
+	// default is no limit. Where a prefix is given, the first spelling
+	// keeps the fingerprint it has always had.
+	budget := func(w Workload, d time.Duration) Experiment {
+		w.Timeout = d
+		e := Experiment{Impl: mpiimpl.MPICH2, Tuning: Tuning{TCP: true}, Topology: Grid(2), Workload: w}
+		if w.Kind == KindRay2Mesh {
+			e.Topology = Topology{}
+		}
+		return e
+	}
+	for _, group := range []struct {
+		prefix string
+		alias  []Experiment
+	}{
+		{"", []Experiment{budget(NPBWorkload("EP", 1), 0), budget(NPBWorkload("EP", 0), 0), budget(NPBWorkload("EP", 1), time.Hour)}},
+		{"074074c1", []Experiment{budget(NPBWorkload("EP", 0.02), -1), budget(NPBWorkload("EP", 0.02), -5*time.Second), budget(NPBWorkload("EP", 0.02), -time.Hour)}},
+		{"", []Experiment{budget(PatternWorkload("bcast", 1<<10, 1), -1), budget(PatternWorkload("bcast", 1<<10, 1), -time.Second)}},
+		{"c64423d2", []Experiment{budget(Ray2MeshWorkload(grid5000.Rennes, 0.01), 0), budget(Ray2MeshWorkload(grid5000.Rennes, 0.01), -1), budget(Ray2MeshWorkload(grid5000.Rennes, 0.01), -time.Second)}},
+	} {
+		want := group.alias[0].Fingerprint()
+		if !strings.HasPrefix(want, group.prefix) {
+			t.Errorf("%s: fingerprint %s, want the historic %s…", group.alias[0].Name(), want, group.prefix)
+		}
+		for _, e := range group.alias[1:] {
+			if got := e.Fingerprint(); got != want {
+				t.Errorf("%s with timeout %v: fingerprint %s, want %s as with timeout %v",
+					e.Name(), e.Workload.Timeout, got, want, group.alias[0].Workload.Timeout)
+			}
+		}
 	}
 }
 
@@ -265,6 +289,20 @@ func TestBadExperimentsReportErr(t *testing.T) {
 		// fingerprint of its own.
 		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload(tinySizes, 1), EagerThreshold: -1},
 		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: PingPongWorkload(tinySizes, 1), SocketBuffer: -4096},
+		// A field the kind does not read would run the same cell under
+		// a fingerprint of its own, and a NaN there could not even be
+		// fingerprinted.
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: Workload{Kind: KindPingPong, Sizes: tinySizes, Reps: 1, Scale: 0.5}},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: Workload{Kind: KindPingPong, Sizes: tinySizes, Reps: 1, Iters: 7}},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: Workload{Kind: KindPingPong, Sizes: tinySizes, Reps: 1, Bench: "CG"}},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: Workload{Kind: KindPingPong, Sizes: tinySizes, Reps: 1, Timeout: 5 * time.Second}},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: Workload{Kind: KindPingPong, Sizes: tinySizes, Reps: 1, Master: grid5000.Rennes}},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: Workload{Kind: KindPingPong, Sizes: tinySizes, Reps: 1, Scale: math.NaN()}},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: Workload{Kind: KindTrace, Size: 1 << 10, Reps: 3, Sizes: tinySizes}},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: Workload{Kind: KindPattern, Pattern: "bcast", Size: 1 << 10, Iters: 1, Scale: 0.5}},
+		{Impl: mpiimpl.MPICH2, Topology: Grid(1), Workload: Workload{Kind: KindNPB, Bench: "EP", Scale: 0.02, Size: 1 << 10}},
+		{Impl: mpiimpl.MPICH2, Workload: Workload{Kind: KindRay2Mesh, Master: grid5000.Rennes, Scale: 0.01, Reps: 3}},
+		{Impl: mpiimpl.MPICH2, Workload: Workload{Kind: KindFabric, Sizes: tinySizes, Reps: 1, FabricRate: 250e6, Timeout: time.Second}},
 	}
 	for _, e := range bad {
 		// check must refuse each one: a panic caught by Run's recover

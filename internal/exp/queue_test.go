@@ -367,7 +367,7 @@ func TestQueueFleetEndToEnd(t *testing.T) {
 
 	// The control-plane statusz lists both jobs next to the store stats.
 	var status ServerStatus
-	if err := (&QueueClient{base: client.base, client: client.client}).get("/statusz", &status); err != nil {
+	if err := client.get("/statusz", &status); err != nil {
 		t.Fatal(err)
 	}
 	if status.Entries != len(cells) || len(status.Jobs) != 2 {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -22,17 +21,15 @@ const pollHeader = "X-Sweepd-Poll-MS"
 // reporting cells. Results never travel through this client: workers
 // publish them via a RemoteStore pointed at the same server, and
 // submitters pull them back through the identical verified read path.
+//
+// Its Retry, when set, retries the transient failures of every call —
+// how a fleet rides through a sweepd restart.
 type QueueClient struct {
-	base   string
-	client *http.Client
+	server
 
-	// Retry, when its Window is positive, retries transient failures
-	// (connection refused, timeouts, 5xx) of every call with capped
-	// exponential backoff — how a fleet rides through a sweepd restart.
-	// The zero value fails on the first error, PR 8 behavior.
-	Retry Backoff
-	// Log, when non-nil, receives one line per outage transition
-	// (unreachable / reachable again) from WaitJob.
+	// Log, when non-nil, receives WaitJob's outage lines (see outage),
+	// and Work's lines per lease, per defect and per outage, prefixed
+	// "worker <id>:".
 	Log io.Writer
 
 	pollHintMS atomic.Int64 // server-advertised idle poll, from pollHeader
@@ -41,14 +38,11 @@ type QueueClient struct {
 // NewQueueClient connects to a cmd/sweepd server at baseURL
 // (http[s]://host:port).
 func NewQueueClient(baseURL string) (*QueueClient, error) {
-	u, err := url.Parse(baseURL)
-	if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
-		return nil, fmt.Errorf("exp: bad sweepd URL %q (want http[s]://host:port)", baseURL)
+	srv, err := dial(baseURL)
+	if err != nil {
+		return nil, err
 	}
-	return &QueueClient{
-		base:   strings.TrimSuffix(u.String(), "/"),
-		client: &http.Client{Timeout: 30 * time.Second},
-	}, nil
+	return &QueueClient{server: srv}, nil
 }
 
 func (c *QueueClient) logf(format string, args ...any) {
@@ -57,10 +51,33 @@ func (c *QueueClient) logf(format string, args ...any) {
 	}
 }
 
-// PollHint returns the server-advertised idle-poll interval, zero until
+// pollHint returns the server-advertised idle-poll interval, zero until
 // a lease response has carried one.
-func (c *QueueClient) PollHint() time.Duration {
+func (c *QueueClient) pollHint() time.Duration {
 	return time.Duration(c.pollHintMS.Load()) * time.Millisecond
+}
+
+// outage is the one rule the fleet's client loops follow when sweepd
+// cannot be reached: the first transient failure opens an outage and
+// logs it, and the next answer closes it and logs how long it lasted.
+type outage struct {
+	logf  func(format string, args ...any)
+	since time.Time // when the open outage began; zero while sweepd answers
+}
+
+// observe records one call's outcome, nil for an answer or a transient
+// error, and reports whether the call opened an outage.
+func (o *outage) observe(err error) (opened bool) {
+	switch {
+	case err == nil && !o.since.IsZero():
+		o.logf("sweepd reachable again after %v", time.Since(o.since).Round(time.Millisecond))
+		o.since = time.Time{}
+	case err != nil && o.since.IsZero():
+		o.since = time.Now()
+		o.logf("sweepd unreachable, waiting for it to return: %v", err)
+		return true
+	}
+	return false
 }
 
 // post sends one JSON request and decodes the JSON response into out,
@@ -74,7 +91,7 @@ func (c *QueueClient) post(path string, in, out any) (ok bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("exp: marshal %s request: %w", path, err)
 	}
-	err = exchange(c.client, c.Retry, http.MethodPost, c.base+path, blob, func(resp *http.Response) error {
+	err = c.call(http.MethodPost, path, blob, func(resp *http.Response) error {
 		if h := resp.Header.Get(pollHeader); h != "" {
 			if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
 				c.pollHintMS.Store(ms)
@@ -87,12 +104,6 @@ func (c *QueueClient) post(path string, in, out any) (ok bool, err error) {
 		return decodeBody(resp, out)
 	})
 	return ok, err
-}
-
-func (c *QueueClient) get(path string, out any) error {
-	return exchange(c.client, c.Retry, http.MethodGet, c.base+path, nil, func(resp *http.Response) error {
-		return decodeBody(resp, out)
-	})
 }
 
 // Submit registers a sweep matrix and returns the job's status —
@@ -113,15 +124,6 @@ func (c *QueueClient) Job(id string) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	return st, nil
-}
-
-// Jobs fetches every job in submission order.
-func (c *QueueClient) Jobs() ([]JobStatus, error) {
-	var all []JobStatus
-	if err := c.get(jobsPath, &all); err != nil {
-		return nil, err
-	}
-	return all, nil
 }
 
 // Lease pulls one slice of pending work for the named worker. A nil
@@ -157,33 +159,22 @@ func (c *QueueClient) WaitJob(id string, poll time.Duration, progress func(JobSt
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
-	var down time.Time // start of the current outage; zero when healthy
+	down := outage{logf: c.logf}
 	for {
 		st, err := c.Job(id)
-		if err != nil {
-			if !IsTransient(err) || c.Retry.Window <= 0 {
-				return JobStatus{}, err
-			}
-			now := time.Now()
-			if down.IsZero() {
-				down = now
-				c.logf("sweepd unreachable, waiting for it to return: %v", err)
-			}
-			if outage := now.Sub(down); outage > 4*c.Retry.Window {
-				return JobStatus{}, fmt.Errorf("exp: sweepd unreachable for %v: %w", outage.Round(time.Second), err)
-			}
-			time.Sleep(poll)
-			continue
+		if err != nil && (!IsTransient(err) || c.Retry.Window <= 0) {
+			return JobStatus{}, err
 		}
-		if !down.IsZero() {
-			c.logf("sweepd reachable again after %v", time.Since(down).Round(time.Second))
-			down = time.Time{}
-		}
-		if progress != nil {
-			progress(st)
-		}
-		if st.Finished() {
-			return st, nil
+		down.observe(err)
+		if err == nil {
+			if progress != nil {
+				progress(st)
+			}
+			if st.Finished() {
+				return st, nil
+			}
+		} else if d := time.Since(down.since); d > 4*c.Retry.Window {
+			return JobStatus{}, fmt.Errorf("exp: sweepd unreachable for %v: %w", d.Round(time.Second), err)
 		}
 		time.Sleep(poll)
 	}
@@ -197,7 +188,8 @@ type WorkerConfig struct {
 	// RemoteStore pointed at the same sweepd server, so every computed
 	// result publishes through the verified ingest path before the
 	// worker reports the cell done — that publish is what Report's
-	// server-side verification checks.
+	// server-side verification checks. When the server cannot verify a
+	// cell, Work publishes its result through that store once more.
 	Runner *Runner
 	// IdleExit, when positive, ends the loop after this many
 	// consecutive empty polls (a server that stays unreachable counts
@@ -208,8 +200,6 @@ type WorkerConfig struct {
 	// the channel closes still completes and reports before the loop
 	// returns.
 	Stop <-chan struct{}
-	// Log, when non-nil, receives one line per lease and per defect.
-	Log io.Writer
 }
 
 // WorkerReport summarizes one Work loop.
@@ -224,7 +214,8 @@ type WorkerReport struct {
 	// Dropped counts cells skipped because the queue reassigned them
 	// to another worker mid-lease.
 	Dropped int
-	// Rejected counts done reports the server refused to verify.
+	// Rejected counts done reports the server refused to verify, even
+	// after the worker published the result a second time.
 	Rejected int
 	// Errors counts permanent transport defects (rejected lease or
 	// report calls). Transient unreachability is not an error — it is
@@ -252,14 +243,13 @@ func (r WorkerReport) String() string {
 // reassigns to another worker (work stealing) arrive as drop lists on
 // report acks and are skipped. The loop is crash-safe by construction:
 // no state lives in the worker, so killing it anywhere loses nothing —
-// its lease expires and the cells are re-leased. With cfg.Stop wired
-// and c.Retry opted in, the loop is also restart-safe: a sweepd outage
-// is logged once and polled through rather than failing the worker.
+// its lease expires and the cells are re-leased. With cfg.Stop wired,
+// the loop is also restart-safe: a sweepd outage is logged once and
+// polled through rather than failing the worker, with or without a
+// retry window.
 func (c *QueueClient) Work(cfg WorkerConfig) WorkerReport {
 	logf := func(format string, args ...any) {
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "worker %s: "+format+"\n", append([]any{cfg.ID}, args...)...)
-		}
+		c.logf("worker %s: "+format, append([]any{cfg.ID}, args...)...)
 	}
 	stopped := func() bool {
 		if cfg.Stop == nil {
@@ -275,38 +265,39 @@ func (c *QueueClient) Work(cfg WorkerConfig) WorkerReport {
 	// The idle wait between empty lease responses is the server's
 	// (sweepd -poll), or DefaultWorkerPoll until a response carries it.
 	poll := func() time.Duration {
-		if hint := c.PollHint(); hint > 0 {
+		if hint := c.pollHint(); hint > 0 {
 			return hint
 		}
 		return DefaultWorkerPoll
 	}
 	var rep WorkerReport
+	down := outage{logf: logf}
+	// answered sorts one call's outcome: an answer, a transient failure
+	// or a permanent one. A transient failure is an outage, not an
+	// error: the control plane is away (restarting, most likely), and
+	// the journaled queue comes back with our lease intact. A lost
+	// report loses no result either: Runner.Run published it before the
+	// report, so when the lease expires and the cell re-leases, the
+	// store serves it and nothing is recomputed.
+	answered := func(call string, err error) bool {
+		if err != nil && !IsTransient(err) {
+			rep.Errors++
+			logf("%s: %v", call, err)
+			return false
+		}
+		if down.observe(err) {
+			rep.Outages++
+		}
+		return err == nil
+	}
 	idle := 0
-	down := false
 	for {
 		if stopped() {
 			logf("stop requested; exiting")
 			return rep
 		}
 		grant, err := c.Lease(cfg.ID)
-		switch {
-		case err != nil && IsTransient(err):
-			// The control plane is away (restarting, most likely). Not a
-			// worker error: keep polling and let the journaled queue come
-			// back with our lease intact.
-			if !down {
-				down = true
-				rep.Outages++
-				logf("sweepd unreachable, polling until it returns: %v", err)
-			}
-		case err != nil:
-			rep.Errors++
-			logf("lease: %v", err)
-		case down:
-			down = false
-			logf("sweepd reachable again")
-		}
-		if grant == nil {
+		if !answered("lease", err) || grant == nil {
 			idle++
 			if cfg.IdleExit > 0 && idle >= cfg.IdleExit {
 				return rep
@@ -335,37 +326,27 @@ func (c *QueueClient) Work(cfg WorkerConfig) WorkerReport {
 				rep.Failed++
 				logf("cell %s failed: %s", fp, res.Err)
 			}
-			ack, err := c.Report(grant.Job, grant.Lease, cfg.ID, fp, failed, res.Err)
-			if err != nil {
-				if IsTransient(err) {
-					// The result is already published (Runner.Run stores
-					// before returning); only the report was lost. The
-					// lease expires, the cell re-leases, and the store
-					// serves the entry — nothing is recomputed.
-					if !down {
-						down = true
-						rep.Outages++
-						logf("sweepd unreachable mid-lease, report %s not delivered: %v", fp, err)
-					}
-				} else {
-					rep.Errors++
-					logf("report %s: %v", fp, err)
+			report := func() (ReportAck, error) {
+				ack, err := c.Report(grant.Job, grant.Lease, cfg.ID, fp, failed, res.Err)
+				for _, d := range ack.Drop {
+					dropped[d] = true
 				}
-				continue
+				return ack, err
 			}
-			if down {
-				down = false
-				logf("sweepd reachable again")
+			ack, err := report()
+			if err == nil && !failed && !ack.Verified && cfg.Runner.store != nil {
+				// The server has no verified entry, most likely because
+				// the push behind Runner.Run failed. The Runner serves
+				// this cell from its memory from now on and would never
+				// push it again, so publish it once more and report
+				// again; the report tells whether the push landed.
+				_ = cfg.Runner.store.Store(fp, res)
+				ack, err = report()
 			}
-			if !failed && !ack.Verified {
-				// The server could not verify our publish — most likely
-				// the push behind Runner.Run degraded. Count it and move
-				// on; the cell stays pending and will be re-leased.
+			if answered("report "+fp, err) && !failed && !ack.Verified {
+				// The cell stays pending and will be re-leased.
 				rep.Rejected++
 				logf("report %s rejected: server has no verified entry", fp)
-			}
-			for _, d := range ack.Drop {
-				dropped[d] = true
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +15,7 @@ import (
 // noSleep is a Backoff for tests: real transient classification and
 // budget arithmetic, zero wall-clock cost.
 func noSleep(window time.Duration) Backoff {
-	return Backoff{Base: 10 * time.Millisecond, Cap: 20 * time.Millisecond, Window: window, Sleep: func(time.Duration) {}}
+	return Backoff{Window: window, Sleep: func(time.Duration) {}}
 }
 
 // TestClientRetriesTransient: a 503 is the server restarting, not an
@@ -33,8 +35,8 @@ func TestClientRetriesTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	client.Retry = noSleep(time.Minute)
-	jobs, err := client.Jobs()
-	if err != nil || len(jobs) != 0 {
+	var jobs []JobStatus
+	if err := client.get(jobsPath, &jobs); err != nil || len(jobs) != 0 {
 		t.Fatalf("Jobs = %v, %v", jobs, err)
 	}
 	if got := hits.Load(); got != 3 {
@@ -66,7 +68,8 @@ func TestClientPermanentFailsFast(t *testing.T) {
 
 // TestWaitJobRidesOutage: the submitter's wait loop treats an
 // unreachable sweepd as weather — logged once, polled through, and
-// resolved the moment the server answers again.
+// resolved the moment the server answers again — until it has lasted
+// four retry windows, when the loop gives up.
 func TestWaitJobRidesOutage(t *testing.T) {
 	q, store, _ := newTestQueue(t, time.Minute, 1)
 	st, err := q.Submit(tinyMatrix(), 1)
@@ -81,38 +84,55 @@ func TestWaitJobRidesOutage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// The first batch of requests hits a dead server.
-	var hits atomic.Int32
 	inner := NewQueueHandler(q, NewCacheServer(store))
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 20 {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
 
-	var log strings.Builder
-	client, err := NewQueueClient(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.Retry = noSleep(30 * time.Millisecond)
-	client.Log = &log
-	final, err := client.WaitJob(st.ID, time.Millisecond, nil)
-	if err != nil {
-		t.Fatalf("WaitJob: %v\nlog: %s", err, log.String())
-	}
-	if final.State != "done" {
-		t.Fatalf("final = %+v", final)
-	}
-	if got := strings.Count(log.String(), "sweepd unreachable"); got != 1 {
-		t.Errorf("outage logged %d times, want once:\n%s", got, log.String())
-	}
-	if got := strings.Count(log.String(), "reachable again"); got != 1 {
-		t.Errorf("recovery logged %d times, want once:\n%s", got, log.String())
+	for _, tc := range []struct {
+		name   string
+		down   int32 // requests refused before the server answers
+		window time.Duration
+		gaveUp bool
+	}{
+		{"rides out", 20, 100 * time.Millisecond, false},
+		{"gives up", math.MaxInt32, time.Millisecond, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hits atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if hits.Add(1) <= tc.down {
+					http.Error(w, "down", http.StatusServiceUnavailable)
+					return
+				}
+				inner.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+
+			var log strings.Builder
+			client, err := NewQueueClient(srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.Retry = noSleep(tc.window)
+			client.Log = &log
+			snapshots := 0
+			final, err := client.WaitJob(st.ID, time.Millisecond, func(JobStatus) { snapshots++ })
+			if tc.gaveUp {
+				if err == nil || !strings.Contains(err.Error(), "sweepd unreachable for") || snapshots != 0 {
+					t.Fatalf("WaitJob = %+v, %v after %d snapshots, want it to give up unanswered", final, err, snapshots)
+				}
+			} else if err != nil || final.State != "done" || snapshots != 1 {
+				t.Fatalf("WaitJob = %+v, %v after %d snapshots, want done on the first answer\nlog: %s", final, err, snapshots, log.String())
+			}
+			if got := strings.Count(log.String(), "sweepd unreachable"); got != 1 {
+				t.Errorf("outage logged %d times, want once:\n%s", got, log.String())
+			}
+			want := 1
+			if tc.gaveUp {
+				want = 0
+			}
+			if got := strings.Count(log.String(), "reachable again"); got != want {
+				t.Errorf("recovery logged %d times, want %d:\n%s", got, want, log.String())
+			}
+		})
 	}
 }
 
@@ -128,7 +148,8 @@ func TestWaitJobUnknownJobFailsFast(t *testing.T) {
 	}
 	client.Retry = noSleep(time.Minute)
 	start := time.Now()
-	if _, err := client.WaitJob("j9999", time.Millisecond, nil); err == nil || IsTransient(err) {
+	// A zero poll takes the default; the first answer ends the wait.
+	if _, err := client.WaitJob("j9999", 0, nil); err == nil || IsTransient(err) {
 		t.Fatalf("err = %v, want a fast permanent rejection", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -156,7 +177,7 @@ func TestQueueClientKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := client.Jobs(); err != nil {
+		if err := client.get(jobsPath, new([]JobStatus)); err != nil {
 			t.Fatalf("jobs: %v", err)
 		}
 		if _, err := client.Job("nope"); err == nil || !strings.Contains(err.Error(), "404") {
@@ -185,13 +206,13 @@ func TestClientPollHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := client.PollHint(); got != 0 {
+	if got := client.pollHint(); got != 0 {
 		t.Fatalf("hint before any lease = %v", got)
 	}
 	if grant, err := client.Lease("w1"); err != nil || grant != nil {
 		t.Fatalf("lease on empty queue = %+v, %v", grant, err)
 	}
-	if got := client.PollHint(); got != 123*time.Millisecond {
+	if got := client.pollHint(); got != 123*time.Millisecond {
 		t.Fatalf("hint = %v, want the server's 123ms", got)
 	}
 }
@@ -228,7 +249,8 @@ func TestWorkerStopFinishesCurrentCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log strings.Builder
-	rep := client.Work(WorkerConfig{ID: "w1", Runner: NewRunnerStore(1, rs), Stop: stopCh, Log: &log})
+	client.Log = &log
+	rep := client.Work(WorkerConfig{ID: "w1", Runner: NewRunnerStore(1, rs), Stop: stopCh})
 	if rep.Leases != 1 || rep.Cells != 1 || rep.Errors != 0 || rep.Rejected != 0 {
 		t.Fatalf("report = %+v, want exactly the in-flight cell finished\nlog: %s", rep, log.String())
 	}
@@ -262,11 +284,185 @@ func TestWorkerOutageIsNotAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log strings.Builder
-	rep := client.Work(WorkerConfig{ID: "w1", Runner: NewRunner(1), IdleExit: 3, Log: &log})
+	client.Log = &log
+	rep := client.Work(WorkerConfig{ID: "w1", Runner: NewRunner(1), IdleExit: 3})
 	if rep.Outages != 1 || rep.Errors != 0 {
 		t.Fatalf("report = %+v, want one outage and zero errors\nlog: %s", rep, log.String())
 	}
 	if got := strings.Count(log.String(), "sweepd unreachable"); got != 1 {
 		t.Errorf("outage logged %d times, want once:\n%s", got, log.String())
+	}
+}
+
+// scriptedSweepd serves q and its store as sweepd does, except for the
+// calls script answers itself. script sees every lease, report and
+// result push ("lease", "report" and "put") with its number on that
+// route, from 1, and returns the status to answer it with, or 0 to let
+// sweepd answer. A scripted 200 to a report is an ack that the server
+// could not verify the result; any other scripted answer is an error,
+// and no scripted answer carries a poll hint.
+func scriptedSweepd(t *testing.T, q *JobQueue, store *DiskCache, script func(call string, n int) int) *httptest.Server {
+	t.Helper()
+	inner := NewQueueHandler(q, NewCacheServer(store))
+	var mu sync.Mutex
+	calls := make(map[string]int)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		call := ""
+		switch {
+		case r.URL.Path == leasePath:
+			call = "lease"
+		case strings.HasSuffix(r.URL.Path, "/report"):
+			call = "report"
+		case r.Method == http.MethodPut:
+			call = "put"
+		}
+		mu.Lock()
+		calls[call]++
+		status := 0
+		if call != "" && script != nil {
+			status = script(call, calls[call])
+		}
+		mu.Unlock()
+		switch {
+		case status == 0:
+			inner.ServeHTTP(w, r)
+		case status == http.StatusOK && call == "report":
+			writeJSON(w, ReportAck{JobState: "running"})
+		default:
+			http.Error(w, "scripted", status)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// answer is a script that answers the nth call on route call with
+// status, and every such call when n is 0.
+func answer(call string, n, status int) func(string, int) int {
+	return func(c string, i int) int {
+		if c == call && (n == 0 || i == n) {
+			return status
+		}
+		return 0
+	}
+}
+
+// TestWorkerLoopOutcomes runs one worker against a scripted sweepd and
+// checks how its loop sorts each call's outcome: an answer; a transient
+// failure, which is an outage, logged once when it opens and once when
+// the next answer closes it, and never an error; a permanent failure,
+// which is an error; a cell whose run fails; and a report the server
+// could not verify.
+func TestWorkerLoopOutcomes(t *testing.T) {
+	withBadCell := tinyMatrix()
+	withBadCell[1].Impl = "NoSuchMPI"
+	for _, tc := range []struct {
+		name    string
+		cells   []Experiment
+		script  func(call string, n int) int
+		want    WorkerReport
+		outages int // "unreachable" lines, and as many "reachable again"
+	}{
+		// No answer has carried the server's poll hint yet, so the
+		// worker waits DefaultWorkerPoll before it asks again.
+		{"lease outage", tinyMatrix(), answer("lease", 1, http.StatusServiceUnavailable),
+			WorkerReport{Leases: 1, Cells: 4, Outages: 1}, 1},
+		{"lease refused", tinyMatrix(), answer("lease", 2, http.StatusBadRequest),
+			WorkerReport{Leases: 1, Cells: 4, Errors: 1}, 0},
+		// The lost report leaves its cell pending in the lease, which
+		// outlives the test.
+		{"report outage", tinyMatrix(), answer("report", 1, http.StatusServiceUnavailable),
+			WorkerReport{Leases: 1, Cells: 4, Outages: 1}, 1},
+		{"report refused", tinyMatrix(), answer("report", 1, http.StatusBadRequest),
+			WorkerReport{Leases: 1, Cells: 4, Errors: 1}, 0},
+		{"failed cell", withBadCell, nil,
+			WorkerReport{Leases: 1, Cells: 4, Failed: 1}, 0},
+		{"unverified", tinyMatrix()[:1], answer("report", 0, http.StatusOK),
+			WorkerReport{Leases: 1, Cells: 1, Rejected: 1}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := NewDiskCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := NewJobQueue(store, QueueConfig{TTL: time.Minute, Slices: 1, Poll: time.Millisecond})
+			if _, err := q.Submit(tc.cells, 1); err != nil {
+				t.Fatal(err)
+			}
+			srv := scriptedSweepd(t, q, store, tc.script)
+			client, err := NewQueueClient(srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := NewRemoteStore(srv.URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log strings.Builder
+			client.Log = &log
+			rep := client.Work(WorkerConfig{ID: "w1", Runner: NewRunnerStore(1, rs), IdleExit: 2})
+			if rep != tc.want {
+				t.Errorf("report = %+v, want %+v\nlog: %s", rep, tc.want, log.String())
+			}
+			if got := strings.Count(log.String(), "sweepd unreachable"); got != tc.outages {
+				t.Errorf("outage logged %d times, want %d:\n%s", got, tc.outages, log.String())
+			}
+			if got := strings.Count(log.String(), "reachable again"); got != tc.outages {
+				t.Errorf("recovery logged %d times, want %d:\n%s", got, tc.outages, log.String())
+			}
+		})
+	}
+}
+
+// TestWorkerRepublishesLostPush: when a worker's push fails (here one
+// 503 with no retry window), the server cannot verify its report, and
+// the Runner serves the cell from memory from then on, so nothing would
+// push it again: every re-lease would be rejected, and a one-worker
+// fleet would never finish the job. The worker publishes the result a
+// second time and reports once more instead.
+func TestWorkerRepublishesLostPush(t *testing.T) {
+	store, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewJobQueue(store, QueueConfig{TTL: 200 * time.Millisecond, Slices: 1, Poll: time.Millisecond})
+	st, err := q.Submit(tinyMatrix()[:2], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var puts atomic.Int32
+	srv := scriptedSweepd(t, q, store, func(call string, n int) int {
+		if call != "put" {
+			return 0
+		}
+		puts.Store(int32(n))
+		if n == 1 {
+			return http.StatusServiceUnavailable
+		}
+		return 0
+	})
+	client, err := NewQueueClient(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := NewRemoteStore(srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan WorkerReport)
+	go func() { done <- client.Work(WorkerConfig{ID: "w1", Runner: NewRunnerStore(1, rs), Stop: stop}) }()
+	final := st
+	for deadline := time.Now().Add(3 * time.Second); !final.Finished() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		final, _ = q.Status(st.ID)
+	}
+	close(stop)
+	rep := <-done
+	if final.State != "done" {
+		t.Fatalf("job after 3s (15 lease TTLs) = %+v\nworker: %+v, %d pushes", final, rep, puts.Load())
+	}
+	if rep.Leases != 1 || rep.Rejected != 0 || puts.Load() != 3 {
+		t.Errorf("worker %+v with %d pushes, want one lease, no rejected report and 3 pushes", rep, puts.Load())
 	}
 }

@@ -544,7 +544,7 @@ func TestQueueFleetSurvivesSweepdRestart(t *testing.T) {
 	srv1 := &http.Server{Handler: deadening(NewQueueHandler(q1, NewCacheServer(store)))}
 	go srv1.Serve(ln)
 
-	retry := Backoff{Window: 20 * time.Second, Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond}
+	retry := Backoff{Window: 20 * time.Second}
 	client, err := NewQueueClient("http://" + addr)
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func NewQueueHandler(q *JobQueue, cs *CacheServer) http.Handler {
 		writeJSON(w, q.Jobs())
 	})
 	mux.HandleFunc("GET "+jobsPath+"/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, ok := jobKey(w, r)
+		id, ok := pathKey(w, r, "id", jobIDPat)
 		if !ok {
 			return
 		}
@@ -99,7 +99,7 @@ func NewQueueHandler(q *JobQueue, cs *CacheServer) http.Handler {
 		writeJSON(w, st)
 	})
 	mux.HandleFunc("POST "+jobsPath+"/{id}/report", func(w http.ResponseWriter, r *http.Request) {
-		id, ok := jobKey(w, r)
+		id, ok := pathKey(w, r, "id", jobIDPat)
 		if !ok {
 			return
 		}
@@ -154,14 +154,4 @@ func readJSON(w http.ResponseWriter, r *http.Request, limit int64, what string, 
 		return false
 	}
 	return true
-}
-
-// jobKey extracts and validates the {id} path element.
-func jobKey(w http.ResponseWriter, r *http.Request) (string, bool) {
-	id := r.PathValue("id")
-	if !jobIDPat.MatchString(id) {
-		http.NotFound(w, r)
-		return "", false
-	}
-	return id, true
 }

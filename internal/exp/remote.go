@@ -39,6 +39,31 @@ const maxEntryBytes = 16 << 20
 // entries a Load would not find.
 var fingerprintPat = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
+// server is one connection to a cmd/sweepd server, the part RemoteStore
+// and QueueClient share: the base URL, the HTTP client, and the retry
+// policy of every call.
+type server struct {
+	base   string // http[s]://host:port, without a trailing slash
+	client *http.Client
+
+	// Retry, when its Window is positive, retries transient failures
+	// (connection refused, timeouts, 5xx) of every call with capped
+	// exponential backoff, so a briefly restarting sweepd looks like
+	// latency instead of a failure. The zero value fails on the first
+	// error.
+	Retry Backoff
+}
+
+// dial checks a sweepd URL (http[s]://host:port) and returns the
+// connection to it. It sends nothing.
+func dial(baseURL string) (server, error) {
+	u, err := url.Parse(baseURL)
+	if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
+		return server{}, fmt.Errorf("exp: bad sweepd URL %q (want http[s]://host:port)", baseURL)
+	}
+	return server{base: strings.TrimSuffix(u.String(), "/"), client: &http.Client{Timeout: 30 * time.Second}}, nil
+}
+
 // RemoteStore is a Store served by a remote cmd/sweepd server: loads
 // GET the entry by fingerprint, stores PUT it back, and an optional
 // local DiskCache acts as a read-through/write-behind tier (remote hits
@@ -50,18 +75,12 @@ var fingerprintPat = regexp.MustCompile(`^[0-9a-f]{16}$`)
 // counters record what happened. Entries fetched from the remote pass
 // through the same verification gate as disk reads (schema generation +
 // fingerprint re-hash), so a stale or foreign peer can never inject a
-// result for the wrong experiment.
+// result for the wrong experiment. Its Retry, when set, retries the
+// transient failures of fetches, pushes and index reads, so a briefly
+// restarting server looks like latency instead of a miss.
 type RemoteStore struct {
-	base   string // URL prefix up to but excluding resultsPath
-	local  *DiskCache
-	client *http.Client
-
-	// Retry, when its Window is positive, retries transient failures
-	// (connection refused, timeouts, 5xx) of fetches, pushes, and index
-	// reads with capped exponential backoff, so a briefly-restarting
-	// server looks like latency instead of a miss. The zero value keeps
-	// the historic fail-to-miss-immediately behavior.
-	Retry Backoff
+	server
+	local *DiskCache
 
 	localHits   int64 // served by the local read-through tier
 	remoteHits  int64 // fetched (and verified) from the server
@@ -76,15 +95,11 @@ type RemoteStore struct {
 // read-through/write-behind tier; nil means remote-only (every load is
 // a round trip, every store a publish).
 func NewRemoteStore(baseURL string, local *DiskCache) (*RemoteStore, error) {
-	u, err := url.Parse(baseURL)
-	if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
-		return nil, fmt.Errorf("exp: bad remote cache URL %q (want http[s]://host:port)", baseURL)
+	srv, err := dial(baseURL)
+	if err != nil {
+		return nil, err
 	}
-	return &RemoteStore{
-		base:   strings.TrimSuffix(u.String(), "/"),
-		local:  local,
-		client: &http.Client{Timeout: 30 * time.Second},
-	}, nil
+	return &RemoteStore{server: srv, local: local}, nil
 }
 
 // RemoteStats is the RemoteStore's served/published accounting. The
@@ -138,11 +153,6 @@ func (s *RemoteStore) Stats() RemoteStats {
 	}
 }
 
-// entryURL is the wire address of one fingerprint's entry.
-func (s *RemoteStore) entryURL(fp string) string {
-	return s.base + resultsPath + "/" + fp
-}
-
 // Load implements Store: local tier first, then the server. A remote
 // hit is written behind into the local tier; any failure is a miss.
 func (s *RemoteStore) Load(fp string) (Result, bool) {
@@ -188,11 +198,11 @@ func (s *RemoteStore) Store(fp string, res Result) error {
 	return localErr
 }
 
-// fetch GETs one entry, retrying transient failures per s.Retry.
+// fetch GETs one entry.
 // ok == false with a nil error is a clean 404; any other defect
 // (network, non-2xx, oversized or unverifiable body) is an error.
 func (s *RemoteStore) fetch(fp string) (res Result, ok bool, err error) {
-	err = exchange(s.client, s.Retry, http.MethodGet, s.entryURL(fp), nil, func(resp *http.Response) error {
+	err = s.call(http.MethodGet, resultsPath+"/"+fp, nil, func(resp *http.Response) error {
 		// A foreign-generation store announces itself in the header: fail
 		// before parsing the body (decodeEntry would catch it anyway, but
 		// this names the real problem — the peer, not the entry).
@@ -215,23 +225,13 @@ func (s *RemoteStore) fetch(fp string) (res Result, ok bool, err error) {
 	return res, err == nil, err
 }
 
-// push PUTs one entry's schema-version envelope to the server,
-// retrying transient failures per s.Retry.
+// push PUTs one entry's schema-version envelope to the server.
 func (s *RemoteStore) push(fp string, res Result) error {
 	blob, err := json.Marshal(diskEntry{Schema: DiskSchemaVersion, Result: res})
 	if err != nil {
 		return fmt.Errorf("exp: marshal cache entry: %w", err)
 	}
-	return exchange(s.client, s.Retry, http.MethodPut, s.entryURL(fp), blob, nil)
-}
-
-// index GETs the server's sorted fingerprint list, retrying transient
-// failures per s.Retry.
-func (s *RemoteStore) index() (fps []string, err error) {
-	err = exchange(s.client, s.Retry, http.MethodGet, s.base+resultsPath, nil, func(resp *http.Response) error {
-		return decodeBody(resp, &fps)
-	})
-	return fps, err
+	return s.call(http.MethodPut, resultsPath+"/"+fp, blob, nil)
 }
 
 // drainLimit bounds how much of a response body closeBody reads past
@@ -271,26 +271,26 @@ func (e *statusError) Error() string {
 // formats no error and reads no error text.
 var errNotFound = &statusError{Code: http.StatusNotFound}
 
-// exchange is one fleet-client call: one request per attempt, retried
-// per b. The body (nil for none) is replayed from the start on every
-// attempt. Transport errors and 5xx answers are Transient; a 404 is
-// errNotFound; any other non-2xx answer is a *statusError carrying the
-// server's text. A 2xx response goes to read, when non-nil. The
-// response body is closed on every path.
-func exchange(c *http.Client, b Backoff, method, url string, body []byte, read func(*http.Response) error) error {
-	return b.Do(func() error {
+// call is one fleet-client call of method on path: one request per
+// attempt, retried per s.Retry. The body (nil for none) is replayed
+// from the start on every attempt. Transport errors and 5xx answers are
+// Transient; a 404 is errNotFound; any other non-2xx answer is a
+// *statusError carrying the server's text. A 2xx response goes to read,
+// when non-nil. The response body is closed on every path.
+func (s *server) call(method, path string, body []byte, read func(*http.Response) error) error {
+	return s.Retry.Do(func() error {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
-		req, err := http.NewRequest(method, url, rd)
+		req, err := http.NewRequest(method, s.base+path, rd)
 		if err != nil {
 			return err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
-		resp, err := c.Do(req)
+		resp, err := s.client.Do(req)
 		if err != nil {
 			return Transient(err)
 		}
@@ -309,6 +309,13 @@ func exchange(c *http.Client, b Backoff, method, url string, body []byte, read f
 			return read(resp)
 		}
 		return nil
+	})
+}
+
+// get GETs path and decodes the JSON answer into out.
+func (s *server) get(path string, out any) error {
+	return s.call(http.MethodGet, path, nil, func(resp *http.Response) error {
+		return decodeBody(resp, out)
 	})
 }
 
@@ -355,8 +362,8 @@ func (s *RemoteStore) Push() (SyncReport, error) {
 	if err != nil {
 		return SyncReport{}, err
 	}
-	remote, err := s.index()
-	if err != nil {
+	var remote []string
+	if err := s.get(resultsPath, &remote); err != nil {
 		return SyncReport{}, err
 	}
 	present := make(map[string]bool, len(remote))
@@ -393,8 +400,8 @@ func (s *RemoteStore) Pull() (SyncReport, error) {
 	if s.local == nil {
 		return SyncReport{}, fmt.Errorf("exp: pull needs a local cache directory")
 	}
-	fps, err := s.index()
-	if err != nil {
+	var fps []string
+	if err := s.get(resultsPath, &fps); err != nil {
 		return SyncReport{}, err
 	}
 	var rep SyncReport
