@@ -534,13 +534,21 @@ type ReportAck struct {
 // job instead of queueing duplicate work (workers publish to one
 // content-addressed store, so the first job's results serve both
 // callers). Duplicate fingerprints within one submission collapse to
-// the first occurrence.
+// the first occurrence. A submission holding a cell that no worker
+// could run is refused whole, with an error naming that cell, before
+// anything is journaled; journal replay does not pass through here, so
+// it keeps every cell it recorded.
 func (q *JobQueue) Submit(cells []Experiment, slices int) (JobStatus, error) {
 	if len(cells) == 0 {
 		return JobStatus{}, fmt.Errorf("exp: empty job submission")
 	}
 	if len(cells) > maxJobCells {
 		return JobStatus{}, fmt.Errorf("exp: job of %d cells exceeds the %d-cell limit", len(cells), maxJobCells)
+	}
+	for i, e := range cells {
+		if err := e.check(); err != nil {
+			return JobStatus{}, fmt.Errorf("exp: cell %d (%s) cannot run: %w", i, e.Name(), err)
+		}
 	}
 
 	fps := make([]string, 0, len(cells))

@@ -2,6 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -414,5 +417,48 @@ func TestQueueHandlerRejects(t *testing.T) {
 	}
 	if _, err := NewQueueClient("not a url"); err == nil {
 		t.Error("bad sweepd URL accepted")
+	}
+}
+
+// TestSubmitRefusesUnrunnableCell: a submission holding one cell that no
+// worker could run is refused whole with a 422 naming that cell, and it
+// leaves no job behind, live or in the journal.
+func TestSubmitRefusesUnrunnableCell(t *testing.T) {
+	store, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jdir := t.TempDir()
+	cfg := QueueConfig{TTL: time.Minute, Slices: 1}
+	q, _ := recoverTestQueue(t, store, jdir, cfg)
+	srv := httptest.NewServer(NewQueueHandler(q, NewCacheServer(store)))
+	defer srv.Close()
+	client, err := NewQueueClient(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := *q.JournalStats()
+
+	cells := tinyMatrix()
+	cells[2].Impl = "NoSuchMPI"
+	_, err = client.Submit(cells, 0)
+	var se *statusError
+	if !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("submission with an unknown implementation: %v, want a 422", err)
+	}
+	if want := fmt.Sprintf("cell 2 (%s)", cells[2].Name()); !strings.Contains(se.Text, want) || !strings.Contains(se.Text, "NoSuchMPI") {
+		t.Errorf("refusal %q does not name %q and its implementation", se.Text, want)
+	}
+	if jobs := q.Jobs(); len(jobs) != 0 {
+		t.Errorf("refused submission left jobs %+v", jobs)
+	}
+	if after := *q.JournalStats(); after.Appended != before.Appended {
+		t.Errorf("refused submission journaled %d records", after.Appended-before.Appended)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, rep := recoverTestQueue(t, store, jdir, cfg); rep.Jobs != 0 || rep.Records != 0 {
+		t.Errorf("recovery after the refusal = %+v, want no job and no record", rep)
 	}
 }

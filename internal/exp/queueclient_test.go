@@ -354,8 +354,11 @@ func answer(call string, n, status int) func(string, int) int {
 // which is an error; a cell whose run fails; and a report the server
 // could not verify.
 func TestWorkerLoopOutcomes(t *testing.T) {
+	// Submit runs check on every cell, so the failing cell must pass it
+	// and fail only in Run: its fault plan crashes a host the testbed
+	// does not have.
 	withBadCell := tinyMatrix()
-	withBadCell[1].Impl = "NoSuchMPI"
+	withBadCell[1].Faults = mustParseFaultPlan(t, "0s crash host=nancy-0")
 	for _, tc := range []struct {
 		name    string
 		cells   []Experiment

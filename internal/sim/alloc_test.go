@@ -58,7 +58,9 @@ func TestScheduleFutureAllocFree(t *testing.T) {
 
 // TestSleepAllocFree locks the process wakeup path: a steady-state Sleep
 // is one wakeup event plus a coroutine switch each way — no
-// closures, no per-iteration allocation.
+// closures, no per-iteration allocation. Every sleep parks, never
+// running its wakeup in place, because each wakeup lies past the bound
+// of the RunUntil it sleeps in.
 func TestSleepAllocFree(t *testing.T) {
 	skipIfRace(t)
 	k := New(1)
@@ -76,6 +78,46 @@ func TestSleepAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Sleep cycle allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestSleepSkipAllocFree locks the in-place wakeup: a sleep whose
+// wakeup is the next event runs it without parking and allocates
+// nothing. Each cycle wakes the sleeper through a signal, its own
+// wakeup event, and its eight sleeps then find nothing else pending.
+func TestSleepSkipAllocFree(t *testing.T) {
+	skipIfRace(t)
+	k := New(1)
+	defer k.Close() // aborts the parked sleeper
+	s := k.NewSignal()
+	skipped := 0
+	k.SetTracer(func(Time, uint64) {
+		if k.woken != nil {
+			skipped++
+		}
+	})
+	k.Go("sleeper", func(p *Proc) {
+		for {
+			s.Wait(p)
+			s.Reset()
+			for range 8 {
+				p.Sleep(time.Microsecond)
+			}
+		}
+	})
+	cycle := func() {
+		s.Fire()
+		k.Run()
+	}
+	for i := 0; i < 64; i++ { // warm
+		cycle()
+	}
+	if skipped != 64*8 {
+		t.Fatalf("%d of 512 sleeps ran their wakeup in place, want all", skipped)
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	if allocs != 0 {
+		t.Fatalf("Wait plus 8 skipped sleeps allocates %v/op, want 0", allocs)
 	}
 }
 

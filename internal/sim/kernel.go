@@ -37,11 +37,13 @@
 //     package-level adapter.
 //   - Processes themselves are coroutines (see Proc): parking is a
 //     same-thread coroutine switch, not a channel handoff through the Go
-//     scheduler.
+//     scheduler. A Sleep whose wakeup would be the next event runs that
+//     wakeup in place and does not switch at all (Kernel.wakeInPlace).
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -79,14 +81,22 @@ type Kernel struct {
 	ringHead uint32
 	ringTail uint32
 
-	rng *rand.Rand
+	seed int64
+	rng  *rand.Rand
 	// procs holds the processes spawned, in spawn order, less finished
 	// ones GoJob has dropped.
 	procs  []*Proc
 	closed bool
 	tracer Tracer
 
-	// Executed counts events processed, for diagnostics and tests.
+	// woken is the process whose own wakeup event is running, and bound
+	// the latest instant the running Run or RunUntil may reach (-1
+	// outside both): Proc.Sleep reads them to run its wakeup in place.
+	woken *Proc
+	bound Time
+
+	// Executed counts events processed, for diagnostics and tests,
+	// including the wakeups Proc.Sleep runs in place.
 	Executed uint64
 }
 
@@ -108,7 +118,7 @@ var NewHook func(*Kernel)
 // New creates a kernel with the given RNG seed. The RNG is the only source
 // of randomness in the simulation; a fixed seed yields a fixed trajectory.
 func New(seed int64) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k := &Kernel{seed: seed, bound: -1}
 	if NewHook != nil {
 		NewHook(k)
 	}
@@ -118,8 +128,15 @@ func New(seed int64) *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Rand returns the kernel's deterministic random source.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+// Rand returns the kernel's deterministic random source. It is built from
+// New's seed on the first call, so a run that never draws never seeds it;
+// the stream is the same either way.
+func (k *Kernel) Rand() *rand.Rand {
+	if k.rng == nil {
+		k.rng = rand.New(rand.NewSource(k.seed))
+	}
+	return k.rng
+}
 
 // alloc takes a slab slot (recycling freed ones), assigns the next
 // sequence number and fills the event in.
@@ -202,15 +219,46 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
+// wakeInPlace runs p's wakeup at time at without parking p, when that
+// wakeup would be the very next event: it takes the next seq, advances
+// the clock, counts the event and traces it, exactly as Step would. All
+// four must hold, or it reports false and does nothing:
+//   - p is running in its own wakeup event (wakeProc). A process that
+//     another event resumed inline (Kernel.Resume) would run the rest of
+//     that event at a later clock.
+//   - A Run or RunUntil is in progress and at is within its bound. So a
+//     bare Step never skips, and a process that sleeps past RunUntil's
+//     bound stays parked.
+//   - The kernel is open.
+//   - No event is due first: the same-instant ring is empty, and the
+//     heap's earliest event is strictly later than at (one at the same
+//     instant was scheduled first).
+func (k *Kernel) wakeInPlace(p *Proc, at Time) bool {
+	if k.woken != p || at > k.bound || k.closed || k.ringHead != k.ringTail ||
+		len(k.heap) > 0 && k.slab[k.heap[0]].at <= at {
+		return false
+	}
+	k.seq++
+	k.now = at
+	k.Executed++
+	if k.tracer != nil {
+		k.tracer(at, k.seq)
+	}
+	return true
+}
+
 // Run executes events until none remain (the simulation has quiesced:
 // every process is finished or blocked on a condition nothing will fire).
 func (k *Kernel) Run() {
+	k.bound = math.MaxInt64
 	for k.Step() {
 	}
+	k.bound = -1
 }
 
 // RunUntil executes events with time ≤ t, then sets the clock to t.
 func (k *Kernel) RunUntil(t Time) {
+	k.bound = t
 	for {
 		if k.ringHead != k.ringTail && k.now <= t {
 			k.Step()
@@ -221,6 +269,7 @@ func (k *Kernel) RunUntil(t Time) {
 		}
 		k.Step()
 	}
+	k.bound = -1
 	if k.now < t {
 		k.now = t
 	}

@@ -90,10 +90,14 @@ func (k *Kernel) GoJob(name string, fn func(p *Proc, arg any), arg any) *Proc {
 
 // wakeProc is the event of a process wakeup: the parked *Proc is its
 // argument. It is the wakeup of GoJob's start, Sleep, Signal.Wait and
-// Mutex.Lock.
+// Mutex.Lock. While it runs, the kernel's woken names the process, so
+// the process's sleeps may run their own wakeups in place.
 func wakeProc(p any) {
 	proc := p.(*Proc)
-	proc.k.Resume(proc)
+	k := proc.k
+	k.woken = proc
+	k.Resume(proc)
+	k.woken = nil
 }
 
 // Park blocks the process until the kernel resumes it. Sleep, Signal
@@ -131,11 +135,18 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// Sleep blocks the process for d of virtual time. Non-positive durations
-// still yield, resuming after events already scheduled for this instant.
+// Sleep blocks the process for d of virtual time. A non-positive sleep
+// still runs after the events already due at this instant. Sleep parks
+// only when some event is due before its wakeup; otherwise the wakeup
+// would be the next event, and Sleep runs it in place (see
+// Kernel.wakeInPlace), in the same (time, seq) slot.
 func (p *Proc) Sleep(d time.Duration) {
-	p.k.ScheduleArg(p.k.now+d, wakeProc, p)
-	p.Park()
+	k := p.k
+	at := max(k.now+d, k.now)
+	if !k.wakeInPlace(p, at) {
+		k.ScheduleArg(at, wakeProc, p)
+		p.Park()
+	}
 }
 
 func (p *Proc) String() string { return fmt.Sprintf("sim.Proc(%s)", p.name) }
